@@ -31,11 +31,9 @@ from .metrics import (
 from .oracle import (
     ClassProbabilities,
     ExternalCommandOracle,
-    PredictionCache,
     PredictionOracle,
     ShapeRuleClassifier,
     accuracy,
-    external_batch_predict,
     predict_shape_rule,
 )
 from .report import MethodSummary, render_matrix, render_strip, summarize

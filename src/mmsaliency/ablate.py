@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .oracle import PredictionCache, _iter_samples, predict_all
+from .oracle import _iter_samples, predict_all
 from .tensorio import MultiModalVolume
 
 MAX_EXACT_MODALITIES = 12
@@ -51,10 +51,6 @@ class Coalition:
     def __len__(self):
         return len(self.members)
 
-    @property
-    def signature(self):
-        return "+".join(str(m) for m in self.members)
-
 
 class AblationVariant(Enum):
     ZERO_WHOLE_MODALITY = "zero"
@@ -75,12 +71,6 @@ class AblationPolicy:
             AblationVariant.NONLESION_SAMPLE_WHOLE_MODALITY,
             AblationVariant.ZERO_FEATURE_REGION,
         )
-
-    @property
-    def signature(self):
-        if self.variant is AblationVariant.NONLESION_SAMPLE_WHOLE_MODALITY:
-            return f"{self.variant.value}:seed={self.rng_seed}"
-        return self.variant.value
 
     @property
     def mi_variant(self):
@@ -128,33 +118,17 @@ def apply_ablation(volume, keep: Coalition, policy: AblationPolicy, mask=None):
     return MultiModalVolume(volume.modality_names, data)
 
 
-def coalition_performance(data, oracle, keep: Coalition, policy, cache=None):
+def coalition_performance(data, oracle, keep: Coalition, policy):
     """Oracle accuracy with each sample ablated down to the kept coalition."""
     samples = _iter_samples(data)
     if not samples:
         raise ValueError("empty dataset")
-    pending = []
-    probs_by_id = {}
-    for s in samples:
-        if cache is not None:
-            hit = cache.get(s.record.sample_id, keep.signature, policy.signature)
-            if hit is not None:
-                probs_by_id[s.record.sample_id] = hit
-                continue
-        pending.append(s)
-    if pending:
-        ablated = [
-            type(s)(s.record, apply_ablation(s.volume, keep, policy, s.mask), s.mask)
-            for s in pending
-        ]
-        fresh = predict_all(ablated, oracle)
-        for sid, probs in fresh.items():
-            probs_by_id[sid] = probs
-            if cache is not None:
-                cache.put(sid, keep.signature, policy.signature, probs)
-    hits = sum(
-        1 for s in samples if probs_by_id[s.record.sample_id].argmax == s.record.label
-    )
+    ablated = [
+        type(s)(s.record, apply_ablation(s.volume, keep, policy, s.mask), s.mask)
+        for s in samples
+    ]
+    probs = predict_all(ablated, oracle)
+    hits = sum(1 for s in samples if probs[s.record.sample_id].argmax == s.record.label)
     return hits / len(samples)
 
 
@@ -214,11 +188,11 @@ def normalize_mi(phi):
     return clamped / top
 
 
-def shapley_mi(data, oracle, policy, cache=None) -> ModalityImportance:
+def shapley_mi(data, oracle, policy) -> ModalityImportance:
     """Ground-truth modality importance by exact coalition enumeration.
 
-    Every coalition value is computed once (optionally through a prediction
-    cache) and shared across all modalities' marginal contributions.
+    Every coalition value is computed once and shared across all modalities'
+    marginal contributions.
     """
     samples = _iter_samples(data)
     if not samples:
@@ -229,12 +203,10 @@ def shapley_mi(data, oracle, policy, cache=None) -> ModalityImportance:
             f"{n} modalities would need {1 << n} coalition evaluations; "
             f"exact enumeration is capped at {MAX_EXACT_MODALITIES}"
         )
-    if cache is None:
-        cache = PredictionCache()
     values = np.empty(1 << n)
     for mask in range(1 << n):
         keep = Coalition.from_mask(mask, n)
-        values[mask] = coalition_performance(samples, oracle, keep, policy, cache)
+        values[mask] = coalition_performance(samples, oracle, keep, policy)
     phi = exact_shapley(values, n)
     return ModalityImportance.from_phi(
         phi, policy.mi_variant, samples[0].volume.modality_names

@@ -137,20 +137,17 @@ def cmd_mi_compute(args):
     print(f"wrote modality importance ({mi.variant}) to {args.out}")
 
 
+# --params values are parsed by the type of the field's default; fields
+# defaulting to None (window, stride, target_class) take integers.
+_PARAM_PARSERS = {bool: lambda v: v.lower() in ("1", "true", "yes"), float: float}
+
+
 def _parse_params(text):
-    params = {}
-    if not text:
-        return params
     casts = {
-        "window": int,
-        "stride": int,
-        "block_shape": int,
-        "n_samples": int,
-        "target_class": int,
-        "ridge_lambda": float,
-        "kernel_width": float,
-        "exhaustive": lambda v: v.lower() in ("1", "true", "yes"),
+        f.name: _PARAM_PARSERS.get(type(f.default), int)
+        for f in MethodConfig.param_fields()
     }
+    params = {}
     for part in text.split(","):
         if not part:
             continue
@@ -193,18 +190,21 @@ def cmd_saliency_run(args):
     print(f"wrote {len(files)} {method.value} maps to {out_dir}")
 
 
-def _load_mi_csv(path):
+def _load_mi_csv(path, modality_names):
+    """phi and normalized MI from mi.csv, reordered onto `modality_names`."""
     with open(path, encoding="utf-8", newline="") as fp:
         reader = csv.reader(fp)
         header = next(reader)
         if header != ["modality", "phi", "normalized", "variant"]:
             raise SystemExit(f"{path}: unexpected mi.csv header {header}")
-        names, phi, norm = [], [], []
-        for row in reader:
-            names.append(row[0])
-            phi.append(float(row[1]))
-            norm.append(float(row[2]))
-    return names, np.array(phi), np.array(norm)
+        rows = list(reader)
+    names = [row[0] for row in rows]
+    if sorted(names) != sorted(modality_names):
+        raise SystemExit(
+            f"{path}: modalities {names} do not match the volumes' {list(modality_names)}"
+        )
+    rows = [rows[names.index(name)] for name in modality_names]
+    return np.array([float(r[1]) for r in rows]), np.array([float(r[2]) for r in rows])
 
 
 def _iter_runlogs(saliency_dir):
@@ -224,7 +224,7 @@ def cmd_metrics(args):
     if args.metric in ("msfi", "mi-corr"):
         if not args.mi:
             raise SystemExit(f"--mi is required for {args.metric}")
-        _, phi, norm = _load_mi_csv(args.mi)
+        phi, norm = _load_mi_csv(args.mi, samples[0].volume.modality_names)
     rows = [["sample_id", "method", "metric", "value"]]
     for directory, runlog in _iter_runlogs(args.saliency_dir):
         method = runlog["method"]
@@ -399,7 +399,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except (ValueError, RuntimeError, OSError) as exc:
+        message = " ".join(str(exc).split())
+        raise SystemExit(f"mmsaliency {args.group} {args.command}: error: {message}")
     return 0
 
 

@@ -1,5 +1,5 @@
 """Black-box prediction oracles: the contract, a reference shape classifier,
-an external batch-command adapter, and a CSV-backed prediction cache.
+and an external batch-command adapter.
 
 The reference classifier grades a combined image by the circularity of its
 largest thresholded component, so the whole attribution pipeline is testable
@@ -12,7 +12,6 @@ import csv
 import shlex
 import subprocess
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
@@ -191,48 +190,6 @@ def predict_all(samples, oracle):
     return out
 
 
-class PredictionCache:
-    """Map from (sample_id, coalition signature, policy signature) to probabilities.
-
-    For the built-in classifier, cache hits are bit-identical to recomputation;
-    the CSV backing stores probabilities with full round-trip precision.
-    """
-
-    def __init__(self):
-        self._entries = {}
-
-    def __len__(self):
-        return len(self._entries)
-
-    def get(self, sample_id, coalition_sig, policy_sig):
-        return self._entries.get((sample_id, coalition_sig, policy_sig))
-
-    def put(self, sample_id, coalition_sig, policy_sig, probs: ClassProbabilities):
-        self._entries[(sample_id, coalition_sig, policy_sig)] = probs
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fp:
-            writer = csv.writer(fp, lineterminator="\n")
-            writer.writerow(["sample_id", "coalition", "policy", "probs"])
-            for (sid, coal, pol), cp in sorted(self._entries.items()):
-                writer.writerow([sid, coal, pol, " ".join(repr(v) for v in cp.probs)])
-
-    @classmethod
-    def load(cls, path):
-        cache = cls()
-        with open(path, encoding="utf-8", newline="") as fp:
-            reader = csv.reader(fp)
-            header = next(reader)
-            if header != ["sample_id", "coalition", "policy", "probs"]:
-                raise ValueError(f"{path}: unexpected cache header {header}")
-            for sid, coal, pol, probs in reader:
-                cache.put(
-                    sid, coal, pol,
-                    ClassProbabilities(tuple(float(v) for v in probs.split())),
-                )
-        return cache
-
-
 class ExternalCommandOracle:
     """Adapter for an external scorer: `<command> {input_dir} {output_csv}`.
 
@@ -257,14 +214,13 @@ class ExternalCommandOracle:
             tmp = Path(tmp)
             input_dir = tmp / "input"
             input_dir.mkdir()
-            records = []
-            for sample_id, volume in items:
-                vol_path = input_dir / f"{sample_id}.mmv"
-                write_volume(volume, vol_path)
-                records.append(
-                    ManifestRecord(sample_id, 0, str(vol_path))
-                )
-            manifest = DatasetManifest(tuple(records), ("class0", "class1"))
+            records = tuple(
+                ManifestRecord(sid, 0, str(input_dir / f"{sid}.mmv")) for sid, _ in items
+            )
+            # the manifest checks the ids before any of them becomes a file name
+            manifest = DatasetManifest(records, ("class0", "class1"))
+            for record, (_, volume) in zip(records, items):
+                write_volume(volume, record.volume_path)
             save_manifest(manifest, input_dir / "manifest.json")
             output_csv = tmp / "predictions.csv"
             cmd = [
@@ -300,44 +256,10 @@ def _parse_prediction_csv(path, expected_ids):
                 probs = ClassProbabilities(tuple(float(v) for v in row[1:]))
             except ValueError as exc:
                 raise RuntimeError(f"{path}: row {row[0]}: {exc}") from exc
+            if row[0] in rows:
+                raise RuntimeError(f"{path}: duplicate predictions for {row[0]}")
             rows[row[0]] = probs
     missing = [sid for sid in expected_ids if sid not in rows]
     if missing:
         raise RuntimeError(f"{path}: missing predictions for {missing}")
     return {sid: rows[sid] for sid in expected_ids}
-
-
-def external_batch_predict(manifest, command_template, transform=None, workdir=None):
-    """Score every manifest sample with an external command, returning a cache.
-
-    `transform(record, volume) -> volume` lets callers ablate inputs before
-    scoring; the cache is keyed with an empty coalition/policy signature when
-    no transform is given.
-    """
-    samples = _iter_samples(manifest)
-    oracle = ExternalCommandOracle(command_template, workdir=workdir)
-    items = []
-    for s in samples:
-        vol = s.volume if transform is None else transform(s.record, s.volume)
-        items.append((s.record.sample_id, vol))
-    preds = oracle.predict_batch(items)
-    cache = PredictionCache()
-    for sid, probs in preds.items():
-        cache.put(sid, "", "", probs)
-    return cache
-
-
-class TimedOracle:
-    """Wrap an oracle, counting calls and accumulating prediction wall time."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-        self.seconds = 0.0
-
-    def predict(self, volume):
-        t0 = time.perf_counter()
-        out = self.inner.predict(volume)
-        self.seconds += time.perf_counter() - t0
-        self.calls += 1
-        return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -111,6 +111,11 @@ class MethodConfig:
         if self.ridge_lambda < 0:
             raise ValueError("ridge_lambda must be nonnegative")
 
+    @classmethod
+    def param_fields(cls):
+        """The method parameters: every field except the method and the seed."""
+        return [f for f in fields(cls) if f.name not in ("method", "rng_seed")]
+
 
 def _axis_tuple(value, ndim, name):
     if np.isscalar(value):
@@ -123,6 +128,22 @@ def _axis_tuple(value, ndim, name):
 
 def _predict_target(oracle, names, data, target):
     return oracle.predict(MultiModalVolume(names, data.copy())).probs[target]
+
+
+def _keep_drop_probs(volume, oracle, grid, target, rows):
+    """Target probability of the volume with each row's dropped segments zeroed.
+
+    Each row is a boolean keep mask over the grid's segments; rows are
+    evaluated one oracle call each, in order.
+    """
+    names = volume.modality_names
+    ids = grid.segment_ids.astype(np.intp)  # np.take would convert int32 ids on every call
+    probs = []
+    for row in rows:
+        # a bool keep mask, so the product keeps the volume's dtype
+        kept = MultiModalVolume(names, volume.data * np.take(row, ids))
+        probs.append(oracle.predict(kept).probs[target])
+    return np.array(probs)
 
 
 def _resolve_target(oracle, volume, cfg):
@@ -207,15 +228,10 @@ def feature_ablation(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
         raise ValueError("feature_ablation requires a per-modality segment grid")
     _check_grid(grid, volume)
     target = _resolve_target(oracle, volume, cfg)
-    p_orig = _predict_target(oracle, volume.modality_names, volume.data, target)
-    phi = np.zeros(grid.n_segments)
-    for k in range(grid.n_segments):
-        sel = grid.segment_ids == k
-        perturbed = volume.data.copy()
-        perturbed[sel] = 0.0
-        phi[k] = p_orig - _predict_target(
-            oracle, volume.modality_names, perturbed, target
-        )
+    # row 0 keeps everything; row k + 1 drops segment k
+    rows = ~np.eye(grid.n_segments + 1, grid.n_segments, k=-1, dtype=bool)
+    probs = _keep_drop_probs(volume, oracle, grid, target, rows)
+    phi = probs[0] - probs[1:]
     return SaliencyMap(volume.modality_names, phi[grid.segment_ids])
 
 
@@ -291,12 +307,7 @@ def lime(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     target = _resolve_target(oracle, volume, cfg)
     rng = np.random.default_rng(cfg.rng_seed)
     Z = rng.integers(0, 2, size=(cfg.n_samples, k_segments)).astype(np.float64)
-    y = np.empty(cfg.n_samples)
-    for i in range(cfg.n_samples):
-        keep = Z[i][grid.segment_ids]
-        y[i] = _predict_target(
-            oracle, volume.modality_names, volume.data * keep, target
-        )
+    y = _keep_drop_probs(volume, oracle, grid, target, Z.astype(bool))
     frac = Z.sum(axis=1) / k_segments
     weights = np.exp(-((1.0 - frac) ** 2) / cfg.kernel_width**2)
 
@@ -332,17 +343,15 @@ def shapley_sampling(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     else:
         rng = np.random.default_rng(cfg.rng_seed)
         perms = [rng.permutation(k_segments) for _ in range(cfg.n_samples)]
-    p_empty = _predict_target(
-        oracle, volume.modality_names, np.zeros_like(volume.data), target
-    )
+    # row 0 is the empty baseline, then each ordering's K growing prefixes
+    added = np.eye(k_segments, dtype=bool)[np.asarray(perms)]
+    prefixes = np.logical_or.accumulate(added, axis=1).reshape(-1, k_segments)
+    rows = np.vstack([np.zeros(k_segments, dtype=bool), prefixes])
+    probs = _keep_drop_probs(volume, oracle, grid, target, rows)
     marginals = np.zeros(k_segments)
-    for perm in perms:
-        x = np.zeros_like(volume.data)
-        p_prev = p_empty
-        for k in perm:
-            sel = grid.segment_ids == k
-            x[sel] = volume.data[sel]
-            p_cur = _predict_target(oracle, volume.modality_names, x, target)
+    for perm, steps in zip(perms, probs[1:].reshape(len(perms), k_segments)):
+        p_prev = probs[0]
+        for k, p_cur in zip(perm, steps):
             marginals[int(k)] += p_cur - p_prev
             p_prev = p_cur
     phi = marginals / len(perms)
@@ -368,8 +377,8 @@ def kernel_shap(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     k_segments = grid.n_segments
     target = _resolve_target(oracle, volume, cfg)
     names = volume.modality_names
-    p_full = _predict_target(oracle, names, volume.data, target)
-    p_empty = _predict_target(oracle, names, np.zeros_like(volume.data), target)
+    full_and_empty = [np.ones(k_segments, bool), np.zeros(k_segments, bool)]
+    p_full, p_empty = _keep_drop_probs(volume, oracle, grid, target, full_and_empty)
     delta = p_full - p_empty
     if k_segments == 1:
         return SaliencyMap(names, np.full_like(volume.data, delta, dtype=np.float64))
@@ -398,10 +407,7 @@ def kernel_shap(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
 
     coalition_sizes = Z.sum(axis=1).astype(int)
     weights = np.array([_kernel_shap_weight(k_segments, s) for s in coalition_sizes])
-    y = np.empty(len(Z))
-    for i in range(len(Z)):
-        keep = Z[i][grid.segment_ids]
-        y[i] = _predict_target(oracle, names, volume.data * keep, target)
+    y = _keep_drop_probs(volume, oracle, grid, target, Z.astype(bool))
 
     # Eliminate the last player with the efficiency constraint, then solve WLS.
     B = Z[:, :-1] - Z[:, -1:]
@@ -445,7 +451,7 @@ def generate_maps(data, oracle, cfg: MethodConfig, grid=None):
     samples = _iter_samples(data)
     if not samples:
         raise ValueError("empty dataset")
-    method = cfg.method
+    method = SaliencyMethod(cfg.method)
     first = samples[0].volume
     if grid is None:
         grid = default_grid_for(method, first.n_modalities, first.dims, cfg.block_shape)
@@ -457,34 +463,22 @@ def generate_maps(data, oracle, cfg: MethodConfig, grid=None):
         per_sample = (time.perf_counter() - t0) / len(samples)
         wall = {s.record.sample_id: per_sample for s in samples}
     else:
+        # built per call, so that the module's functions are looked up at call time
+        explain = {
+            SaliencyMethod.OCCLUSION: occlusion,
+            SaliencyMethod.FEATURE_ABLATION: feature_ablation,
+            SaliencyMethod.LIME: lime,
+            SaliencyMethod.SHAPLEY_SAMPLING: shapley_sampling,
+            SaliencyMethod.KERNEL_SHAP: kernel_shap,
+        }[method]
+        grid_arg = () if method is SaliencyMethod.OCCLUSION else (grid,)
         for s in samples:
             t0 = time.perf_counter()
-            if method is SaliencyMethod.OCCLUSION:
-                smap = occlusion(s.volume, oracle, cfg)
-            elif method is SaliencyMethod.FEATURE_ABLATION:
-                smap = feature_ablation(s.volume, oracle, cfg, grid)
-            elif method is SaliencyMethod.LIME:
-                smap = lime(s.volume, oracle, cfg, grid)
-            elif method is SaliencyMethod.SHAPLEY_SAMPLING:
-                smap = shapley_sampling(s.volume, oracle, cfg, grid)
-            elif method is SaliencyMethod.KERNEL_SHAP:
-                smap = kernel_shap(s.volume, oracle, cfg, grid)
-            else:
-                raise ValueError(f"unknown method {method}")
+            maps[s.record.sample_id] = explain(s.volume, oracle, cfg, *grid_arg)
             wall[s.record.sample_id] = time.perf_counter() - t0
-            maps[s.record.sample_id] = smap
     runlog = {
         "method": method.value,
-        "params": {
-            "window": cfg.window,
-            "stride": cfg.stride,
-            "block_shape": cfg.block_shape,
-            "n_samples": cfg.n_samples,
-            "ridge_lambda": cfg.ridge_lambda,
-            "kernel_width": cfg.kernel_width,
-            "exhaustive": cfg.exhaustive,
-            "target_class": cfg.target_class,
-        },
+        "params": {f.name: getattr(cfg, f.name) for f in MethodConfig.param_fields()},
         "seed": cfg.rng_seed,
         "wall_time": wall,
     }

@@ -257,6 +257,9 @@ class DatasetManifest:
         if len(set(ids)) != len(ids):
             raise ValueError("sample_ids must be unique")
         for r in records:
+            sid = str(r.sample_id)
+            if sid in ("", ".", "..") or "/" in sid or "\\" in sid:
+                raise ValueError(f"unsafe sample_id {sid!r}: ids are used as file names")
             if not 0 <= r.label < len(names):
                 raise ValueError(
                     f"{r.sample_id}: label {r.label} out of range for {len(names)} classes"

@@ -13,7 +13,7 @@ from mmsaliency.ablate import (
     shapley_mi,
 )
 from mmsaliency.metrics import msfi
-from mmsaliency.oracle import ClassProbabilities, PredictionCache
+from mmsaliency.oracle import ClassProbabilities
 from mmsaliency.tensorio import SaliencyMap, SegmentationMask
 
 ZERO = AblationPolicy(AblationVariant.ZERO_WHOLE_MODALITY)
@@ -26,7 +26,6 @@ class TestCoalition:
         assert Coalition((2, 0)).members == (0, 2)
         assert Coalition.full(3).members == (0, 1, 2)
         assert Coalition.empty().members == ()
-        assert Coalition((1, 2)).signature == "1+2"
         with pytest.raises(ValueError):
             Coalition((1, 1))
 
@@ -142,21 +141,6 @@ class TestCoalitionPerformance:
         v0 = coalition_performance(samples, oracle, Coalition((0,)), ZERO)
         assert v1 >= v0
         assert v1 == 1.0 and v0 == 0.0
-
-    def test_cache_is_used(self):
-        samples = self._samples()
-        cache = PredictionCache()
-        oracle = LabelFromModalityOracle(1)
-        coalition_performance(samples, oracle, Coalition((1,)), ZERO, cache)
-        assert len(cache) == len(samples)
-
-        class Exploding:
-            def predict(self, volume):
-                raise AssertionError("cache miss")
-
-        # fully cached: the oracle is never consulted again
-        v = coalition_performance(samples, Exploding(), Coalition((1,)), ZERO, cache)
-        assert v == 1.0
 
 
 class TestExactShapley:

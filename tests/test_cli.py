@@ -5,9 +5,13 @@ import sys
 import textwrap
 from pathlib import Path
 
+import os
+from dataclasses import fields
+
 import pytest
 
-from mmsaliency.cli import main
+from mmsaliency.cli import _parse_params, main
+from mmsaliency.saliency import MethodConfig
 
 
 def run_cli(*argv):
@@ -107,6 +111,72 @@ class TestPipelineArtifacts:
         run_cli("stats", "friedman", "--scores", str(pipeline / "scores.csv"))
         out = capsys.readouterr().out
         assert "chi2=" in out and "nemenyi cd=" in out
+
+
+class TestInputChecks:
+    def test_runlog_params_are_the_accepted_params(self, pipeline):
+        runlog = json.loads((pipeline / "saliency" / "runlog_kernel_shap.json").read_text())
+        accepted = set()
+        for f in fields(MethodConfig):
+            try:
+                _parse_params(f"{f.name}=1")
+            except SystemExit:
+                continue
+            accepted.add(f.name)
+        assert accepted == set(runlog["params"])
+        assert _parse_params("window=3,ridge_lambda=0.5,exhaustive=yes") == {
+            "window": 3, "ridge_lambda": 0.5, "exhaustive": True,
+        }
+
+    def _msfi_and_micorr(self, pipeline, mi, out):
+        manifest = pipeline / "data" / "manifest.json"
+        for metric in ("msfi", "mi-corr"):
+            run_cli("metrics", metric, "--manifest", str(manifest),
+                    "--saliency-dir", str(pipeline / "saliency"), "--mi", str(mi),
+                    "--out", str(out / f"{metric}.csv"))
+        return [(out / f"{metric}.csv").read_bytes() for metric in ("msfi", "mi-corr")]
+
+    def test_mi_csv_rows_follow_modality_names(self, pipeline, tmp_path):
+        rows = read_rows(pipeline / "mi.csv")
+        permuted = tmp_path / "mi_permuted.csv"
+        with open(permuted, "w", newline="") as fp:
+            csv.writer(fp, lineterminator="\n").writerows([rows[0], *reversed(rows[1:])])
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        assert self._msfi_and_micorr(pipeline, pipeline / "mi.csv", tmp_path / "a") == (
+            self._msfi_and_micorr(pipeline, permuted, tmp_path / "b")
+        )
+
+    def test_mi_csv_with_unknown_modality_exits(self, pipeline, tmp_path):
+        rows = read_rows(pipeline / "mi.csv")
+        rows[1][0] = "PET"
+        bad = tmp_path / "mi_bad.csv"
+        with open(bad, "w", newline="") as fp:
+            csv.writer(fp, lineterminator="\n").writerows(rows)
+        with pytest.raises(SystemExit, match="do not match"):
+            self._msfi_and_micorr(pipeline, bad, tmp_path)
+
+    @pytest.mark.parametrize("fault", ["truncated_mmv", "missing_manifest"])
+    def test_bad_input_exits_without_traceback(self, tmp_path, fault):
+        run_cli("synth", "generate", "--n", "2", "--size", "32", "--seed", "1",
+                "--out", str(tmp_path / "data"))
+        manifest = tmp_path / "data" / "manifest.json"
+        if fault == "truncated_mmv":
+            volume = tmp_path / "data" / "s0000.mmv"
+            volume.write_bytes(volume.read_bytes()[:-5])
+        else:
+            manifest = tmp_path / "absent.json"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmsaliency.cli", "mi", "compute",
+             "--manifest", str(manifest), "--out", str(tmp_path / "mi.csv")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
 
 
 class TestDeterminism:

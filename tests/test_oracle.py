@@ -8,21 +8,14 @@ from helpers import circularity_reference, make_sample, make_volume
 from mmsaliency.oracle import (
     ClassProbabilities,
     ExternalCommandOracle,
-    PredictionCache,
     ShapeRuleClassifier,
     accuracy,
     boundary_count,
     circularity,
-    external_batch_predict,
     predict_shape_rule,
 )
 from mmsaliency.synthgen import ShapeSpec, rasterize_shape
-from mmsaliency.tensorio import (
-    DatasetManifest,
-    ManifestRecord,
-    MultiModalVolume,
-    write_volume,
-)
+from mmsaliency.tensorio import MultiModalVolume
 
 
 def disk_volume(radius, size=64, weighted_modality=0, n_modalities=2):
@@ -212,29 +205,6 @@ class TestAccuracy:
             accuracy([], FixedOracle((0.5, 0.5)))
 
 
-class TestPredictionCache:
-    def test_roundtrip_bit_identical(self, tmp_path):
-        cache = PredictionCache()
-        probs = ClassProbabilities((0.1234567890123456, 0.8765432109876544))
-        cache.put("s0", "0+2", "zero", probs)
-        cache.put("s1", "", "nonlesion:seed=7", ClassProbabilities((0.5, 0.5)))
-        path = tmp_path / "cache.csv"
-        cache.save(path)
-        back = PredictionCache.load(path)
-        assert len(back) == 2
-        assert back.get("s0", "0+2", "zero").probs == probs.probs
-
-    def test_cache_matches_recomputation(self):
-        rng = np.random.default_rng(3)
-        vol = make_volume(rng, 2, (16, 16))
-        cfg = ShapeRuleClassifier((1.0, 0.3), intensity_threshold=0.6)
-        first = predict_shape_rule(cfg, vol)
-        cache = PredictionCache()
-        cache.put("s", "0+1", "zero", first)
-        again = predict_shape_rule(cfg, vol)
-        assert cache.get("s", "0+1", "zero").probs == again.probs
-
-
 def _write_stub(tmp_path, body):
     script = tmp_path / "stub.py"
     script.write_text(
@@ -264,24 +234,19 @@ with open(output_csv, "w", newline="") as fp:
 
 
 class TestExternalOracle:
-    def _manifest(self, tmp_path, n=3):
-        records = []
-        for i in range(n):
-            vol = MultiModalVolume(("a",), np.full((1, 2, 2), float(i)))
-            path = tmp_path / f"s{i}.mmv"
-            write_volume(vol, path)
-            records.append(ManifestRecord(f"s{i}", 0, str(path)))
-        return DatasetManifest(tuple(records), ("c0", "c1"))
+    def _predict(self, cmd, n=3):
+        items = [
+            (f"s{i}", MultiModalVolume(("a",), np.full((1, 2, 2), float(i))))
+            for i in range(n)
+        ]
+        return ExternalCommandOracle(cmd).predict_batch(items)
 
-    def test_stub_populates_cache(self, tmp_path):
-        manifest = self._manifest(tmp_path)
-        cmd = _write_stub(tmp_path, GOOD_BODY)
-        cache = external_batch_predict(manifest, cmd)
-        assert len(cache) == 3
-        assert cache.get("s1", "", "").probs == (0.25, 0.75)
+    def test_stub_predicts_batch(self, tmp_path):
+        preds = self._predict(_write_stub(tmp_path, GOOD_BODY))
+        assert list(preds) == ["s0", "s1", "s2"]
+        assert preds["s1"].probs == (0.25, 0.75)
 
     def test_missing_sample_named_in_error(self, tmp_path):
-        manifest = self._manifest(tmp_path)
         cmd = _write_stub(
             tmp_path,
             """\
@@ -294,10 +259,9 @@ class TestExternalOracle:
             """,
         )
         with pytest.raises(RuntimeError, match="s1"):
-            external_batch_predict(manifest, cmd)
+            self._predict(cmd)
 
     def test_simplex_violation_rejected(self, tmp_path):
-        manifest = self._manifest(tmp_path)
         cmd = _write_stub(
             tmp_path,
             """\
@@ -309,26 +273,36 @@ class TestExternalOracle:
             """,
         )
         with pytest.raises(RuntimeError, match="sum"):
-            external_batch_predict(manifest, cmd)
+            self._predict(cmd)
 
     def test_nonzero_exit_is_fatal(self, tmp_path):
-        manifest = self._manifest(tmp_path)
         cmd = _write_stub(tmp_path, "sys.exit(3)\n")
         with pytest.raises(RuntimeError, match="exited with 3"):
-            external_batch_predict(manifest, cmd)
+            self._predict(cmd)
+
+    def test_duplicate_sample_rows_rejected(self, tmp_path):
+        cmd = _write_stub(
+            tmp_path,
+            """\
+            with open(output_csv, "w", newline="") as fp:
+                w = csv.writer(fp, lineterminator="\\n")
+                w.writerow(["sample_id", "p0", "p1"])
+                for sid in ids + ["s1"]:
+                    w.writerow([sid, 0.25, 0.75])
+            """,
+        )
+        with pytest.raises(RuntimeError, match="duplicate predictions for s1"):
+            self._predict(cmd)
+
+    def test_unsafe_sample_id_written_nowhere(self, tmp_path):
+        cmd = _write_stub(tmp_path, GOOD_BODY)
+        volume = MultiModalVolume(("a",), np.zeros((1, 2, 2)))
+        with pytest.raises(ValueError, match="unsafe sample_id"):
+            ExternalCommandOracle(cmd, workdir=tmp_path).predict_batch(
+                [("../../escaped", volume)]
+            )
+        assert not (tmp_path / "escaped.mmv").exists()
 
     def test_template_placeholders_required(self):
         with pytest.raises(ValueError, match="placeholder|input_dir"):
             ExternalCommandOracle("scorer --fast")
-
-    def test_transform_hook_applies_ablation(self, tmp_path):
-        manifest = self._manifest(tmp_path)
-        seen = {}
-
-        def transform(record, volume):
-            seen[record.sample_id] = True
-            return volume.with_data(np.zeros_like(volume.data))
-
-        cmd = _write_stub(tmp_path, GOOD_BODY)
-        cache = external_batch_predict(manifest, cmd, transform=transform)
-        assert len(cache) == 3 and len(seen) == 3

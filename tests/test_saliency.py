@@ -656,3 +656,29 @@ class TestGenerateMaps:
         )
         maps, _ = generate_maps(samples, ArgmaxProbe(), cfg)
         assert len(maps) == 2  # resolved target 1 without error
+
+    @pytest.mark.parametrize(
+        "method, block, exhaustive, expected",
+        [
+            # 8x8 with 4x4 blocks: K = 8 per-modality segments, or K = 4 shared
+            (SaliencyMethod.FEATURE_ABLATION, 4, False, 8 + 2),  # K + 2
+            (SaliencyMethod.LIME, 4, False, 40 + 1),  # n + 1
+            (SaliencyMethod.SHAPLEY_SAMPLING, 4, False, 40 * 8 + 2),  # n*K + 2
+            (SaliencyMethod.SHAPLEY_SAMPLING, 8, True, 2 * 2 + 2),  # K!*K + 2, K = 2
+            (SaliencyMethod.KERNEL_SHAP, 4, False, 40 + 3),  # n + 3
+            (SaliencyMethod.KERNEL_SHAP, 4, True, 2**4 + 1),  # 2^K + 1
+        ],
+    )
+    def test_oracle_evaluations_per_sample(self, method, block, exhaustive, expected):
+        calls = []
+
+        def fn(data):
+            calls.append(1)
+            return float(np.clip(data.mean(), 0, 1))
+
+        cfg = MethodConfig(
+            method, rng_seed=5, block_shape=block, n_samples=40, exhaustive=exhaustive
+        )
+        generate_maps(self._samples(2), FunctionOracle(fn), cfg)
+        assert len(calls) == 2 * expected
+

@@ -191,6 +191,13 @@ def test_manifest_roundtrip_and_validation(tmp_path):
         DatasetManifest((ManifestRecord("s", 2, "x"),), ("a", "b"))
 
 
+@pytest.mark.parametrize("sample_id", ["", ".", "..", "a/b", "../s0", "a\\b"])
+def test_manifest_rejects_unsafe_sample_ids(sample_id):
+    # ids become file names in `saliency run` and in the external oracle
+    with pytest.raises(ValueError, match="unsafe sample_id"):
+        DatasetManifest((ManifestRecord(sample_id, 0, "x"),), ("a", "b"))
+
+
 def test_manifest_accepts_cwd_relative_record_paths(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     sub = Path("nested/dir")
