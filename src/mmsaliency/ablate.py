@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .oracle import _iter_samples, predict_all
+from .oracle import _iter_samples, predict_volumes
 from .tensorio import MultiModalVolume
 
 MAX_EXACT_MODALITIES = 12
@@ -123,13 +123,22 @@ def coalition_performance(data, oracle, keep: Coalition, policy):
     samples = _iter_samples(data)
     if not samples:
         raise ValueError("empty dataset")
-    ablated = [
-        type(s)(s.record, apply_ablation(s.volume, keep, policy, s.mask), s.mask)
+    return _coalition_accuracies(samples, oracle, [keep], policy)[0]
+
+
+def _coalition_accuracies(samples, oracle, coalitions, policy):
+    """Accuracy per coalition; every ablated volume goes through one stream."""
+    ablated = (
+        apply_ablation(s.volume, keep, policy, s.mask)
+        for keep in coalitions
         for s in samples
-    ]
-    probs = predict_all(ablated, oracle)
-    hits = sum(1 for s in samples if probs[s.record.sample_id].argmax == s.record.label)
-    return hits / len(samples)
+    )
+    preds = predict_volumes(oracle, ablated)
+    accuracies = []
+    for _ in coalitions:
+        hits = sum(next(preds).argmax == s.record.label for s in samples)
+        accuracies.append(hits / len(samples))
+    return accuracies
 
 
 def exact_shapley(values, n_players):
@@ -192,7 +201,8 @@ def shapley_mi(data, oracle, policy) -> ModalityImportance:
     """Ground-truth modality importance by exact coalition enumeration.
 
     Every coalition value is computed once and shared across all modalities'
-    marginal contributions.
+    marginal contributions; all 2^M x N ablated volumes are evaluated as one
+    stream.
     """
     samples = _iter_samples(data)
     if not samples:
@@ -203,11 +213,8 @@ def shapley_mi(data, oracle, policy) -> ModalityImportance:
             f"{n} modalities would need {1 << n} coalition evaluations; "
             f"exact enumeration is capped at {MAX_EXACT_MODALITIES}"
         )
-    values = np.empty(1 << n)
-    for mask in range(1 << n):
-        keep = Coalition.from_mask(mask, n)
-        values[mask] = coalition_performance(samples, oracle, keep, policy)
-    phi = exact_shapley(values, n)
+    coalitions = [Coalition.from_mask(mask, n) for mask in range(1 << n)]
+    phi = exact_shapley(_coalition_accuracies(samples, oracle, coalitions, policy), n)
     return ModalityImportance.from_phi(
         phi, policy.mi_variant, samples[0].volume.modality_names
     )

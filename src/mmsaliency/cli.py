@@ -67,10 +67,10 @@ def _weights_vector(text, modality_names):
     return tuple(by_name.get(n, 0.0) for n in upper)
 
 
-def _build_oracle(args, modality_names):
+def _build_oracle(args, modality_names, class_names):
     spec = args.oracle
     if spec.startswith("cmd:"):
-        return ExternalCommandOracle(spec[4:])
+        return ExternalCommandOracle(spec[4:], class_names)
     if spec != "builtin":
         raise SystemExit("--oracle must be 'builtin' or 'cmd:<template>'")
     weights = _weights_vector(args.weights, modality_names)
@@ -127,7 +127,7 @@ def cmd_mi_compute(args):
     manifest = load_manifest(args.manifest)
     samples = load_dataset(manifest)
     names = samples[0].volume.modality_names
-    oracle = _build_oracle(args, names)
+    oracle = _build_oracle(args, names, manifest.class_names)
     policy = AblationPolicy(_POLICIES[args.policy], rng_seed=args.seed)
     mi = shapley_mi(samples, oracle, policy)
     rows = [["modality", "phi", "normalized", "variant"]]
@@ -166,7 +166,7 @@ def cmd_saliency_run(args):
     manifest = load_manifest(args.manifest)
     samples = load_dataset(manifest)
     names = samples[0].volume.modality_names
-    oracle = _build_oracle(args, names)
+    oracle = _build_oracle(args, names, manifest.class_names)
     try:
         method = SaliencyMethod(args.method)
     except ValueError:

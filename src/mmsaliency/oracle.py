@@ -29,6 +29,9 @@ from .tensorio import (
 )
 
 PROB_TOL = 1e-6
+# Volume bytes per predict_batch call; one BraTS volume (4 x 240 x 240 x 155
+# float32) is about 143 MB.
+BATCH_BYTES = 512 << 20
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,10 @@ class ClassProbabilities:
 
 @runtime_checkable
 class PredictionOracle(Protocol):
+    """One prediction per volume. An oracle may also offer
+    `predict_batch(items)`, taking (id, volume) pairs and returning
+    {id: ClassProbabilities}; `predict_volumes` then sends it chunks."""
+
     def predict(self, volume: MultiModalVolume) -> ClassProbabilities: ...
 
 
@@ -77,14 +84,15 @@ def boundary_count(component):
 
     Positions beyond the array edge count as background.
     """
-    padded = np.pad(component, 1, mode="constant", constant_values=False)
-    on_boundary = np.zeros_like(component, dtype=bool)
-    inner = tuple(slice(1, -1) for _ in range(component.ndim))
+    interior = component.copy()
     for axis in range(component.ndim):
-        for shift in (-1, 1):
-            neighbor = np.roll(padded, shift, axis=axis)[inner]
-            on_boundary |= component & ~neighbor
-    return int(np.count_nonzero(on_boundary))
+        inner = np.moveaxis(interior, axis, 0)  # a view: writes land in interior
+        comp = np.moveaxis(component, axis, 0)
+        inner[1:] &= comp[:-1]
+        inner[:-1] &= comp[1:]
+        inner[0] = False
+        inner[-1] = False
+    return int(np.count_nonzero(component)) - int(np.count_nonzero(interior))
 
 
 def circularity(component):
@@ -177,17 +185,39 @@ def accuracy(data, oracle) -> float:
 
 
 def predict_all(samples, oracle):
-    """Predict every sample, using one batch invocation when supported."""
+    """Predict every sample: {sample_id: ClassProbabilities}."""
+    preds = predict_volumes(oracle, (s.volume for s in samples))
+    return {s.record.sample_id: p for s, p in zip(samples, preds)}
+
+
+def predict_volumes(oracle, volumes):
+    """Yield a prediction for each of an iterable of volumes, in input order.
+
+    An oracle with `predict_batch` gets chunks of up to BATCH_BYTES of volume
+    data, keyed by the opaque ids "0".."n-1" within each chunk; a volume larger
+    than the budget goes alone. Any other oracle gets one `predict` per volume
+    as the iterable yields it, so a generator of perturbed volumes is never
+    held in full.
+    """
     batch = getattr(oracle, "predict_batch", None)
-    if batch is not None:
-        return batch([(s.record.sample_id, s.volume) for s in samples])
-    out = {}
-    for s in samples:
-        try:
-            out[s.record.sample_id] = oracle.predict(s.volume)
-        except OSError as exc:
-            raise OSError(f"{s.record.sample_id}: {exc}") from exc
-    return out
+    if batch is None:
+        yield from map(oracle.predict, volumes)
+        return
+    chunk, size = [], 0
+    for volume in volumes:
+        if chunk and size + volume.data.nbytes > BATCH_BYTES:
+            yield from _predict_chunk(batch, chunk)
+            chunk, size = [], 0
+        chunk.append(volume)
+        size += volume.data.nbytes
+    if chunk:
+        yield from _predict_chunk(batch, chunk)
+
+
+def _predict_chunk(batch, volumes):
+    ids = [str(i) for i in range(len(volumes))]
+    out = batch(list(zip(ids, volumes)))
+    return [out[i] for i in ids]
 
 
 class ExternalCommandOracle:
@@ -195,14 +225,20 @@ class ExternalCommandOracle:
 
     Each batch call writes the volumes plus a manifest.json to a fresh input
     directory, invokes the command once, and parses the output CSV
-    (`sample_id,p0,p1[,...]`, one row per sample).
+    (`sample_id,p0,p1[,...]`, one row per sample and one probability column
+    per class). The batch manifest carries `class_names`, which should be the
+    dataset manifest's; every record's label in it is 0, a placeholder the
+    scorer must not read.
     """
 
-    def __init__(self, command_template, workdir=None):
+    def __init__(self, command_template, class_names=("class0", "class1"), workdir=None):
         if "{input_dir}" not in command_template or "{output_csv}" not in command_template:
             raise ValueError(
                 "command template must contain {input_dir} and {output_csv}"
             )
+        self.class_names = tuple(str(c) for c in class_names)
+        if len(self.class_names) < 2:
+            raise ValueError(f"need at least two class names, got {self.class_names}")
         self.command_template = command_template
         self.workdir = workdir
 
@@ -218,7 +254,7 @@ class ExternalCommandOracle:
                 ManifestRecord(sid, 0, str(input_dir / f"{sid}.mmv")) for sid, _ in items
             )
             # the manifest checks the ids before any of them becomes a file name
-            manifest = DatasetManifest(records, ("class0", "class1"))
+            manifest = DatasetManifest(records, self.class_names)
             for record, (_, volume) in zip(records, items):
                 write_volume(volume, record.volume_path)
             save_manifest(manifest, input_dir / "manifest.json")
@@ -233,10 +269,12 @@ class ExternalCommandOracle:
                     f"external oracle exited with {proc.returncode}: "
                     f"{proc.stderr.strip() or proc.stdout.strip()}"
                 )
-            return _parse_prediction_csv(output_csv, [sid for sid, _ in items])
+            return _parse_prediction_csv(
+                output_csv, [sid for sid, _ in items], self.class_names
+            )
 
 
-def _parse_prediction_csv(path, expected_ids):
+def _parse_prediction_csv(path, expected_ids, class_names):
     try:
         fp = open(path, encoding="utf-8", newline="")
     except OSError as exc:
@@ -244,8 +282,13 @@ def _parse_prediction_csv(path, expected_ids):
     with fp:
         reader = csv.reader(fp)
         header = next(reader, None)
-        if not header or header[0] != "sample_id" or len(header) < 3:
+        if not header or header[0] != "sample_id":
             raise RuntimeError(f"{path}: expected header sample_id,p0,p1[,...]")
+        if len(header) - 1 != len(class_names):
+            raise RuntimeError(
+                f"{path}: {len(header) - 1} probability columns for "
+                f"{len(class_names)} classes {list(class_names)}"
+            )
         rows = {}
         for row in reader:
             if not row:

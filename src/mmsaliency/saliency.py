@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .oracle import _iter_samples
+from .oracle import _iter_samples, predict_volumes
 from .tensorio import MultiModalVolume, SaliencyMap
 
 
@@ -126,30 +126,23 @@ def _axis_tuple(value, ndim, name):
     return out
 
 
-def _predict_target(oracle, names, data, target):
-    return oracle.predict(MultiModalVolume(names, data.copy())).probs[target]
-
-
 def _keep_drop_probs(volume, oracle, grid, target, rows):
     """Target probability of the volume with each row's dropped segments zeroed.
 
-    Each row is a boolean keep mask over the grid's segments; rows are
-    evaluated one oracle call each, in order.
+    Each row is a boolean keep mask over the grid's segments; the rows are
+    evaluated in order as one stream of perturbed volumes.
     """
     names = volume.modality_names
     ids = grid.segment_ids.astype(np.intp)  # np.take would convert int32 ids on every call
-    probs = []
-    for row in rows:
-        # a bool keep mask, so the product keeps the volume's dtype
-        kept = MultiModalVolume(names, volume.data * np.take(row, ids))
-        probs.append(oracle.predict(kept).probs[target])
-    return np.array(probs)
+    # a bool keep mask, so the product keeps the volume's dtype
+    kept = (MultiModalVolume(names, volume.data * np.take(row, ids)) for row in rows)
+    return np.array([p.probs[target] for p in predict_volumes(oracle, kept)])
 
 
 def _resolve_target(oracle, volume, cfg):
     if cfg.target_class is not None:
         return cfg.target_class
-    return oracle.predict(volume).argmax
+    return next(predict_volumes(oracle, [volume])).argmax
 
 
 def postprocess(raw: SaliencyMap) -> SaliencyMap:
@@ -188,7 +181,6 @@ def occlusion(volume, oracle, cfg) -> SaliencyMap:
         raise ValueError(f"stride {stride} must be positive")
     target = _resolve_target(oracle, volume, cfg)
     rng = np.random.default_rng(cfg.rng_seed)
-    p_orig = _predict_target(oracle, volume.modality_names, volume.data, target)
 
     positions = []
     for d, w, s in zip(dims, window, stride):
@@ -196,25 +188,28 @@ def occlusion(volume, oracle, cfg) -> SaliencyMap:
         if pos[-1] != d - w:
             pos.append(d - w)
         positions.append(pos)
+    stats = [(float(d.mean()), float(d.std())) for d in volume.data]
 
+    def windows():
+        for m in range(volume.n_modalities):
+            for corner in itertools.product(*positions):
+                yield (m,) + tuple(slice(c, c + w) for c, w in zip(corner, window))
+
+    def perturbed():
+        yield volume
+        for sl in windows():
+            mu, sd = stats[sl[0]]
+            data = volume.data.copy()
+            data[sl] = rng.normal(mu, sd, size=window) if sd > 0.0 else mu
+            yield MultiModalVolume(volume.modality_names, data)
+
+    preds = predict_volumes(oracle, perturbed())
+    p_orig = next(preds).probs[target]
     accum = np.zeros_like(volume.data, dtype=np.float64)
     cover = np.zeros_like(volume.data, dtype=np.int64)
-    for m in range(volume.n_modalities):
-        mu = float(volume.data[m].mean())
-        sd = float(volume.data[m].std())
-        for corner in itertools.product(*positions):
-            sl = (m,) + tuple(slice(c, c + w) for c, w in zip(corner, window))
-            if sd > 0.0:
-                fill = rng.normal(mu, sd, size=window)
-            else:
-                fill = np.full(window, mu)
-            perturbed = volume.data.copy()
-            perturbed[sl] = fill
-            delta = p_orig - _predict_target(
-                oracle, volume.modality_names, perturbed, target
-            )
-            accum[sl] += delta
-            cover[sl] += 1
+    for sl, pred in zip(windows(), preds):
+        accum[sl] += p_orig - pred.probs[target]
+        cover[sl] += 1
     sal = np.divide(accum, cover, out=np.zeros_like(accum), where=cover > 0)
     return SaliencyMap(volume.modality_names, sal)
 
@@ -256,26 +251,32 @@ def feature_permutation(data, oracle, cfg, grid: SegmentGrid):
     _check_grid(grid, samples[0].volume)
 
     rng = np.random.default_rng(cfg.rng_seed)
-    p_orig, targets = {}, {}
-    for s in samples:
-        probs = oracle.predict(s.volume)
-        t = cfg.target_class if cfg.target_class is not None else probs.argmax
-        targets[s.record.sample_id] = t
-        p_orig[s.record.sample_id] = probs.probs[t]
+    targets, p_orig = [], []
+    for pred in predict_volumes(oracle, (s.volume for s in samples)):
+        t = cfg.target_class if cfg.target_class is not None else pred.argmax
+        targets.append(t)
+        p_orig.append(pred.probs[t])
 
     n = len(samples)
-    out = {s.record.sample_id: np.zeros(shape) for s in samples}
-    for k in range(grid.n_segments):
-        sel = grid.segment_ids == k
-        perm = _derangement_preferring(rng, n)
-        for j, s in enumerate(samples):
-            sid = s.record.sample_id
-            src = samples[int(perm[j])]
-            perturbed = s.volume.data.copy()
-            perturbed[sel] = src.volume.data[sel]
-            delta = p_orig[sid] - _predict_target(oracle, names, perturbed, targets[sid])
-            out[sid][sel] = delta
-    return {sid: SaliencyMap(names, arr) for sid, arr in out.items()}
+
+    def perturbed():
+        for k in range(grid.n_segments):
+            sel = grid.segment_ids == k
+            perm = _derangement_preferring(rng, n)
+            for j, s in enumerate(samples):
+                data = s.volume.data.copy()
+                data[sel] = samples[int(perm[j])].volume.data[sel]
+                yield MultiModalVolume(names, data)
+
+    preds = predict_volumes(oracle, perturbed())
+    # delta[k, j]: sample j's target-probability drop with segment k shuffled
+    delta = np.array(
+        [p_orig[i % n] - p.probs[targets[i % n]] for i, p in enumerate(preds)]
+    ).reshape(grid.n_segments, n)
+    return {
+        s.record.sample_id: SaliencyMap(names, delta[:, j][grid.segment_ids])
+        for j, s in enumerate(samples)
+    }
 
 
 def _derangement_preferring(rng, n):
@@ -377,13 +378,9 @@ def kernel_shap(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     k_segments = grid.n_segments
     target = _resolve_target(oracle, volume, cfg)
     names = volume.modality_names
-    full_and_empty = [np.ones(k_segments, bool), np.zeros(k_segments, bool)]
-    p_full, p_empty = _keep_drop_probs(volume, oracle, grid, target, full_and_empty)
-    delta = p_full - p_empty
     if k_segments == 1:
-        return SaliencyMap(names, np.full_like(volume.data, delta, dtype=np.float64))
-
-    if cfg.exhaustive:
+        Z = np.zeros((0, 1))
+    elif cfg.exhaustive:
         if k_segments > 12:
             raise ValueError("exhaustive coalition enumeration is capped at 12 segments")
         masks = np.arange(1, (1 << k_segments) - 1)
@@ -405,9 +402,18 @@ def kernel_shap(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
             s = int(rng.choice(sizes, p=size_probs))
             Z[i, rng.choice(k_segments, size=s, replace=False)] = 1.0
 
+    # rows 0 and 1 are the full and empty coalitions
+    rows = np.vstack(
+        [np.ones(k_segments, bool), np.zeros(k_segments, bool), Z.astype(bool)]
+    )
+    probs = _keep_drop_probs(volume, oracle, grid, target, rows)
+    p_full, p_empty, y = probs[0], probs[1], probs[2:]
+    delta = p_full - p_empty
+    if k_segments == 1:
+        return SaliencyMap(names, np.full_like(volume.data, delta, dtype=np.float64))
+
     coalition_sizes = Z.sum(axis=1).astype(int)
     weights = np.array([_kernel_shap_weight(k_segments, s) for s in coalition_sizes])
-    y = _keep_drop_probs(volume, oracle, grid, target, Z.astype(bool))
 
     # Eliminate the last player with the efficiency constraint, then solve WLS.
     B = Z[:, :-1] - Z[:, -1:]

@@ -109,6 +109,18 @@ def circularity_reference(component):
     return 4.0 * math.pi * len(points) / perimeter**2
 
 
+def boundary_count_reference(component):
+    """Boundary-pixel count by padding with background and rolling each axis."""
+    padded = np.pad(component, 1, mode="constant", constant_values=False)
+    on_boundary = np.zeros_like(component, dtype=bool)
+    inner = tuple(slice(1, -1) for _ in range(component.ndim))
+    for axis in range(component.ndim):
+        for shift in (-1, 1):
+            neighbor = np.roll(padded, shift, axis=axis)[inner]
+            on_boundary |= component & ~neighbor
+    return int(np.count_nonzero(on_boundary))
+
+
 def chi2_sf_reference(x, df):
     """Chi-square upper tail from closed forms (no gamma-function library).
 

@@ -1,0 +1,126 @@
+"""The chunked batch path: an oracle with `predict_batch` sees every evaluation
+in chunks and gives the same answers as one `predict` per volume."""
+
+import numpy as np
+import pytest
+
+from helpers import FunctionOracle, make_sample, make_volume
+from mmsaliency import oracle as oracle_mod
+from mmsaliency.ablate import AblationPolicy, AblationVariant, shapley_mi
+from mmsaliency.oracle import predict_volumes
+from mmsaliency.saliency import MethodConfig, SaliencyMethod, generate_maps
+from mmsaliency.tensorio import MultiModalVolume
+
+INNER = FunctionOracle(lambda d: float(np.clip(d.mean() + d.std(), 0, 1)))
+KEEP_DROP_METHODS = (
+    SaliencyMethod.FEATURE_ABLATION,
+    SaliencyMethod.LIME,
+    SaliencyMethod.SHAPLEY_SAMPLING,
+    SaliencyMethod.KERNEL_SHAP,
+)
+
+
+class BatchStub:
+    """In-process oracle with `predict_batch`; records the size of every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def predict(self, volume):
+        raise AssertionError("an oracle with predict_batch must get only batches")
+
+    def predict_batch(self, items):
+        assert [sid for sid, _ in items] == [str(i) for i in range(len(items))]
+        self.calls.append(len(items))
+        return {sid: self.inner.predict(volume) for sid, volume in items}
+
+
+def _samples(n=3):
+    rng = np.random.default_rng(61)
+    return [
+        make_sample(f"s{i}", make_volume(rng, 2, (8, 8), low=0.1), label=i % 2)
+        for i in range(n)
+    ]
+
+
+def _cfg(method):
+    return MethodConfig(
+        method, rng_seed=9, window=4, stride=2, block_shape=4, n_samples=40
+    )
+
+
+def _assert_same_maps(a, b):
+    assert list(a) == list(b)
+    for sid in a:
+        assert a[sid].data.dtype == b[sid].data.dtype
+        assert np.array_equal(a[sid].data, b[sid].data)
+
+
+@pytest.mark.parametrize("budget", [None, 3 * 2 * 8 * 8 * 8])
+@pytest.mark.parametrize("method", list(SaliencyMethod))
+def test_maps_equal_the_per_item_path(method, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(oracle_mod, "BATCH_BYTES", budget)  # 3 volumes a chunk
+    samples = _samples()
+    stub = BatchStub(INNER)
+    batched, _ = generate_maps(samples, stub, _cfg(method))
+    per_item, _ = generate_maps(samples, INNER, _cfg(method))
+    _assert_same_maps(batched, per_item)
+    if budget is not None:
+        assert max(stub.calls) == 3
+
+
+@pytest.mark.parametrize("method", KEEP_DROP_METHODS)
+def test_keep_drop_methods_make_two_batch_calls_per_sample(method):
+    stub = BatchStub(INNER)
+    generate_maps(_samples(), stub, _cfg(method))
+    # the target call, then every keep/drop row in one chunk
+    assert len(stub.calls) == 2 * 3
+    assert stub.calls[0::2] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("budget", [None, 5 * 2 * 8 * 8 * 8])
+def test_shapley_mi_is_one_stream(budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(oracle_mod, "BATCH_BYTES", budget)
+    samples = _samples()
+    policy = AblationPolicy(AblationVariant.ZERO_WHOLE_MODALITY)
+    stub = BatchStub(INNER)
+    assert shapley_mi(samples, stub, policy) == shapley_mi(samples, INNER, policy)
+    # 2^2 coalitions x 3 samples
+    assert stub.calls == ([12] if budget is None else [5, 5, 2])
+
+
+def test_chunks_split_by_budget_and_keep_order(monkeypatch):
+    small = [MultiModalVolume(("a",), np.full((1, 4, 4), v / 10)) for v in range(7)]
+    large = MultiModalVolume(("a",), np.full((1, 8, 8), 0.95))
+    volumes = small[:3] + [large] + small[3:]
+    monkeypatch.setattr(oracle_mod, "BATCH_BYTES", 2 * small[0].data.nbytes)
+    stub = BatchStub(INNER)
+    preds = list(predict_volumes(stub, volumes))
+    assert preds == [INNER.predict(v) for v in volumes]
+    # the larger-than-budget volume goes alone
+    assert stub.calls == [2, 1, 1, 2, 2]
+
+
+def test_per_item_path_streams_one_volume_at_a_time():
+    events = []
+
+    def volumes():
+        for i in range(3):
+            events.append(("built", i))
+            yield MultiModalVolume(("a",), np.full((1, 2, 2), 0.25 * (i + 1)))
+
+    class Recording:
+        def predict(self, volume):
+            events.append(("predicted", int(volume.data[0, 0, 0] * 4) - 1))
+            return INNER.predict(volume)
+
+    for _ in predict_volumes(Recording(), volumes()):
+        events.append(("consumed", None))
+    assert events == [
+        event
+        for i in range(3)
+        for event in (("built", i), ("predicted", i), ("consumed", None))
+    ]

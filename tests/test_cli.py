@@ -164,24 +164,46 @@ class TestInputChecks:
         with pytest.raises(SystemExit, match="do not match"):
             self._msfi_and_micorr(pipeline, bad, tmp_path)
 
-    @pytest.mark.parametrize("fault", ["truncated_mmv", "missing_manifest"])
+    @pytest.mark.parametrize(
+        "fault", ["truncated_mmv", "missing_manifest", "extra_probability_column"]
+    )
     def test_bad_input_exits_without_traceback(self, tmp_path, fault):
         run_cli("synth", "generate", "--n", "2", "--size", "32", "--seed", "1",
                 "--out", str(tmp_path / "data"))
         manifest = tmp_path / "data" / "manifest.json"
+        oracle = []
         if fault == "truncated_mmv":
             volume = tmp_path / "data" / "s0000.mmv"
             volume.write_bytes(volume.read_bytes()[:-5])
-        else:
+        elif fault == "missing_manifest":
             manifest = tmp_path / "absent.json"
+        else:
+            # three probability columns for the dataset's two classes
+            script = tmp_path / "scorer.py"
+            script.write_text(textwrap.dedent(
+                """\
+                import csv, json, sys
+                from pathlib import Path
+
+                manifest = json.loads((Path(sys.argv[1]) / "manifest.json").read_text())
+                with open(sys.argv[2], "w", newline="") as fp:
+                    w = csv.writer(fp, lineterminator="\\n")
+                    w.writerow(["sample_id", "p0", "p1", "p2"])
+                    for rec in manifest["records"]:
+                        w.writerow([rec["sample_id"], 0.5, 0.25, 0.25])
+                """
+            ))
+            oracle = ["--oracle", f"cmd:{sys.executable} {script} {{input_dir}} {{output_csv}}"]
         proc = subprocess.run(
             [sys.executable, "-m", "mmsaliency.cli", "mi", "compute",
-             "--manifest", str(manifest), "--out", str(tmp_path / "mi.csv")],
+             "--manifest", str(manifest), "--out", str(tmp_path / "mi.csv"), *oracle],
             capture_output=True, text=True, env=src_env(),
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+        if oracle:
+            assert "3 probability columns for 2 classes" in proc.stderr
 
 
 class TestDeterminism:
@@ -259,6 +281,69 @@ class TestExternalOracleCli:
         rows = read_rows(tmp_path / "mi.csv")
         # a constant external scorer has no modality preference: phi all zero
         assert all(float(r[1]) == 0.0 for r in rows[1:])
+
+
+    def test_command_oracle_spawns_once_per_chunk(self, tmp_path):
+        """MI and occlusion through a logging `cmd:` scorer equal `--oracle builtin`.
+
+        The scorer applies the built-in shape rule at the CLI defaults and logs
+        one line per spawn, so the spawn count is checked against chunks, not
+        evaluations.
+        """
+        run_cli("synth", "generate", "--n", "2", "--size", "32", "--seed", "4",
+                "--out", str(tmp_path / "data"))
+        manifest = tmp_path / "data" / "manifest.json"
+        log = tmp_path / "spawns.log"
+        script = tmp_path / "scorer.py"
+        script.write_text(textwrap.dedent(
+            f"""\
+            import csv, json, sys
+            from pathlib import Path
+
+            sys.path.insert(0, {str(REPO / "src")!r})
+            from mmsaliency.oracle import ShapeRuleClassifier, predict_shape_rule
+            from mmsaliency.tensorio import load_dataset, load_manifest
+
+            classifier = ShapeRuleClassifier((0.0, 1.0, 0.0, 1.0), intensity_threshold=0.35,
+                                             circularity_cutoff=0.7, softness=0.08)
+            manifest = load_manifest(Path(sys.argv[1]) / "manifest.json")
+            with open({str(log)!r}, "a") as fp:
+                fp.write(json.dumps([len(manifest), list(manifest.class_names)]) + "\\n")
+            with open(sys.argv[2], "w", newline="") as fp:
+                w = csv.writer(fp, lineterminator="\\n")
+                w.writerow(["sample_id", "p0", "p1"])
+                for s in load_dataset(manifest):
+                    probs = predict_shape_rule(classifier, s.volume).probs
+                    w.writerow([s.record.sample_id, *(repr(p) for p in probs)])
+            """
+        ))
+        command = f"cmd:{sys.executable} {script} {{input_dir}} {{output_csv}}"
+
+        def spawns():
+            lines = log.read_text().splitlines() if log.exists() else []
+            log.unlink(missing_ok=True)
+            return [json.loads(line) for line in lines]
+
+        outputs = {}
+        for oracle in ("builtin", command):
+            out = tmp_path / ("cmd" if oracle == command else "builtin")
+            out.mkdir()
+            run_cli("mi", "compute", "--manifest", str(manifest), "--policy", "zero",
+                    "--oracle", oracle, "--out", str(out / "mi.csv"))
+            mi_spawns = spawns()
+            run_cli("saliency", "run", "--manifest", str(manifest), "--method", "occlusion",
+                    "--params", "window=16,stride=16", "--oracle", oracle,
+                    "--out-dir", str(out))
+            outputs[oracle] = [
+                (out / name).read_bytes()
+                for name in ("mi.csv", "s0000_occlusion.mmv", "s0001_occlusion.mmv")
+            ]
+        assert outputs[command] == outputs["builtin"]
+        # 2^4 coalitions x 2 samples in one spawn
+        assert mi_spawns == [[32, ["LGG", "HGG"]]]
+        # per sample: the target call, then the original and 4 modalities x 4
+        # windows in one chunk; 36 evaluations in 4 spawns
+        assert spawns() == [[1, ["LGG", "HGG"]], [17, ["LGG", "HGG"]]] * 2
 
 
 # What an installer's console-script wrapper does: resolve the entry point,

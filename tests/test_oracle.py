@@ -4,7 +4,12 @@ import textwrap
 import numpy as np
 import pytest
 
-from helpers import circularity_reference, make_sample, make_volume
+from helpers import (
+    boundary_count_reference,
+    circularity_reference,
+    make_sample,
+    make_volume,
+)
 from mmsaliency.oracle import (
     ClassProbabilities,
     ExternalCommandOracle,
@@ -12,6 +17,7 @@ from mmsaliency.oracle import (
     accuracy,
     boundary_count,
     circularity,
+    largest_component,
     predict_shape_rule,
 )
 from mmsaliency.synthgen import ShapeSpec, rasterize_shape
@@ -63,6 +69,19 @@ class TestCircularity:
     def test_boundary_counts_image_edge_as_background(self):
         comp = np.ones((3, 3), dtype=bool)
         assert boundary_count(comp) == 8  # center pixel has all 4 neighbors inside
+
+    @pytest.mark.parametrize(
+        "shape", [(12, 12), (1, 9), (9, 1), (1, 1), (7, 9, 5), (1, 6, 6), (4, 4, 4)]
+    )
+    def test_boundary_count_matches_pad_and_roll_formula(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + sum(shape))
+        for density in (0.2, 0.5, 0.8, 1.0):
+            for _ in range(25):
+                field = rng.random(shape) < density  # 1.0 fills every edge
+                component = largest_component(field)
+                for comp in (field, component):
+                    if comp is not None:
+                        assert boundary_count(comp) == boundary_count_reference(comp)
 
     def test_3d_sphericity_from_direct_counts(self):
         yy, xx, zz = np.indices((24, 24, 24))
@@ -163,16 +182,16 @@ class TestShapeRuleClassifier:
 
 
 class OneHotOracle:
-    """Returns the true label's one-hot; needs the label lookup."""
+    """Returns the true label's one-hot, looked up by volume content (batch ids
+    are opaque)."""
 
-    def __init__(self, labels_by_id):
-        self.labels = labels_by_id
-        self._queue = []
+    def __init__(self, labels_by_data):
+        self.labels = labels_by_data
 
     def predict_batch(self, items):
         out = {}
-        for sid, _ in items:
-            label = self.labels[sid]
+        for sid, volume in items:
+            label = self.labels[volume.data.tobytes()]
             out[sid] = ClassProbabilities((1.0 - label, float(label)))
         return out
 
@@ -187,7 +206,7 @@ class TestAccuracy:
 
     def test_one_hot_oracle_scores_one(self):
         samples = self._samples([0, 1, 1, 0])
-        oracle = OneHotOracle({s.record.sample_id: s.record.label for s in samples})
+        oracle = OneHotOracle({s.volume.data.tobytes(): s.record.label for s in samples})
         assert accuracy(samples, oracle) == 1.0
 
     def test_uniform_oracle_tie_breaks_to_class_zero(self):
@@ -302,6 +321,37 @@ class TestExternalOracle:
                 [("../../escaped", volume)]
             )
         assert not (tmp_path / "escaped.mmv").exists()
+
+    def test_batch_manifest_carries_the_class_names(self, tmp_path):
+        cmd = _write_stub(
+            tmp_path,
+            """\
+            with open(output_csv, "w", newline="") as fp:
+                w = csv.writer(fp, lineterminator="\\n")
+                w.writerow(["sample_id", *manifest["class_names"]])
+                for sid in ids:
+                    w.writerow([sid, 0.5, 0.25, 0.25])
+            """,
+        )
+        oracle = ExternalCommandOracle(cmd, ("round", "irregular", "other"))
+        volume = MultiModalVolume(("a",), np.zeros((1, 2, 2)))
+        assert oracle.predict(volume).probs == (0.5, 0.25, 0.25)
+
+    def test_probability_columns_must_match_the_classes(self, tmp_path):
+        cmd = _write_stub(
+            tmp_path,
+            """\
+            with open(output_csv, "w", newline="") as fp:
+                w = csv.writer(fp, lineterminator="\\n")
+                w.writerow(["sample_id", "p0", "p1", "p2"])
+                for sid in ids:
+                    w.writerow([sid, 0.5, 0.25, 0.25])
+            """,
+        )
+        with pytest.raises(RuntimeError, match="3 probability columns for 2 classes"):
+            self._predict(cmd)
+        with pytest.raises(ValueError, match="two class names"):
+            ExternalCommandOracle(cmd, ("only",))
 
     def test_template_placeholders_required(self):
         with pytest.raises(ValueError, match="placeholder|input_dir"):
