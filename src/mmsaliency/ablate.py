@@ -16,7 +16,16 @@ import numpy as np
 from .oracle import _iter_samples, predict_volumes
 from .tensorio import MultiModalVolume
 
-MAX_EXACT_MODALITIES = 12
+# players of an exact 2^n coalition table: modalities or saliency segments
+MAX_EXACT_PLAYERS = 12
+
+
+def _check_exact_players(n_players, unit):
+    if n_players > MAX_EXACT_PLAYERS:
+        raise ValueError(
+            f"{n_players} {unit} would need {1 << n_players} coalition evaluations; "
+            f"exact enumeration is capped at {MAX_EXACT_PLAYERS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -208,11 +217,7 @@ def shapley_mi(data, oracle, policy) -> ModalityImportance:
     if not samples:
         raise ValueError("empty dataset")
     n = samples[0].volume.n_modalities
-    if n > MAX_EXACT_MODALITIES:
-        raise ValueError(
-            f"{n} modalities would need {1 << n} coalition evaluations; "
-            f"exact enumeration is capped at {MAX_EXACT_MODALITIES}"
-        )
+    _check_exact_players(n, "modalities")
     coalitions = [Coalition.from_mask(mask, n) for mask in range(1 << n)]
     phi = exact_shapley(_coalition_accuracies(samples, oracle, coalitions, policy), n)
     return ModalityImportance.from_phi(

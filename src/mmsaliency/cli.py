@@ -207,14 +207,21 @@ def _load_mi_csv(path, modality_names):
     return np.array([float(r[1]) for r in rows]), np.array([float(r[2]) for r in rows])
 
 
-def _iter_runlogs(saliency_dir):
-    saliency_dir = Path(saliency_dir)
-    paths = sorted(saliency_dir.glob("runlog_*.json"))
+def _load_runlogs(path):
+    """{method: (directory, runlog)} from a runlog file or a directory of them."""
+    path = Path(path)
+    paths = sorted(path.glob("runlog_*.json")) if path.is_dir() else [path]
     if not paths:
-        raise SystemExit(f"no runlog_*.json found in {saliency_dir}")
+        raise SystemExit(f"no runlog_*.json found in {path}")
+    runlogs = {}
     for p in paths:
         with open(p, encoding="utf-8") as fp:
-            yield p.parent, json.load(fp)
+            runlog = json.load(fp)
+        method = runlog["method"]
+        if method in runlogs:
+            raise SystemExit(f"{path}: more than one runlog for method {method!r}")
+        runlogs[method] = (p.parent, runlog)
+    return runlogs
 
 
 def cmd_metrics(args):
@@ -226,8 +233,7 @@ def cmd_metrics(args):
             raise SystemExit(f"--mi is required for {args.metric}")
         phi, norm = _load_mi_csv(args.mi, samples[0].volume.modality_names)
     rows = [["sample_id", "method", "metric", "value"]]
-    for directory, runlog in _iter_runlogs(args.saliency_dir):
-        method = runlog["method"]
+    for method, (directory, runlog) in _load_runlogs(args.saliency_dir).items():
         for s in samples:
             fname = runlog["files"].get(s.record.sample_id)
             if fname is None:
@@ -297,20 +303,10 @@ def cmd_stats_friedman(args):
                 print(f"significant {methods[i]} vs {methods[j]}")
 
 
-def _load_wall_times(runlog_arg):
-    path = Path(runlog_arg)
-    paths = sorted(path.glob("runlog_*.json")) if path.is_dir() else [path]
-    wall = {}
-    for p in paths:
-        with open(p, encoding="utf-8") as fp:
-            doc = json.load(fp)
-        wall[doc["method"]] = list(doc["wall_time"].values())
-    return wall
-
-
 def cmd_report_matrix(args):
     records = _read_scores(args.scores)
-    wall = _load_wall_times(args.runlog) if args.runlog else None
+    runlogs = _load_runlogs(args.runlog) if args.runlog else {}
+    wall = {method: list(r["wall_time"].values()) for method, (_, r) in runlogs.items()}
     summaries = report_mod.summarize(records, wall)
     svg = report_mod.render_matrix(summaries)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fp:

@@ -16,13 +16,12 @@ METRIC_NAMES = ("msfi", "mi_corr", "iou", "rating")
 
 @dataclass(frozen=True)
 class MetricRecord:
-    """One scored (sample, method, metric) cell; `tag` marks the experiment/fold."""
+    """One scored (sample, method, metric) cell."""
 
     sample_id: str
     method: str
     metric: str
     value: float
-    tag: str = ""
 
     def __post_init__(self):
         if self.metric not in METRIC_NAMES:
@@ -223,14 +222,12 @@ class NemenyiResult:
     significant: np.ndarray  # boolean (k, k); diagonal False
 
 
-def nemenyi(scores, alpha=0.05):
-    """Post-hoc Nemenyi test: pairs differ when their mean-rank gap reaches CD.
+def nemenyi(scores):
+    """Post-hoc Nemenyi test at alpha=0.05: pairs differ when their mean-rank gap reaches CD.
 
-    CD = q_alpha(k) * sqrt(k(k+1)/(6N)); the boundary is closed (>= CD is
-    significant). Only alpha=0.05 is tabulated, for k in [2, 20].
+    CD = q_0.05(k) * sqrt(k(k+1)/(6N)); the boundary is closed (>= CD is
+    significant). q_0.05 is tabulated for k in [2, 20].
     """
-    if alpha != 0.05:
-        raise ValueError("only alpha=0.05 is tabulated")
     values = scores.values if isinstance(scores, ScoreMatrix) else np.asarray(scores, float)
     n, k = values.shape
     if k not in _NEMENYI_Q05:

@@ -96,7 +96,7 @@ def _svg_open(width, height):
     )
 
 
-def render_matrix(summaries, metrics_order=None) -> str:
+def render_matrix(summaries) -> str:
     """Comparison matrix SVG: one square per (metric, method) cell.
 
     Square side and fill darkness are proportional to the [0,1] value; a
@@ -105,10 +105,9 @@ def render_matrix(summaries, metrics_order=None) -> str:
     """
     if not summaries:
         raise ValueError("nothing to render")
-    if metrics_order is None:
-        metrics_order = sorted({m for s in summaries for m in s.stats})
-        if any(s.speed_score is not None for s in summaries):
-            metrics_order.append("speed")
+    metrics_order = sorted({m for s in summaries for m in s.stats})
+    if any(s.speed_score is not None for s in summaries):
+        metrics_order.append("speed")
     if not metrics_order:
         raise ValueError("no metrics to render")
 

@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from .ablate import _check_exact_players, exact_shapley
 from .oracle import _iter_samples, predict_volumes
 from .tensorio import MultiModalVolume, SaliencyMap
 
@@ -43,7 +44,6 @@ class SegmentGrid:
     belongs to exactly one segment.
     """
 
-    block_shape: tuple
     per_modality: bool
     segment_ids: np.ndarray
 
@@ -54,7 +54,6 @@ class SegmentGrid:
             raise ValueError("segment ids must be dense from 0")
         ids.setflags(write=False)
         object.__setattr__(self, "segment_ids", ids)
-        object.__setattr__(self, "block_shape", tuple(int(b) for b in self.block_shape))
 
     @property
     def n_segments(self):
@@ -80,7 +79,7 @@ def build_grid(n_modalities, dims, block_shape, per_modality=True) -> SegmentGri
         )
     else:
         ids = np.broadcast_to(spatial, (n_modalities, *dims)).copy()
-    return SegmentGrid(block_shape, per_modality, ids)
+    return SegmentGrid(per_modality, ids)
 
 
 @dataclass(frozen=True)
@@ -88,8 +87,9 @@ class MethodConfig:
     """Configuration shared by all saliency methods.
 
     target_class=None means "explain the predicted class". `exhaustive`
-    switches the sampling estimators (shapley_sampling, kernel_shap) to full
-    enumeration; n_samples is ignored in that mode.
+    makes the sampling estimators (shapley_sampling, kernel_shap) return
+    exact Shapley values from all 2^K coalitions (K <= 12 segments);
+    n_samples is ignored in that mode.
     """
 
     method: SaliencyMethod
@@ -331,19 +331,17 @@ def shapley_sampling(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     """Mean marginal contribution of each segment over segment orderings.
 
     Segments are added in permutation order starting from an all-zero
-    baseline. cfg.exhaustive enumerates all K! orderings (K <= 8), which
-    reproduces exact Shapley values; otherwise n_samples random orderings.
+    baseline, over n_samples random orderings. cfg.exhaustive returns exact
+    Shapley values instead (the mean over all K! orderings) from the 2^K
+    coalition table; see _exact_shapley_map.
     """
     _check_grid(grid, volume)
+    if cfg.exhaustive:
+        return _exact_shapley_map(volume, oracle, cfg, grid)
     k_segments = grid.n_segments
     target = _resolve_target(oracle, volume, cfg)
-    if cfg.exhaustive:
-        if k_segments > 8:
-            raise ValueError("exhaustive ordering enumeration is capped at 8 segments")
-        perms = list(itertools.permutations(range(k_segments)))
-    else:
-        rng = np.random.default_rng(cfg.rng_seed)
-        perms = [rng.permutation(k_segments) for _ in range(cfg.n_samples)]
+    rng = np.random.default_rng(cfg.rng_seed)
+    perms = [rng.permutation(k_segments) for _ in range(cfg.n_samples)]
     # row 0 is the empty baseline, then each ordering's K growing prefixes
     added = np.eye(k_segments, dtype=bool)[np.asarray(perms)]
     prefixes = np.logical_or.accumulate(added, axis=1).reshape(-1, k_segments)
@@ -359,6 +357,21 @@ def shapley_sampling(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     return SaliencyMap(volume.modality_names, phi[grid.segment_ids])
 
 
+def _exact_shapley_map(volume, oracle, cfg, grid):
+    """Exact Shapley segment values from all 2^K keep rows, broadcast over the grid.
+
+    Bit j of row `mask` keeps segment j; the cap on K is checked before any
+    oracle call.
+    """
+    k_segments = grid.n_segments
+    _check_exact_players(k_segments, "segments")
+    target = _resolve_target(oracle, volume, cfg)
+    rows = (np.arange(1 << k_segments)[:, None] >> np.arange(k_segments) & 1).astype(bool)
+    values = _keep_drop_probs(volume, oracle, grid, target, rows)
+    phi = exact_shapley(values, k_segments)
+    return SaliencyMap(volume.modality_names, phi[grid.segment_ids])
+
+
 def _kernel_shap_weight(k, size):
     return (k - 1.0) / (math.comb(k, size) * size * (k - size))
 
@@ -366,41 +379,35 @@ def _kernel_shap_weight(k, size):
 def kernel_shap(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     """Shapley values via the weighted-least-squares (LIME-style) formulation.
 
-    Coalitions exclude the empty and full sets, which enter as the efficiency
-    constraint sum(phi) = p(full) - p(empty); weights are
-    (K-1)/(C(K,|z|)|z|(K-|z|)). The grid is shared across modalities, so the
-    map is not modality-specific. cfg.exhaustive enumerates all 2^K - 2
-    proper coalitions (K <= 12).
+    Sampled coalitions exclude the empty and full sets, which enter as the
+    efficiency constraint sum(phi) = p(full) - p(empty); coalition sizes are
+    drawn with weights (K-1)/(C(K,|z|)|z|(K-|z|)). The grid is shared across
+    modalities, so the map is not modality-specific. cfg.exhaustive, and any
+    K = 1 grid, return exact Shapley values from the 2^K coalition table
+    (exhaustive KernelSHAP is exact Shapley); see _exact_shapley_map.
     """
     if grid.per_modality:
         raise ValueError("kernel_shap requires a shared segment grid")
     _check_grid(grid, volume)
     k_segments = grid.n_segments
-    target = _resolve_target(oracle, volume, cfg)
-    names = volume.modality_names
-    if k_segments == 1:
-        Z = np.zeros((0, 1))
-    elif cfg.exhaustive:
-        if k_segments > 12:
-            raise ValueError("exhaustive coalition enumeration is capped at 12 segments")
-        masks = np.arange(1, (1 << k_segments) - 1)
-        Z = (masks[:, None] >> np.arange(k_segments) & 1).astype(np.float64)
-    else:
-        if cfg.n_samples < k_segments + 2:
-            raise ValueError(
-                f"kernel_shap needs n_samples >= K+2 = {k_segments + 2}, "
-                f"got {cfg.n_samples}"
-            )
-        rng = np.random.default_rng(cfg.rng_seed)
-        sizes = np.arange(1, k_segments)
-        size_mass = np.array(
-            [math.comb(k_segments, s) * _kernel_shap_weight(k_segments, s) for s in sizes]
+    if cfg.exhaustive or k_segments == 1:
+        return _exact_shapley_map(volume, oracle, cfg, grid)
+    if cfg.n_samples < k_segments + 2:
+        raise ValueError(
+            f"kernel_shap needs n_samples >= K+2 = {k_segments + 2}, "
+            f"got {cfg.n_samples}"
         )
-        size_probs = size_mass / size_mass.sum()
-        Z = np.zeros((cfg.n_samples, k_segments))
-        for i in range(cfg.n_samples):
-            s = int(rng.choice(sizes, p=size_probs))
-            Z[i, rng.choice(k_segments, size=s, replace=False)] = 1.0
+    target = _resolve_target(oracle, volume, cfg)
+    rng = np.random.default_rng(cfg.rng_seed)
+    sizes = np.arange(1, k_segments)
+    size_mass = np.array(
+        [math.comb(k_segments, s) * _kernel_shap_weight(k_segments, s) for s in sizes]
+    )
+    size_probs = size_mass / size_mass.sum()
+    Z = np.zeros((cfg.n_samples, k_segments))
+    for i in range(cfg.n_samples):
+        s = int(rng.choice(sizes, p=size_probs))
+        Z[i, rng.choice(k_segments, size=s, replace=False)] = 1.0
 
     # rows 0 and 1 are the full and empty coalitions
     rows = np.vstack(
@@ -409,8 +416,6 @@ def kernel_shap(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     probs = _keep_drop_probs(volume, oracle, grid, target, rows)
     p_full, p_empty, y = probs[0], probs[1], probs[2:]
     delta = p_full - p_empty
-    if k_segments == 1:
-        return SaliencyMap(names, np.full_like(volume.data, delta, dtype=np.float64))
 
     coalition_sizes = Z.sum(axis=1).astype(int)
     weights = np.array([_kernel_shap_weight(k_segments, s) for s in coalition_sizes])
@@ -427,7 +432,7 @@ def kernel_shap(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     if not np.isfinite(head).all():
         raise ValueError("kernel_shap system is singular")
     phi = np.concatenate([head, [delta - head.sum()]])
-    return SaliencyMap(names, phi[grid.segment_ids])
+    return SaliencyMap(volume.modality_names, phi[grid.segment_ids])
 
 
 def _check_grid(grid, volume):

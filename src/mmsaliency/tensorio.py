@@ -106,9 +106,6 @@ class SegmentationMask:
     def dims(self):
         return self.data.shape[1:]
 
-    def as_bool(self):
-        return self.data > 0.5
-
 
 @dataclass(frozen=True, eq=False)
 class SaliencyMap:

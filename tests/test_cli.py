@@ -164,6 +164,36 @@ class TestInputChecks:
         with pytest.raises(SystemExit, match="do not match"):
             self._msfi_and_micorr(pipeline, bad, tmp_path)
 
+    @pytest.mark.parametrize("fault", ["duplicate_method", "no_runlogs"])
+    def test_runlog_directory_must_name_each_method_once(self, pipeline, tmp_path, fault):
+        sal = tmp_path / "saliency"
+        if fault == "duplicate_method":
+            shutil.copytree(pipeline / "saliency", sal)
+            shutil.copy(sal / "runlog_kernel_shap.json", sal / "runlog_kernel_shap_2.json")
+            match = "more than one runlog for method 'kernel_shap'"
+        else:
+            sal.mkdir()
+            match = "no runlog_"
+        with pytest.raises(SystemExit, match=match):
+            run_cli("metrics", "iou", "--manifest", str(pipeline / "data" / "manifest.json"),
+                    "--saliency-dir", str(sal), "--out", str(tmp_path / "iou.csv"))
+        with pytest.raises(SystemExit, match=match):
+            run_cli("report", "matrix", "--scores", str(pipeline / "scores.csv"),
+                    "--runlog", str(sal), "--out", str(tmp_path / "matrix.svg"))
+        assert not (tmp_path / "iou.csv").exists()
+        assert not (tmp_path / "matrix.svg").exists()
+
+    def test_metrics_and_report_take_a_single_runlog_file(self, pipeline, tmp_path):
+        runlog = pipeline / "saliency" / "runlog_kernel_shap.json"
+        run_cli("metrics", "iou", "--manifest", str(pipeline / "data" / "manifest.json"),
+                "--saliency-dir", str(runlog), "--out", str(tmp_path / "iou.csv"))
+        assert {r[1] for r in read_rows(tmp_path / "iou.csv")[1:]} == {"kernel_shap"}
+        run_cli("report", "matrix", "--scores", str(pipeline / "scores.csv"),
+                "--runlog", str(runlog), "--out", str(tmp_path / "matrix.svg"),
+                "--csv", str(tmp_path / "summary.csv"))
+        speed = [r for r in read_rows(tmp_path / "summary.csv") if r[1] == "speed"]
+        assert [r[0] for r in speed] == ["kernel_shap"]
+
     @pytest.mark.parametrize(
         "fault", ["truncated_mmv", "missing_manifest", "extra_probability_column"]
     )

@@ -326,8 +326,6 @@ class TestNemenyi:
     def test_k_range_enforced(self):
         with pytest.raises(ValueError, match="outside"):
             nemenyi(np.ones((3, 25)))
-        with pytest.raises(ValueError):
-            nemenyi(np.ones((3, 2)), alpha=0.01)
 
 
 class TestEstimatedMiPostprocessInteraction:

@@ -11,6 +11,7 @@ from helpers import (
     percentile_clamp_reference,
     subset_shapley,
 )
+from mmsaliency.ablate import exact_shapley
 from mmsaliency.oracle import ClassProbabilities
 from mmsaliency.saliency import (
     SHARED_MAP_METHODS,
@@ -509,6 +510,64 @@ class TestShapleySampling:
         with pytest.raises(ValueError, match="capped"):
             shapley_sampling(vol, CONSTANT, cfg, grid)
 
+    def test_exhaustive_runs_at_the_cap(self):
+        rng = np.random.default_rng(35)
+        vol = make_volume(rng, 1, (3, 4), low=0.2)
+        grid = build_grid(1, (3, 4), 1, per_modality=True)  # K = 12
+        coefs = rng.uniform(0.01, 0.05, size=12)
+        oracle = SegmentIndicatorOracle(grid, coefs, intercept=0.1)
+        cfg = MethodConfig(SaliencyMethod.SHAPLEY_SAMPLING, target_class=0, exhaustive=True)
+        out = shapley_sampling(vol, oracle, cfg, grid).data
+        assert np.all(np.abs(out - coefs[grid.segment_ids]) < 1e-12)
+
+
+class TestExactShapleyPath:
+    def test_both_estimators_give_the_coalition_table_shapley(self):
+        rng = np.random.default_rng(36)
+        vol = make_volume(rng, 2, (4, 6), low=0.2, high=0.9)
+        grid = build_grid(2, (4, 6), (2, 2), per_modality=False)  # K = 6 shared
+        oracle = FunctionOracle(lambda d: float(np.clip(np.sqrt(d.sum() / 40.0), 0, 1)))
+        k = grid.n_segments
+        values = []
+        for mask in range(1 << k):
+            keep = np.array([mask >> j & 1 for j in range(k)], dtype=np.float64)
+            kept = vol.with_data(vol.data * keep[grid.segment_ids])
+            values.append(oracle.predict(kept).probs[0])
+        expected = exact_shapley(values, k)[grid.segment_ids]
+        maps = []
+        for explain in (shapley_sampling, kernel_shap):
+            cfg = MethodConfig(SaliencyMethod(explain.__name__), target_class=0, exhaustive=True)
+            maps.append(explain(vol, oracle, cfg, grid))
+        assert np.array_equal(maps[0].data, maps[1].data)
+        assert np.array_equal(maps[0].data, expected)
+
+    @pytest.mark.parametrize(
+        "explain, per_modality, dims, params, match",
+        [
+            (shapley_sampling, True, (1, 13), dict(exhaustive=True), "capped"),
+            (kernel_shap, False, (1, 13), dict(exhaustive=True), "capped"),
+            (kernel_shap, False, (2, 2), dict(n_samples=5), "n_samples"),
+            (lime, True, (2, 2), dict(n_samples=3), "n_samples"),
+        ],
+    )
+    def test_configuration_errors_precede_any_oracle_call(
+        self, explain, per_modality, dims, params, match
+    ):
+        # target_class unset, so resolving the target would be the first call
+        calls = []
+
+        def fn(data):
+            calls.append(1)
+            return 0.5
+
+        rng = np.random.default_rng(37)
+        vol = make_volume(rng, 1, dims)
+        grid = build_grid(1, dims, 1, per_modality=per_modality)
+        cfg = MethodConfig(SaliencyMethod(explain.__name__), **params)
+        with pytest.raises(ValueError, match=match):
+            explain(vol, FunctionOracle(fn), cfg, grid)
+        assert calls == []
+
 
 class TestKernelShap:
     def test_exhaustive_linear_oracle_exact_shapley(self):
@@ -523,6 +582,19 @@ class TestKernelShap:
         # linear-model Shapley: each segment's value is its own coefficient
         for k in range(4):
             assert np.all(np.abs(out[grid.segment_ids == k] - coefs[k]) < 1e-12)
+
+    def test_sampled_linear_oracle_recovers_coefficients(self):
+        rng = np.random.default_rng(34)
+        vol = make_volume(rng, 2, (4, 4), low=0.2, high=0.9)
+        grid = build_grid(2, (4, 4), (2, 2), per_modality=False)  # K = 4 shared
+        coefs = np.array([0.04, 0.11, 0.02, 0.08])
+        oracle = SegmentIndicatorOracle(grid, coefs, intercept=0.1)
+        cfg = MethodConfig(
+            SaliencyMethod.KERNEL_SHAP, target_class=0, rng_seed=4, n_samples=12
+        )
+        out = kernel_shap(vol, oracle, cfg, grid).data
+        for k in range(4):
+            assert np.all(np.abs(out[grid.segment_ids == k] - coefs[k]) < 1e-10)
 
     def test_exhaustive_matches_subset_enumeration_nonlinear(self):
         rng = np.random.default_rng(27)
@@ -664,7 +736,7 @@ class TestGenerateMaps:
             (SaliencyMethod.FEATURE_ABLATION, 4, False, 8 + 2),  # K + 2
             (SaliencyMethod.LIME, 4, False, 40 + 1),  # n + 1
             (SaliencyMethod.SHAPLEY_SAMPLING, 4, False, 40 * 8 + 2),  # n*K + 2
-            (SaliencyMethod.SHAPLEY_SAMPLING, 8, True, 2 * 2 + 2),  # K!*K + 2, K = 2
+            (SaliencyMethod.SHAPLEY_SAMPLING, 8, True, 2**2 + 1),  # 2^K + 1, K = 2
             (SaliencyMethod.KERNEL_SHAP, 4, False, 40 + 3),  # n + 3
             (SaliencyMethod.KERNEL_SHAP, 4, True, 2**4 + 1),  # 2^K + 1
         ],
