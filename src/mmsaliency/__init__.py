@@ -26,7 +26,6 @@ from .metrics import (
     kendall_tau_b,
     msfi,
     nemenyi,
-    spearman,
 )
 from .oracle import (
     ClassProbabilities,

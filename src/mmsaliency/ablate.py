@@ -130,8 +130,6 @@ def apply_ablation(volume, keep: Coalition, policy: AblationPolicy, mask=None):
 def coalition_performance(data, oracle, keep: Coalition, policy):
     """Oracle accuracy with each sample ablated down to the kept coalition."""
     samples = _iter_samples(data)
-    if not samples:
-        raise ValueError("empty dataset")
     return _coalition_accuracies(samples, oracle, [keep], policy)[0]
 
 
@@ -214,8 +212,6 @@ def shapley_mi(data, oracle, policy) -> ModalityImportance:
     stream.
     """
     samples = _iter_samples(data)
-    if not samples:
-        raise ValueError("empty dataset")
     n = samples[0].volume.n_modalities
     _check_exact_players(n, "modalities")
     coalitions = [Coalition.from_mask(mask, n) for mask in range(1 << n)]

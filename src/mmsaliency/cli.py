@@ -32,13 +32,6 @@ from .saliency import MethodConfig, SaliencyMethod, generate_maps, postprocess
 from .synthgen import SynthConfig, generate_dataset, generate_probe
 from .tensorio import load_dataset, load_manifest, read_saliency, write_saliency
 
-_POLICIES = {
-    "zero": AblationVariant.ZERO_WHOLE_MODALITY,
-    "nonlesion": AblationVariant.NONLESION_SAMPLE_WHOLE_MODALITY,
-    "feature": AblationVariant.ZERO_FEATURE_REGION,
-}
-
-
 def _parse_named_floats(text, modality_names, what):
     """Parse 't1:0.5,t1c:1.0,...' onto the modality order (case-insensitive)."""
     by_name = {}
@@ -128,7 +121,7 @@ def cmd_mi_compute(args):
     samples = load_dataset(manifest)
     names = samples[0].volume.modality_names
     oracle = _build_oracle(args, names, manifest.class_names)
-    policy = AblationPolicy(_POLICIES[args.policy], rng_seed=args.seed)
+    policy = AblationPolicy(AblationVariant(args.policy), rng_seed=args.seed)
     mi = shapley_mi(samples, oracle, policy)
     rows = [["modality", "phi", "normalized", "variant"]]
     for name, phi, norm in zip(names, mi.phi, mi.normalized):
@@ -346,7 +339,9 @@ def build_parser():
     mi_sub = mi.add_subparsers(dest="command", required=True)
     compute = mi_sub.add_parser("compute", help="exact Shapley modality importance")
     compute.add_argument("--manifest", required=True)
-    compute.add_argument("--policy", default="zero", choices=sorted(_POLICIES))
+    compute.add_argument(
+        "--policy", default="zero", choices=sorted(v.value for v in AblationVariant)
+    )
     compute.add_argument("--seed", type=int, default=0, help="nonlesion sampling seed")
     compute.add_argument("--out", required=True)
     _add_oracle_args(compute)

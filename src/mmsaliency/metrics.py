@@ -1,4 +1,4 @@
-"""Evaluation metrics: MSFI, estimated modality importance, rank correlations,
+"""Evaluation metrics: MSFI, estimated modality importance, Kendall tau-b,
 IoU against localization masks, and Friedman/Nemenyi method comparisons.
 
 All operations are pure functions of their numeric inputs.
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special, stats
 
-METRIC_NAMES = ("msfi", "mi_corr", "iou", "rating")
+METRIC_NAMES = ("msfi", "mi_corr", "iou")
 
 
 @dataclass(frozen=True)
@@ -151,28 +151,6 @@ def iou(smap, masks, threshold=0.5):
 
 def _average_ranks(x):
     return stats.rankdata(x, method="average")
-
-
-def spearman(a, b):
-    """Spearman rho on average ranks with a two-sided Student-t p-value."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("vectors must share one length")
-    n = a.size
-    if n < 3:
-        raise ValueError("need at least three observations")
-    ra, rb = _average_ranks(a), _average_ranks(b)
-    sa, sb = ra.std(), rb.std()
-    if sa == 0.0 or sb == 0.0:
-        raise ValueError("rho undefined: zero variance in a rank vector")
-    rho = float(np.mean((ra - ra.mean()) * (rb - rb.mean())) / (sa * sb))
-    rho = min(1.0, max(-1.0, rho))
-    if abs(rho) == 1.0:
-        return rho, 0.0
-    t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(special.stdtr(n - 2, -abs(t)))
-    return rho, p
 
 
 def chi2_sf(x, df):

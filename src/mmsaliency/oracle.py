@@ -23,7 +23,6 @@ from .tensorio import (
     DatasetManifest,
     ManifestRecord,
     MultiModalVolume,
-    load_dataset,
     save_manifest,
     write_volume,
 )
@@ -163,10 +162,11 @@ def predict_shape_rule(cfg: ShapeRuleClassifier, volume: MultiModalVolume):
 
 
 def _iter_samples(data):
-    """Accept a DatasetManifest or a pre-loaded sample list."""
-    if isinstance(data, DatasetManifest):
-        data = load_dataset(data)
-    return list(data)
+    """The loaded samples as a list; an empty dataset is a ValueError."""
+    samples = list(data)
+    if not samples:
+        raise ValueError("empty dataset")
+    return samples
 
 
 def accuracy(data, oracle) -> float:
@@ -175,8 +175,6 @@ def accuracy(data, oracle) -> float:
     Argmax ties break toward the lower class index.
     """
     samples = _iter_samples(data)
-    if not samples:
-        raise ValueError("empty dataset")
     preds = predict_all(samples, oracle)
     hits = sum(
         1 for s in samples if preds[s.record.sample_id].argmax == s.record.label

@@ -126,23 +126,43 @@ def _axis_tuple(value, ndim, name):
     return out
 
 
-def _keep_drop_probs(volume, oracle, grid, target, rows):
-    """Target probability of the volume with each row's dropped segments zeroed.
+def _explain(volume, oracle, cfg, perturbed, reduce):
+    """Evaluate `perturbed` as one stream and return the map `reduce` makes of it.
 
-    Each row is a boolean keep mask over the grid's segments; the rows are
-    evaluated in order as one stream of perturbed volumes.
+    The target is cfg.target_class, or else the predicted class of `volume`;
+    `reduce` gets the target probability of each perturbed volume, in order,
+    and returns the map data.
     """
+    target = cfg.target_class
+    if target is None:
+        target = next(predict_volumes(oracle, [volume])).argmax
+    probs = np.array([p.probs[target] for p in predict_volumes(oracle, perturbed)])
+    return SaliencyMap(volume.modality_names, reduce(probs))
+
+
+def _segment_map(volume, oracle, cfg, grid, rows, reduce):
+    """Map from keep rows: each row is a boolean keep mask over the grid's segments.
+
+    A row's volume has its dropped segments zeroed; `reduce` turns the rows'
+    target probabilities into one value per segment, broadcast over the grid.
+    """
+    _check_grid(grid, volume)
     names = volume.modality_names
     ids = grid.segment_ids.astype(np.intp)  # np.take would convert int32 ids on every call
     # a bool keep mask, so the product keeps the volume's dtype
     kept = (MultiModalVolume(names, volume.data * np.take(row, ids)) for row in rows)
-    return np.array([p.probs[target] for p in predict_volumes(oracle, kept)])
+    return _explain(volume, oracle, cfg, kept, lambda p: reduce(p)[grid.segment_ids])
 
 
-def _resolve_target(oracle, volume, cfg):
-    if cfg.target_class is not None:
-        return cfg.target_class
-    return next(predict_volumes(oracle, [volume])).argmax
+def _solve(gram, rhs, what):
+    """Solve the normal equations; a singular system raises ValueError(what)."""
+    try:
+        x = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+    if not np.isfinite(x).all():
+        raise ValueError(what)
+    return x
 
 
 def postprocess(raw: SaliencyMap) -> SaliencyMap:
@@ -179,9 +199,7 @@ def occlusion(volume, oracle, cfg) -> SaliencyMap:
         raise ValueError(f"window {window} must fit inside dims {dims}")
     if any(s < 1 for s in stride):
         raise ValueError(f"stride {stride} must be positive")
-    target = _resolve_target(oracle, volume, cfg)
     rng = np.random.default_rng(cfg.rng_seed)
-
     positions = []
     for d, w, s in zip(dims, window, stride):
         pos = list(range(0, d - w + 1, s))
@@ -203,15 +221,15 @@ def occlusion(volume, oracle, cfg) -> SaliencyMap:
             data[sl] = rng.normal(mu, sd, size=window) if sd > 0.0 else mu
             yield MultiModalVolume(volume.modality_names, data)
 
-    preds = predict_volumes(oracle, perturbed())
-    p_orig = next(preds).probs[target]
-    accum = np.zeros_like(volume.data, dtype=np.float64)
-    cover = np.zeros_like(volume.data, dtype=np.int64)
-    for sl, pred in zip(windows(), preds):
-        accum[sl] += p_orig - pred.probs[target]
-        cover[sl] += 1
-    sal = np.divide(accum, cover, out=np.zeros_like(accum), where=cover > 0)
-    return SaliencyMap(volume.modality_names, sal)
+    def reduce(probs):
+        accum = np.zeros_like(volume.data, dtype=np.float64)
+        cover = np.zeros_like(volume.data, dtype=np.int64)
+        for sl, p in zip(windows(), probs[1:]):
+            accum[sl] += probs[0] - p
+            cover[sl] += 1
+        return np.divide(accum, cover, out=np.zeros_like(accum), where=cover > 0)
+
+    return _explain(volume, oracle, cfg, perturbed(), reduce)
 
 
 def feature_ablation(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
@@ -221,13 +239,9 @@ def feature_ablation(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     """
     if not grid.per_modality:
         raise ValueError("feature_ablation requires a per-modality segment grid")
-    _check_grid(grid, volume)
-    target = _resolve_target(oracle, volume, cfg)
     # row 0 keeps everything; row k + 1 drops segment k
     rows = ~np.eye(grid.n_segments + 1, grid.n_segments, k=-1, dtype=bool)
-    probs = _keep_drop_probs(volume, oracle, grid, target, rows)
-    phi = probs[0] - probs[1:]
-    return SaliencyMap(volume.modality_names, phi[grid.segment_ids])
+    return _segment_map(volume, oracle, cfg, grid, rows, lambda p: p[0] - p[1:])
 
 
 def feature_permutation(data, oracle, cfg, grid: SegmentGrid):
@@ -298,33 +312,26 @@ def lime(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     exp(-(1 - |z|/K)^2 / kernel_width^2). The fit includes an unpenalized
     intercept; each segment's voxels receive its coefficient.
     """
-    _check_grid(grid, volume)
     k_segments = grid.n_segments
     if cfg.n_samples < k_segments:
         raise ValueError(
             f"n_samples={cfg.n_samples} < {k_segments} segments: "
             "surrogate system is underdetermined"
         )
-    target = _resolve_target(oracle, volume, cfg)
     rng = np.random.default_rng(cfg.rng_seed)
     Z = rng.integers(0, 2, size=(cfg.n_samples, k_segments)).astype(np.float64)
-    y = _keep_drop_probs(volume, oracle, grid, target, Z.astype(bool))
     frac = Z.sum(axis=1) / k_segments
     weights = np.exp(-((1.0 - frac) ** 2) / cfg.kernel_width**2)
-
     design = np.hstack([np.ones((cfg.n_samples, 1)), Z])
     penalty = np.eye(k_segments + 1) * cfg.ridge_lambda
     penalty[0, 0] = 0.0  # intercept unpenalized
     gram = design.T @ (design * weights[:, None]) + penalty
-    rhs = design.T @ (weights * y)
-    try:
-        beta = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"lime normal equations are singular: {exc}") from exc
-    if not np.isfinite(beta).all():
-        raise ValueError("lime normal equations are singular")
-    coef = beta[1:]
-    return SaliencyMap(volume.modality_names, coef[grid.segment_ids])
+
+    def reduce(y):
+        beta = _solve(gram, design.T @ (weights * y), "lime normal equations are singular")
+        return beta[1:]
+
+    return _segment_map(volume, oracle, cfg, grid, Z.astype(bool), reduce)
 
 
 def shapley_sampling(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
@@ -335,26 +342,24 @@ def shapley_sampling(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     Shapley values instead (the mean over all K! orderings) from the 2^K
     coalition table; see _exact_shapley_map.
     """
-    _check_grid(grid, volume)
     if cfg.exhaustive:
         return _exact_shapley_map(volume, oracle, cfg, grid)
     k_segments = grid.n_segments
-    target = _resolve_target(oracle, volume, cfg)
     rng = np.random.default_rng(cfg.rng_seed)
-    perms = [rng.permutation(k_segments) for _ in range(cfg.n_samples)]
+    perms = np.array([rng.permutation(k_segments) for _ in range(cfg.n_samples)])
     # row 0 is the empty baseline, then each ordering's K growing prefixes
-    added = np.eye(k_segments, dtype=bool)[np.asarray(perms)]
+    added = np.eye(k_segments, dtype=bool)[perms]
     prefixes = np.logical_or.accumulate(added, axis=1).reshape(-1, k_segments)
     rows = np.vstack([np.zeros(k_segments, dtype=bool), prefixes])
-    probs = _keep_drop_probs(volume, oracle, grid, target, rows)
-    marginals = np.zeros(k_segments)
-    for perm, steps in zip(perms, probs[1:].reshape(len(perms), k_segments)):
-        p_prev = probs[0]
-        for k, p_cur in zip(perm, steps):
-            marginals[int(k)] += p_cur - p_prev
-            p_prev = p_cur
-    phi = marginals / len(perms)
-    return SaliencyMap(volume.modality_names, phi[grid.segment_ids])
+
+    def reduce(probs):
+        steps = probs[1:].reshape(len(perms), k_segments)
+        marginals = np.zeros(k_segments)
+        # unbuffered: each segment's marginals are added one by one, in ordering order
+        np.add.at(marginals, perms, np.diff(steps, axis=1, prepend=probs[0]))
+        return marginals / len(perms)
+
+    return _segment_map(volume, oracle, cfg, grid, rows, reduce)
 
 
 def _exact_shapley_map(volume, oracle, cfg, grid):
@@ -365,11 +370,10 @@ def _exact_shapley_map(volume, oracle, cfg, grid):
     """
     k_segments = grid.n_segments
     _check_exact_players(k_segments, "segments")
-    target = _resolve_target(oracle, volume, cfg)
     rows = (np.arange(1 << k_segments)[:, None] >> np.arange(k_segments) & 1).astype(bool)
-    values = _keep_drop_probs(volume, oracle, grid, target, rows)
-    phi = exact_shapley(values, k_segments)
-    return SaliencyMap(volume.modality_names, phi[grid.segment_ids])
+    return _segment_map(
+        volume, oracle, cfg, grid, rows, lambda values: exact_shapley(values, k_segments)
+    )
 
 
 def _kernel_shap_weight(k, size):
@@ -388,7 +392,6 @@ def kernel_shap(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     """
     if grid.per_modality:
         raise ValueError("kernel_shap requires a shared segment grid")
-    _check_grid(grid, volume)
     k_segments = grid.n_segments
     if cfg.exhaustive or k_segments == 1:
         return _exact_shapley_map(volume, oracle, cfg, grid)
@@ -397,7 +400,6 @@ def kernel_shap(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
             f"kernel_shap needs n_samples >= K+2 = {k_segments + 2}, "
             f"got {cfg.n_samples}"
         )
-    target = _resolve_target(oracle, volume, cfg)
     rng = np.random.default_rng(cfg.rng_seed)
     sizes = np.arange(1, k_segments)
     size_mass = np.array(
@@ -408,31 +410,24 @@ def kernel_shap(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     for i in range(cfg.n_samples):
         s = int(rng.choice(sizes, p=size_probs))
         Z[i, rng.choice(k_segments, size=s, replace=False)] = 1.0
+    coalition_sizes = Z.sum(axis=1).astype(int)
+    weights = np.array([_kernel_shap_weight(k_segments, s) for s in coalition_sizes])
+    # Eliminate the last player with the efficiency constraint, then solve WLS.
+    B = Z[:, :-1] - Z[:, -1:]
+    gram = B.T @ (B * weights[:, None])
+
+    def reduce(probs):
+        p_full, p_empty, y = probs[0], probs[1], probs[2:]
+        delta = p_full - p_empty
+        t = y - p_empty - Z[:, -1] * delta
+        head = _solve(gram, B.T @ (weights * t), "kernel_shap system is singular")
+        return np.concatenate([head, [delta - head.sum()]])
 
     # rows 0 and 1 are the full and empty coalitions
     rows = np.vstack(
         [np.ones(k_segments, bool), np.zeros(k_segments, bool), Z.astype(bool)]
     )
-    probs = _keep_drop_probs(volume, oracle, grid, target, rows)
-    p_full, p_empty, y = probs[0], probs[1], probs[2:]
-    delta = p_full - p_empty
-
-    coalition_sizes = Z.sum(axis=1).astype(int)
-    weights = np.array([_kernel_shap_weight(k_segments, s) for s in coalition_sizes])
-
-    # Eliminate the last player with the efficiency constraint, then solve WLS.
-    B = Z[:, :-1] - Z[:, -1:]
-    t = y - p_empty - Z[:, -1] * delta
-    gram = B.T @ (B * weights[:, None])
-    rhs = B.T @ (weights * t)
-    try:
-        head = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"kernel_shap system is singular: {exc}") from exc
-    if not np.isfinite(head).all():
-        raise ValueError("kernel_shap system is singular")
-    phi = np.concatenate([head, [delta - head.sum()]])
-    return SaliencyMap(volume.modality_names, phi[grid.segment_ids])
+    return _segment_map(volume, oracle, cfg, grid, rows, reduce)
 
 
 def _check_grid(grid, volume):
@@ -460,8 +455,6 @@ def generate_maps(data, oracle, cfg: MethodConfig, grid=None):
     not a deterministic output.
     """
     samples = _iter_samples(data)
-    if not samples:
-        raise ValueError("empty dataset")
     method = SaliencyMethod(cfg.method)
     first = samples[0].volume
     if grid is None:

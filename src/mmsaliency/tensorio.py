@@ -60,17 +60,16 @@ def _freeze(data, modality_names, *, binary=False):
 
 
 @dataclass(frozen=True, eq=False)
-class MultiModalVolume:
-    """Dense real-valued image with one channel per modality.
+class _Field:
+    """Per-modality field of shape (M, H, W) or (M, H, W, D); KIND names its MMV kind."""
 
-    data has shape (M, H, W) or (M, H, W, D) and is finite float32.
-    """
+    KIND = None
 
     modality_names: tuple
     data: np.ndarray
 
     def __post_init__(self):
-        names, arr = _freeze(self.data, self.modality_names)
+        names, arr = _freeze(self.data, self.modality_names, binary=self.KIND == KIND_MASK)
         object.__setattr__(self, "modality_names", names)
         object.__setattr__(self, "data", arr)
 
@@ -81,57 +80,43 @@ class MultiModalVolume:
     @property
     def dims(self):
         return self.data.shape[1:]
+
+
+@dataclass(frozen=True, eq=False)
+class MultiModalVolume(_Field):
+    """Dense real-valued image with one channel per modality.
+
+    data has shape (M, H, W) or (M, H, W, D) and is finite float32.
+    """
+
+    KIND = KIND_VOLUME
 
     def with_data(self, data):
         return MultiModalVolume(self.modality_names, data)
 
 
 @dataclass(frozen=True, eq=False)
-class SegmentationMask:
+class SegmentationMask(_Field):
     """Per-modality binary feature-localization field aligned with a volume."""
 
-    modality_names: tuple
-    data: np.ndarray
-
-    def __post_init__(self):
-        names, arr = _freeze(self.data, self.modality_names, binary=True)
-        object.__setattr__(self, "modality_names", names)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def n_modalities(self):
-        return len(self.modality_names)
-
-    @property
-    def dims(self):
-        return self.data.shape[1:]
+    KIND = KIND_MASK
 
 
 @dataclass(frozen=True, eq=False)
-class SaliencyMap:
+class SaliencyMap(_Field):
     """Per-modality real importance field aligned with a volume.
 
     postprocessed=True asserts values already lie in [0, 1].
     """
 
-    modality_names: tuple
-    data: np.ndarray
+    KIND = KIND_SALIENCY
+
     postprocessed: bool = False
 
     def __post_init__(self):
-        names, arr = _freeze(self.data, self.modality_names)
-        if self.postprocessed and (arr.min() < 0.0 or arr.max() > 1.0):
+        super().__post_init__()
+        if self.postprocessed and (self.data.min() < 0.0 or self.data.max() > 1.0):
             raise ValueError("postprocessed saliency values must lie in [0, 1]")
-        object.__setattr__(self, "modality_names", names)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def n_modalities(self):
-        return len(self.modality_names)
-
-    @property
-    def dims(self):
-        return self.data.shape[1:]
 
 
 def _encode_header(kind, modality_names, dims):
@@ -145,14 +130,16 @@ def _encode_header(kind, modality_names, dims):
     return json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
-def _write_mmv(path, kind, modality_names, data):
-    payload = np.ascontiguousarray(data, dtype="<f4")
+def _write_field(field, path):
+    payload = np.ascontiguousarray(field.data, dtype="<f4")
     with open(path, "wb") as fp:
-        fp.write(_encode_header(kind, modality_names, data.shape[1:]))
+        fp.write(_encode_header(field.KIND, field.modality_names, field.dims))
         fp.write(payload.tobytes(order="C"))
 
 
-def _read_mmv(path, expected_kind=None):
+def _read_field(cls, path, broadcast_to=None):
+    """Read an MMV file of kind cls.KIND; a single-modality file may be
+    repeated onto the `broadcast_to` names."""
     with open(path, "rb") as fp:
         line = fp.readline()
         payload = fp.read()
@@ -167,8 +154,8 @@ def _read_mmv(path, expected_kind=None):
     kind = header.get("kind")
     if kind not in _KINDS:
         raise MMVFormatError(f"{path}: unknown kind {kind!r}")
-    if expected_kind is not None and kind != expected_kind:
-        raise MMVFormatError(f"{path}: expected kind {expected_kind!r}, found {kind!r}")
+    if kind != cls.KIND:
+        raise MMVFormatError(f"{path}: expected kind {cls.KIND!r}, found {kind!r}")
     if header.get("dtype") != "f32le":
         raise MMVFormatError(f"{path}: unsupported dtype {header.get('dtype')!r}")
     modalities = header.get("modalities")
@@ -187,48 +174,39 @@ def _read_mmv(path, expected_kind=None):
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
     data = np.frombuffer(payload, dtype="<f4").reshape(len(modalities), *dims)
-    return kind, modalities, data
-
-
-def write_volume(volume: MultiModalVolume, path):
-    """Write a volume in MMV format. Round-trips bit-exactly through read_volume."""
-    _write_mmv(path, KIND_VOLUME, volume.modality_names, volume.data)
-
-
-def read_volume(path) -> MultiModalVolume:
-    _, modalities, data = _read_mmv(path, KIND_VOLUME)
-    try:
-        return MultiModalVolume(tuple(modalities), data)
-    except ValueError as exc:
-        raise MMVFormatError(f"{path}: {exc}") from exc
-
-
-def write_mask(mask: SegmentationMask, path):
-    _write_mmv(path, KIND_MASK, mask.modality_names, mask.data)
-
-
-def read_mask(path, broadcast_to=None) -> SegmentationMask:
-    """Read a mask; a single-modality file may be broadcast to `broadcast_to` names."""
-    _, modalities, data = _read_mmv(path, KIND_MASK)
     if broadcast_to is not None and len(modalities) == 1 and len(broadcast_to) > 1:
         data = np.repeat(data, len(broadcast_to), axis=0)
         modalities = list(broadcast_to)
     try:
-        return SegmentationMask(tuple(modalities), data)
+        return cls(tuple(modalities), data)
     except ValueError as exc:
         raise MMVFormatError(f"{path}: {exc}") from exc
+
+
+def write_volume(volume: MultiModalVolume, path):
+    """Write a volume in MMV format. Round-trips bit-exactly through read_volume."""
+    _write_field(volume, path)
+
+
+def read_volume(path) -> MultiModalVolume:
+    return _read_field(MultiModalVolume, path)
+
+
+def write_mask(mask: SegmentationMask, path):
+    _write_field(mask, path)
+
+
+def read_mask(path, broadcast_to=None) -> SegmentationMask:
+    """Read a mask; a single-modality file may be broadcast to `broadcast_to` names."""
+    return _read_field(SegmentationMask, path, broadcast_to)
 
 
 def write_saliency(smap: SaliencyMap, path):
-    _write_mmv(path, KIND_SALIENCY, smap.modality_names, smap.data)
+    _write_field(smap, path)
 
 
 def read_saliency(path) -> SaliencyMap:
-    _, modalities, data = _read_mmv(path, KIND_SALIENCY)
-    try:
-        return SaliencyMap(tuple(modalities), data, postprocessed=False)
-    except ValueError as exc:
-        raise MMVFormatError(f"{path}: {exc}") from exc
+    return _read_field(SaliencyMap, path)
 
 
 @dataclass(frozen=True)

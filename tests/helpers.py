@@ -4,11 +4,21 @@ implementations (brute force / closed form) that the library code never uses.
 
 import itertools
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
 from mmsaliency.oracle import ClassProbabilities
 from mmsaliency.tensorio import LoadedSample, ManifestRecord, MultiModalVolume
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def src_env():
+    """The caller's environment with this checkout's `src/` first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 class FunctionOracle:
@@ -54,6 +64,31 @@ def permutation_shapley(values_by_mask, n):
             phi[player] += cur - prev
             prev = cur
     return phi / math.factorial(n)
+
+
+def sequential_shapley_sampling(volume, oracle, grid, target, n_orderings, seed):
+    """Shapley sampling one marginal at a time: for each of the seeded
+    orderings, add the segments in order from an all-zero volume and add each
+    probability step to the segment just added. Returns one value per segment.
+    """
+    rng = np.random.default_rng(seed)
+    k_segments = grid.n_segments
+    orderings = [rng.permutation(k_segments) for _ in range(n_orderings)]
+
+    def value(keep):
+        kept = MultiModalVolume(volume.modality_names, volume.data * keep[grid.segment_ids])
+        return oracle.predict(kept).probs[target]
+
+    marginals = np.zeros(k_segments)
+    for ordering in orderings:
+        keep = np.zeros(k_segments, dtype=bool)
+        prev = value(keep)
+        for k in ordering:
+            keep[k] = True
+            cur = value(keep)
+            marginals[k] += cur - prev
+            prev = cur
+    return marginals / n_orderings
 
 
 def subset_shapley(value_fn, n):

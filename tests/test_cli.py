@@ -1,29 +1,20 @@
 import csv
 import json
-import os
 import shutil
 import subprocess
 import sys
 import textwrap
 from dataclasses import fields
-from pathlib import Path
 
 import pytest
 
+from helpers import REPO, src_env
 from mmsaliency.cli import _parse_params, main
 from mmsaliency.saliency import MethodConfig
-
-REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
     assert main(list(argv)) == 0
-
-
-def src_env():
-    """The caller's environment with this checkout's `src/` first on PYTHONPATH."""
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture(scope="module")

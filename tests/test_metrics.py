@@ -14,7 +14,6 @@ from mmsaliency.metrics import (
     kendall_tau_b,
     msfi,
     nemenyi,
-    spearman,
 )
 from mmsaliency.tensorio import SaliencyMap, SegmentationMask
 
@@ -188,38 +187,6 @@ class TestIoU:
         z = np.zeros((1, 2, 2))
         with pytest.raises(ValueError, match="postprocessed"):
             iou(smap(z), segmask(z))
-
-
-class TestSpearman:
-    def test_identity_and_reversal(self):
-        a = np.array([3.0, 1.0, 4.0, 1.5, 9.0, 2.6])
-        rho, p = spearman(a, a)
-        assert rho == 1.0 and p < 0.05
-        rho, p = spearman(a, -a)
-        assert rho == -1.0 and p < 0.05
-
-    def test_zero_variance_is_error(self):
-        with pytest.raises(ValueError, match="variance"):
-            spearman([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
-
-    def test_reporting_format_scale(self):
-        # 32 paired ratings, moderately correlated: same reporting shape
-        rng = np.random.default_rng(4)
-        ratings = rng.random(32)
-        scores = 0.6 * ratings + 0.4 * rng.random(32)
-        rho, p = spearman(ratings, scores)
-        assert -1.0 <= rho <= 1.0 and 0.0 <= p <= 1.0
-        assert rho > 0.3 and p < 0.05
-
-    def test_p_value_against_t_distribution(self):
-        a = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        b = np.array([2.0, 1.0, 4.0, 3.0, 6.0, 5.0])
-        rho, p = spearman(a, b)
-        n = 6
-        t = rho * math.sqrt((n - 2) / (1 - rho**2))
-        from scipy import stats
-
-        assert p == pytest.approx(2 * stats.t.sf(abs(t), n - 2), abs=1e-12)
 
 
 class TestChi2Tail:

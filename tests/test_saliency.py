@@ -9,6 +9,7 @@ from helpers import (
     make_sample,
     make_volume,
     percentile_clamp_reference,
+    sequential_shapley_sampling,
     subset_shapley,
 )
 from mmsaliency.ablate import exact_shapley
@@ -510,6 +511,21 @@ class TestShapleySampling:
         with pytest.raises(ValueError, match="capped"):
             shapley_sampling(vol, CONSTANT, cfg, grid)
 
+    def test_marginals_add_up_in_ordering_order(self):
+        # 60 orderings of K = 6 segments under a nonlinear oracle: each segment
+        # collects 60 marginals, so a different summation order would move the
+        # last bits
+        rng = np.random.default_rng(38)
+        vol = make_volume(rng, 2, (4, 6), low=0.2, high=0.9)
+        grid = build_grid(2, (4, 6), (2, 2), per_modality=False)
+        oracle = FunctionOracle(lambda d: float(np.tanh(d.sum() / 9.0) ** 2))
+        cfg = MethodConfig(
+            SaliencyMethod.SHAPLEY_SAMPLING, target_class=0, rng_seed=12, n_samples=60
+        )
+        out = shapley_sampling(vol, oracle, cfg, grid).data
+        expected = sequential_shapley_sampling(vol, oracle, grid, 0, 60, seed=12)
+        assert np.array_equal(out, expected[grid.segment_ids])
+
     def test_exhaustive_runs_at_the_cap(self):
         rng = np.random.default_rng(35)
         vol = make_volume(rng, 1, (3, 4), low=0.2)
@@ -542,16 +558,23 @@ class TestExactShapleyPath:
         assert np.array_equal(maps[0].data, expected)
 
     @pytest.mark.parametrize(
-        "explain, per_modality, dims, params, match",
+        "explain, per_modality, dims, grid_dims, params, match",
         [
-            (shapley_sampling, True, (1, 13), dict(exhaustive=True), "capped"),
-            (kernel_shap, False, (1, 13), dict(exhaustive=True), "capped"),
-            (kernel_shap, False, (2, 2), dict(n_samples=5), "n_samples"),
-            (lime, True, (2, 2), dict(n_samples=3), "n_samples"),
+            (shapley_sampling, True, (1, 13), (1, 13), dict(exhaustive=True), "capped"),
+            (kernel_shap, False, (1, 13), (1, 13), dict(exhaustive=True), "capped"),
+            (kernel_shap, False, (2, 2), (2, 2), dict(n_samples=5), "n_samples"),
+            (lime, True, (2, 2), (2, 2), dict(n_samples=3), "n_samples"),
+            (feature_ablation, True, (2, 2), (2, 3), {}, "does not match"),
+            (lime, True, (2, 2), (2, 3), {}, "does not match"),
+            (shapley_sampling, True, (2, 2), (2, 3), {}, "does not match"),
+            (shapley_sampling, True, (2, 2), (2, 3), dict(exhaustive=True), "does not match"),
+            (kernel_shap, False, (2, 2), (2, 3), {}, "does not match"),
+            (kernel_shap, False, (2, 2), (2, 3), dict(exhaustive=True), "does not match"),
+            (occlusion, None, (2, 2), None, dict(window=3), "window"),
         ],
     )
     def test_configuration_errors_precede_any_oracle_call(
-        self, explain, per_modality, dims, params, match
+        self, explain, per_modality, dims, grid_dims, params, match
     ):
         # target_class unset, so resolving the target would be the first call
         calls = []
@@ -562,10 +585,10 @@ class TestExactShapleyPath:
 
         rng = np.random.default_rng(37)
         vol = make_volume(rng, 1, dims)
-        grid = build_grid(1, dims, 1, per_modality=per_modality)
+        grid = () if grid_dims is None else (build_grid(1, grid_dims, 1, per_modality),)
         cfg = MethodConfig(SaliencyMethod(explain.__name__), **params)
         with pytest.raises(ValueError, match=match):
-            explain(vol, FunctionOracle(fn), cfg, grid)
+            explain(vol, FunctionOracle(fn), cfg, *grid)
         assert calls == []
 
 
