@@ -159,7 +159,6 @@ def cmd_saliency_run(args):
     manifest = load_manifest(args.manifest)
     samples = load_dataset(manifest)
     names = samples[0].volume.modality_names
-    oracle = _build_oracle(args, names, manifest.class_names)
     try:
         method = SaliencyMethod(args.method)
     except ValueError:
@@ -168,6 +167,13 @@ def cmd_saliency_run(args):
             f"{[m.value for m in SaliencyMethod]}"
         )
     cfg = MethodConfig(method=method, rng_seed=args.seed, **_parse_params(args.params))
+    n_classes = len(manifest.class_names)
+    if cfg.target_class is not None and cfg.target_class >= n_classes:
+        raise ValueError(
+            f"target_class={cfg.target_class}, but the manifest has {n_classes} "
+            f"classes {list(manifest.class_names)}"
+        )
+    oracle = _build_oracle(args, names, manifest.class_names)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     maps, runlog = generate_maps(samples, oracle, cfg)

@@ -59,7 +59,12 @@ class ClassProbabilities:
 class PredictionOracle(Protocol):
     """One prediction per volume. An oracle may also offer
     `predict_batch(items)`, taking (id, volume) pairs and returning
-    {id: ClassProbabilities}; `predict_volumes` then sends it chunks."""
+    {id: ClassProbabilities}; `predict_volumes` then sends it chunks.
+
+    A prediction must be a function of the input volume alone: equal volumes
+    get equal probabilities, in any call and any batch. The saliency methods
+    evaluate each distinct perturbation once and reuse its prediction.
+    """
 
     def predict(self, volume: MultiModalVolume) -> ClassProbabilities: ...
 

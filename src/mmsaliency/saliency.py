@@ -86,10 +86,12 @@ def build_grid(n_modalities, dims, block_shape, per_modality=True) -> SegmentGri
 class MethodConfig:
     """Configuration shared by all saliency methods.
 
-    target_class=None means "explain the predicted class". `exhaustive`
-    makes the sampling estimators (shapley_sampling, kernel_shap) return
-    exact Shapley values from all 2^K coalitions (K <= 12 segments);
-    n_samples is ignored in that mode.
+    target_class=None means "explain the predicted class". n_samples counts
+    the random draws of lime, shapley_sampling and kernel_shap; the oracle
+    evaluates only the distinct keep rows among them. `exhaustive` makes the
+    sampling estimators (shapley_sampling, kernel_shap) return exact Shapley
+    values from all 2^K coalitions (K <= 12 segments); n_samples is ignored
+    in that mode.
     """
 
     method: SaliencyMethod
@@ -104,6 +106,8 @@ class MethodConfig:
     exhaustive: bool = False
 
     def __post_init__(self):
+        if self.target_class is not None and self.target_class < 0:
+            raise ValueError(f"target_class must be nonnegative, got {self.target_class}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         if self.kernel_width <= 0:
@@ -136,8 +140,18 @@ def _explain(volume, oracle, cfg, perturbed, reduce):
     target = cfg.target_class
     if target is None:
         target = next(predict_volumes(oracle, [volume])).argmax
-    probs = np.array([p.probs[target] for p in predict_volumes(oracle, perturbed)])
+    preds = predict_volumes(oracle, perturbed)
+    probs = np.array([_class_prob(p, target) for p in preds])
     return SaliencyMap(volume.modality_names, reduce(probs))
+
+
+def _class_prob(pred, target):
+    """pred's probability of class `target`; a class it lacks is a ValueError."""
+    if target >= len(pred.probs):
+        raise ValueError(
+            f"target_class={target}, but the oracle predicts {len(pred.probs)} classes"
+        )
+    return pred.probs[target]
 
 
 def _segment_map(volume, oracle, cfg, grid, rows, reduce):
@@ -145,13 +159,22 @@ def _segment_map(volume, oracle, cfg, grid, rows, reduce):
 
     A row's volume has its dropped segments zeroed; `reduce` turns the rows'
     target probabilities into one value per segment, broadcast over the grid.
+    Each distinct row is evaluated once, in order of first occurrence, and
+    its probability is passed to `reduce` for every row equal to it.
     """
     _check_grid(grid, volume)
     names = volume.modality_names
     ids = grid.segment_ids.astype(np.intp)  # np.take would convert int32 ids on every call
+    # where[i]: row i's position in the stream of distinct rows; a dict over the
+    # row bytes is >10x faster here than np.unique(rows, axis=0)
+    position = {}
+    where = np.array([position.setdefault(row.tobytes(), len(position)) for row in rows])
+    stream = np.unique(where, return_index=True)[1]  # each position's first row
     # a bool keep mask, so the product keeps the volume's dtype
-    kept = (MultiModalVolume(names, volume.data * np.take(row, ids)) for row in rows)
-    return _explain(volume, oracle, cfg, kept, lambda p: reduce(p)[grid.segment_ids])
+    kept = (MultiModalVolume(names, volume.data * np.take(rows[i], ids)) for i in stream)
+    return _explain(
+        volume, oracle, cfg, kept, lambda p: reduce(p[where])[grid.segment_ids]
+    )
 
 
 def _solve(gram, rhs, what):
@@ -269,7 +292,7 @@ def feature_permutation(data, oracle, cfg, grid: SegmentGrid):
     for pred in predict_volumes(oracle, (s.volume for s in samples)):
         t = cfg.target_class if cfg.target_class is not None else pred.argmax
         targets.append(t)
-        p_orig.append(pred.probs[t])
+        p_orig.append(_class_prob(pred, t))
 
     n = len(samples)
 
@@ -285,7 +308,7 @@ def feature_permutation(data, oracle, cfg, grid: SegmentGrid):
     preds = predict_volumes(oracle, perturbed())
     # delta[k, j]: sample j's target-probability drop with segment k shuffled
     delta = np.array(
-        [p_orig[i % n] - p.probs[targets[i % n]] for i, p in enumerate(preds)]
+        [p_orig[i % n] - _class_prob(p, targets[i % n]) for i, p in enumerate(preds)]
     ).reshape(grid.n_segments, n)
     return {
         s.record.sample_id: SaliencyMap(names, delta[:, j][grid.segment_ids])
@@ -310,7 +333,8 @@ def lime(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
 
     Dropped segments are zeroed; sample weights follow
     exp(-(1 - |z|/K)^2 / kernel_width^2). The fit includes an unpenalized
-    intercept; each segment's voxels receive its coefficient.
+    intercept; each segment's voxels receive its coefficient. n_samples
+    masks are drawn; each distinct one is evaluated once.
     """
     k_segments = grid.n_segments
     if cfg.n_samples < k_segments:
@@ -338,9 +362,11 @@ def shapley_sampling(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     """Mean marginal contribution of each segment over segment orderings.
 
     Segments are added in permutation order starting from an all-zero
-    baseline, over n_samples random orderings. cfg.exhaustive returns exact
-    Shapley values instead (the mean over all K! orderings) from the 2^K
-    coalition table; see _exact_shapley_map.
+    baseline, over n_samples random orderings: n_samples * K + 1 keep rows,
+    of which each distinct one is evaluated once (every ordering ends on the
+    full coalition). cfg.exhaustive returns exact Shapley values instead (the
+    mean over all K! orderings) from the 2^K coalition table; see
+    _exact_shapley_map.
     """
     if cfg.exhaustive:
         return _exact_shapley_map(volume, oracle, cfg, grid)
@@ -385,7 +411,8 @@ def kernel_shap(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
 
     Sampled coalitions exclude the empty and full sets, which enter as the
     efficiency constraint sum(phi) = p(full) - p(empty); coalition sizes are
-    drawn with weights (K-1)/(C(K,|z|)|z|(K-|z|)). The grid is shared across
+    drawn with weights (K-1)/(C(K,|z|)|z|(K-|z|)). n_samples coalitions are
+    drawn; each distinct one is evaluated once. The grid is shared across
     modalities, so the map is not modality-specific. cfg.exhaustive, and any
     K = 1 grid, return exact Shapley values from the 2^K coalition table
     (exhaustive KernelSHAP is exact Shapley); see _exact_shapley_map.

@@ -91,6 +91,39 @@ def sequential_shapley_sampling(volume, oracle, grid, target, n_orderings, seed)
     return marginals / n_orderings
 
 
+def sampled_keep_rows(method, k, n_samples, seed):
+    """The keep rows a sampling estimator draws, repeats included, in row
+    order, each a tuple of K bools: its seeded draws replayed one at a time.
+
+    method is "lime" (uniform rows), "shapley_sampling" (the empty baseline,
+    then each ordering's growing prefixes) or "kernel_shap" (the full and
+    empty coalitions, then sizes drawn with the Shapley-kernel mass).
+    """
+    rng = np.random.default_rng(seed)
+    if method == "lime":
+        return [tuple(map(bool, z)) for z in rng.integers(0, 2, size=(n_samples, k))]
+    if method == "shapley_sampling":
+        rows = [(False,) * k]
+        for _ in range(n_samples):
+            keep = [False] * k
+            for player in rng.permutation(k):
+                keep[player] = True
+                rows.append(tuple(keep))
+        return rows
+    sizes = np.arange(1, k)
+    mass = np.array([
+        math.comb(k, s) * ((k - 1.0) / (math.comb(k, s) * s * (k - s))) for s in sizes
+    ])
+    rows = [(True,) * k, (False,) * k]
+    for _ in range(n_samples):
+        size = int(rng.choice(sizes, p=mass / mass.sum()))
+        keep = [False] * k
+        for player in rng.choice(k, size=size, replace=False):
+            keep[player] = True
+        rows.append(tuple(keep))
+    return rows
+
+
 def subset_shapley(value_fn, n):
     """Direct subset-enumeration Shapley; value_fn takes a bitmask."""
     phi = np.zeros(n)

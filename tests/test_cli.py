@@ -226,6 +226,33 @@ class TestInputChecks:
         if oracle:
             assert "3 probability columns for 2 classes" in proc.stderr
 
+    @pytest.mark.parametrize("target, match", [
+        (5, "target_class=5, but the manifest has 2 classes"),
+        (2, "target_class=2, but the manifest has 2 classes"),
+        (-1, "target_class must be nonnegative, got -1"),
+    ])
+    def test_bad_target_class_exits_before_any_oracle_call(self, tmp_path, target, match):
+        run_cli("synth", "generate", "--n", "2", "--size", "32", "--seed", "1",
+                "--out", str(tmp_path / "data"))
+        log = tmp_path / "spawns.log"
+        script = tmp_path / "scorer.py"
+        script.write_text(f"open({str(log)!r}, 'a').write('spawn\\n')\n")
+        out = tmp_path / "maps"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmsaliency.cli", "saliency", "run",
+             "--manifest", str(tmp_path / "data" / "manifest.json"),
+             "--method", "feature_ablation",
+             "--params", f"block_shape=16,target_class={target}",
+             "--oracle", f"cmd:{sys.executable} {script} {{input_dir}} {{output_csv}}",
+             "--out-dir", str(out)],
+            capture_output=True, text=True, env=src_env(),
+        )
+        assert proc.returncode == 1
+        [line] = proc.stderr.strip().splitlines()
+        assert line.startswith(f"mmsaliency saliency run: error: {match}")
+        assert not log.exists()  # the scorer never ran
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_synth_rerun_byte_identical(self, tmp_path):

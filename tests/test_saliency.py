@@ -9,9 +9,11 @@ from helpers import (
     make_sample,
     make_volume,
     percentile_clamp_reference,
+    sampled_keep_rows,
     sequential_shapley_sampling,
     subset_shapley,
 )
+from mmsaliency import saliency
 from mmsaliency.ablate import exact_shapley
 from mmsaliency.oracle import ClassProbabilities
 from mmsaliency.saliency import (
@@ -753,18 +755,18 @@ class TestGenerateMaps:
         assert len(maps) == 2  # resolved target 1 without error
 
     @pytest.mark.parametrize(
-        "method, block, exhaustive, expected",
+        "method, block, exhaustive",
         [
             # 8x8 with 4x4 blocks: K = 8 per-modality segments, or K = 4 shared
-            (SaliencyMethod.FEATURE_ABLATION, 4, False, 8 + 2),  # K + 2
-            (SaliencyMethod.LIME, 4, False, 40 + 1),  # n + 1
-            (SaliencyMethod.SHAPLEY_SAMPLING, 4, False, 40 * 8 + 2),  # n*K + 2
-            (SaliencyMethod.SHAPLEY_SAMPLING, 8, True, 2**2 + 1),  # 2^K + 1, K = 2
-            (SaliencyMethod.KERNEL_SHAP, 4, False, 40 + 3),  # n + 3
-            (SaliencyMethod.KERNEL_SHAP, 4, True, 2**4 + 1),  # 2^K + 1
+            (SaliencyMethod.FEATURE_ABLATION, 4, False),
+            (SaliencyMethod.LIME, 4, False),
+            (SaliencyMethod.SHAPLEY_SAMPLING, 4, False),
+            (SaliencyMethod.SHAPLEY_SAMPLING, 8, True),  # K = 2
+            (SaliencyMethod.KERNEL_SHAP, 4, False),
+            (SaliencyMethod.KERNEL_SHAP, 4, True),
         ],
     )
-    def test_oracle_evaluations_per_sample(self, method, block, exhaustive, expected):
+    def test_oracle_evaluations_per_sample(self, method, block, exhaustive):
         calls = []
 
         def fn(data):
@@ -774,6 +776,153 @@ class TestGenerateMaps:
         cfg = MethodConfig(
             method, rng_seed=5, block_shape=block, n_samples=40, exhaustive=exhaustive
         )
-        generate_maps(self._samples(2), FunctionOracle(fn), cfg)
-        assert len(calls) == 2 * expected
+        samples = self._samples(2)
+        grid = default_grid_for(method, 2, (8, 8), block)
+        k = grid.n_segments
+        if method is SaliencyMethod.FEATURE_ABLATION:
+            rows = k + 1  # all distinct: keep everything, then drop each segment
+        elif exhaustive:
+            rows = 2**k
+        else:
+            # the seeded draws repeat coalitions; each distinct one is evaluated once
+            drawn = sampled_keep_rows(method.value, k, 40, seed=5)
+            rows = len(set(drawn))
+            assert rows < len(drawn)
+        generate_maps(samples, FunctionOracle(fn), cfg)
+        # per sample: one call resolves the target, then one per distinct row
+        assert len(calls) == 2 * (1 + rows)
+
+
+class TestDistinctRows:
+    """Keep-row methods evaluate each distinct row once per sample."""
+
+    CASES = [
+        # (method, per_modality grid, block, n_samples); 8x8, 2 modalities
+        (lime, True, 4, 40),  # K = 8
+        (lime, True, 8, 40),  # K = 2: at most 4 distinct rows
+        (shapley_sampling, True, 4, 20),  # K = 8
+        (kernel_shap, False, 4, 40),  # K = 4
+    ]
+
+    def _volume(self):
+        return make_volume(np.random.default_rng(50), 2, (8, 8), low=0.1)
+
+    @staticmethod
+    def _recording_oracle():
+        seen = []
+
+        def fn(data):
+            seen.append(data.copy())
+            return float(np.clip(np.sqrt(data.mean()) + data[0, 0, 0] / 4, 0, 1))
+
+        return FunctionOracle(fn), seen
+
+    @pytest.mark.parametrize("explain, per_modality, block, n", CASES)
+    def test_oracle_sees_the_row_stream_without_repeats(
+        self, explain, per_modality, block, n
+    ):
+        vol = self._volume()
+        grid = build_grid(2, (8, 8), block, per_modality)
+        rows = sampled_keep_rows(explain.__name__, grid.n_segments, n, seed=9)
+        distinct = list(dict.fromkeys(rows))  # first occurrences, in row order
+        assert len(distinct) < len(rows)
+        oracle, seen = self._recording_oracle()
+        cfg = MethodConfig(
+            SaliencyMethod(explain.__name__), target_class=0, rng_seed=9, n_samples=n
+        )
+        explain(vol, oracle, cfg, grid)
+        assert len(seen) == len(distinct)
+        for data, row in zip(seen, distinct):
+            assert np.array_equal(data, vol.data * np.array(row)[grid.segment_ids])
+
+    @pytest.mark.parametrize("explain, per_modality, block, n", CASES)
+    def test_no_volume_is_evaluated_twice(self, explain, per_modality, block, n):
+        grid = build_grid(2, (8, 8), block, per_modality)
+        oracle, seen = self._recording_oracle()
+        for exhaustive in (False, True):
+            seen.clear()
+            cfg = MethodConfig(
+                SaliencyMethod(explain.__name__), target_class=0, rng_seed=9,
+                n_samples=n, exhaustive=exhaustive,
+            )
+            explain(self._volume(), oracle, cfg, grid)
+            assert len({data.tobytes() for data in seen}) == len(seen)
+
+    def test_shapley_sampling_on_two_segments(self):
+        # 40 orderings of 2 segments: 81 rows, but only 4 coalitions
+        calls = []
+
+        def fn(data):
+            calls.append(1)
+            return float(np.clip(data.mean(), 0, 1))
+
+        samples = [make_sample("s0", self._volume()), make_sample("s1", self._volume())]
+        cfg = MethodConfig(SaliencyMethod.SHAPLEY_SAMPLING, block_shape=8, n_samples=40)
+        generate_maps(samples, FunctionOracle(fn), cfg)
+        assert len(calls) == 2 * (1 + 4)
+
+    @pytest.mark.parametrize("target_class", [None, 1])
+    def test_maps_equal_a_reference_that_evaluates_every_row(
+        self, monkeypatch, target_class
+    ):
+        rng = np.random.default_rng(51)
+        samples = [
+            make_sample(f"s{i}", make_volume(rng, 2, (8, 8), low=0.1)) for i in range(2)
+        ]
+        oracle, seen = self._recording_oracle()
+
+        def every_row(volume, oracle, cfg, grid, rows, reduce):
+            target = cfg.target_class
+            if target is None:
+                target = oracle.predict(volume).argmax
+            probs = [
+                oracle.predict(volume.with_data(volume.data * row[grid.segment_ids]))
+                .probs[target]
+                for row in rows
+            ]
+            data = reduce(np.array(probs))[grid.segment_ids]
+            return SaliencyMap(volume.modality_names, data)
+
+        configs = [
+            MethodConfig(
+                method, target_class=target_class, rng_seed=seed, block_shape=block,
+                n_samples=40, exhaustive=exhaustive,
+            )
+            for method in (
+                SaliencyMethod.FEATURE_ABLATION, SaliencyMethod.LIME,
+                SaliencyMethod.SHAPLEY_SAMPLING, SaliencyMethod.KERNEL_SHAP,
+            )
+            for block in (4, 8)
+            for exhaustive in (False, True)
+            for seed in (0, 3)
+        ]
+        for cfg in configs:
+            seen.clear()
+            maps, _ = generate_maps(samples, oracle, cfg)
+            memo_calls = len(seen)
+            with monkeypatch.context() as patch:
+                patch.setattr(saliency, "_segment_map", every_row)
+                reference, _ = generate_maps(samples, oracle, cfg)
+            assert memo_calls <= len(seen) - memo_calls
+            for sid, smap in maps.items():
+                assert smap.data.dtype == reference[sid].data.dtype
+                assert smap.data.tobytes() == reference[sid].data.tobytes()
+
+
+class TestTargetClass:
+    def test_negative_target_class_rejected(self):
+        with pytest.raises(ValueError, match="target_class must be nonnegative"):
+            MethodConfig(SaliencyMethod.LIME, target_class=-1)
+
+    @pytest.mark.parametrize("method", list(SaliencyMethod))
+    def test_class_the_oracle_lacks_is_a_value_error(self, method):
+        rng = np.random.default_rng(52)
+        samples = [
+            make_sample(f"s{i}", make_volume(rng, 2, (8, 8), low=0.1)) for i in range(2)
+        ]
+        cfg = MethodConfig(
+            method, target_class=2, window=4, stride=4, block_shape=4, n_samples=40
+        )
+        with pytest.raises(ValueError, match="target_class=2, but the oracle predicts 2"):
+            generate_maps(samples, CONSTANT, cfg)
 
