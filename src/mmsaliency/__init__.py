@@ -9,10 +9,10 @@ reference shape classifier so the full pipeline runs end to end.
 from .ablate import (
     AblationPolicy,
     AblationVariant,
-    Coalition,
     ModalityImportance,
     apply_ablation,
     coalition_performance,
+    coalition_table,
     exact_shapley,
     normalize_mi,
     shapley_mi,

@@ -1,8 +1,8 @@
 """Modality-coalition ablation and the exact Shapley modality-importance engine.
 
-Coalition values come from a prediction oracle's accuracy over a dataset with
-the complementary modalities ablated. With M modalities there are 2^M
-coalitions; each is evaluated once and reused for every player's marginals.
+A coalition is a bool keep row, one entry per modality; its value is a
+prediction oracle's accuracy over a dataset with the other modalities
+ablated. The 2^M rows of coalition_table are each evaluated once.
 """
 
 from __future__ import annotations
@@ -20,45 +20,17 @@ from .tensorio import MultiModalVolume
 MAX_EXACT_PLAYERS = 12
 
 
-def _check_exact_players(n_players, unit):
+def coalition_table(n_players, unit):
+    """All 2^n coalitions as bool keep rows: bit j of row i keeps player j.
+
+    `unit` names the players in the error raised above MAX_EXACT_PLAYERS.
+    """
     if n_players > MAX_EXACT_PLAYERS:
         raise ValueError(
             f"{n_players} {unit} would need {1 << n_players} coalition evaluations; "
             f"exact enumeration is capped at {MAX_EXACT_PLAYERS}"
         )
-
-
-@dataclass(frozen=True)
-class Coalition:
-    """Canonically sorted subset of modality indices; empty and full are valid."""
-
-    members: tuple
-
-    def __post_init__(self):
-        members = tuple(sorted(int(m) for m in self.members))
-        if any(m < 0 for m in members):
-            raise ValueError(f"negative modality index in {members}")
-        if len(set(members)) != len(members):
-            raise ValueError(f"duplicate modality index in {members}")
-        object.__setattr__(self, "members", members)
-
-    @classmethod
-    def full(cls, n_modalities):
-        return cls(tuple(range(n_modalities)))
-
-    @classmethod
-    def empty(cls):
-        return cls(())
-
-    @classmethod
-    def from_mask(cls, mask, n_modalities):
-        return cls(tuple(m for m in range(n_modalities) if mask >> m & 1))
-
-    def __contains__(self, m):
-        return m in self.members
-
-    def __len__(self):
-        return len(self.members)
+    return (np.arange(1 << n_players)[:, None] >> np.arange(n_players) & 1).astype(bool)
 
 
 class AblationVariant(Enum):
@@ -87,8 +59,10 @@ class AblationPolicy:
         return "feat" if self.variant is AblationVariant.ZERO_FEATURE_REGION else "mod"
 
 
-def apply_ablation(volume, keep: Coalition, policy: AblationPolicy, mask=None):
-    """Return a volume with every modality outside `keep` ablated.
+def apply_ablation(volume, keep, policy: AblationPolicy, mask=None):
+    """Return a volume with every modality whose `keep` entry is False ablated.
+
+    `keep` is a bool row with one entry per modality, as in coalition_table.
 
     Zero policies are idempotent; the sampling policy draws i.i.d. with
     replacement from the non-lesion pool of the same modality, seeded, so the
@@ -98,19 +72,20 @@ def apply_ablation(volume, keep: Coalition, policy: AblationPolicy, mask=None):
         raise ValueError(f"policy {policy.variant.value!r} requires a mask")
     if not policy.needs_mask and mask is not None:
         mask = None
-    if any(m >= volume.n_modalities for m in keep.members):
+    keep = np.asarray(keep)
+    if keep.dtype != bool or keep.shape != (volume.n_modalities,):
         raise ValueError(
-            f"coalition {keep.members} exceeds {volume.n_modalities} modalities"
+            f"keep must be a bool row of {volume.n_modalities} modalities, "
+            f"got {keep.dtype} {keep.shape}"
         )
     if mask is not None and mask.data.shape != volume.data.shape:
         raise ValueError("mask shape does not match volume shape")
 
-    ablated = set(range(volume.n_modalities)) - set(keep.members)
-    if not ablated:
+    if keep.all():
         return volume
     data = volume.data.copy()
     rng = np.random.default_rng(policy.rng_seed)
-    for m in sorted(ablated):
+    for m in np.flatnonzero(~keep):
         if policy.variant is AblationVariant.ZERO_WHOLE_MODALITY:
             data[m] = 0.0
         elif policy.variant is AblationVariant.ZERO_FEATURE_REGION:
@@ -127,22 +102,20 @@ def apply_ablation(volume, keep: Coalition, policy: AblationPolicy, mask=None):
     return MultiModalVolume(volume.modality_names, data)
 
 
-def coalition_performance(data, oracle, keep: Coalition, policy):
-    """Oracle accuracy with each sample ablated down to the kept coalition."""
+def coalition_performance(data, oracle, keep, policy):
+    """Oracle accuracy with each sample ablated down to the kept modalities."""
     samples = _iter_samples(data)
     return _coalition_accuracies(samples, oracle, [keep], policy)[0]
 
 
-def _coalition_accuracies(samples, oracle, coalitions, policy):
-    """Accuracy per coalition; every ablated volume goes through one stream."""
+def _coalition_accuracies(samples, oracle, rows, policy):
+    """Accuracy per keep row; every ablated volume goes through one stream."""
     ablated = (
-        apply_ablation(s.volume, keep, policy, s.mask)
-        for keep in coalitions
-        for s in samples
+        apply_ablation(s.volume, keep, policy, s.mask) for keep in rows for s in samples
     )
     preds = predict_volumes(oracle, ablated)
     accuracies = []
-    for _ in coalitions:
+    for _ in rows:
         hits = sum(next(preds).argmax == s.record.label for s in samples)
         accuracies.append(hits / len(samples))
     return accuracies
@@ -151,8 +124,9 @@ def _coalition_accuracies(samples, oracle, coalitions, policy):
 def exact_shapley(values, n_players):
     """Exact Shapley vector from a full coalition-value table.
 
-    `values[mask]` is v(c) for the coalition whose bitmask is `mask`
-    (bit m set = player m present); the table has 2^n entries.
+    `values[i]` is v(c) for row i of coalition_table(n_players), the
+    coalition whose bit m of i is set when player m is present; the table
+    has 2^n entries.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (1 << n_players,):
@@ -213,9 +187,8 @@ def shapley_mi(data, oracle, policy) -> ModalityImportance:
     """
     samples = _iter_samples(data)
     n = samples[0].volume.n_modalities
-    _check_exact_players(n, "modalities")
-    coalitions = [Coalition.from_mask(mask, n) for mask in range(1 << n)]
-    phi = exact_shapley(_coalition_accuracies(samples, oracle, coalitions, policy), n)
+    rows = coalition_table(n, "modalities")
+    phi = exact_shapley(_coalition_accuracies(samples, oracle, rows, policy), n)
     return ModalityImportance.from_phi(
         phi, policy.mi_variant, samples[0].volume.modality_names
     )

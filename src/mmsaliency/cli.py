@@ -27,7 +27,7 @@ from .metrics import (
     msfi,
     nemenyi,
 )
-from .oracle import ExternalCommandOracle, ShapeRuleClassifier
+from .oracle import ExternalCommandOracle, ShapeRuleClassifier, _iter_samples
 from .saliency import MethodConfig, SaliencyMethod, generate_maps, postprocess
 from .synthgen import SynthConfig, generate_dataset, generate_probe
 from .tensorio import load_dataset, load_manifest, read_saliency, write_saliency
@@ -96,6 +96,12 @@ def _write_csv(path, rows):
         csv.writer(fp, lineterminator="\n").writerows(rows)
 
 
+def _load_samples(manifest_path):
+    """The manifest and its loaded samples; an empty manifest is an error."""
+    manifest = load_manifest(manifest_path)
+    return manifest, _iter_samples(load_dataset(manifest))
+
+
 def cmd_synth_generate(args):
     cfg = SynthConfig(
         n_samples=args.n,
@@ -117,8 +123,7 @@ def cmd_synth_probe(args):
 
 
 def cmd_mi_compute(args):
-    manifest = load_manifest(args.manifest)
-    samples = load_dataset(manifest)
+    manifest, samples = _load_samples(args.manifest)
     names = samples[0].volume.modality_names
     oracle = _build_oracle(args, names, manifest.class_names)
     policy = AblationPolicy(AblationVariant(args.policy), rng_seed=args.seed)
@@ -130,9 +135,18 @@ def cmd_mi_compute(args):
     print(f"wrote modality importance ({mi.variant}) to {args.out}")
 
 
+_BOOLS = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False}
+
+
+def _parse_bool(value):
+    if value.lower() not in _BOOLS:
+        raise ValueError(f"{value!r} is not one of {'/'.join(_BOOLS)}")
+    return _BOOLS[value.lower()]
+
+
 # --params values are parsed by the type of the field's default; fields
 # defaulting to None (window, stride, target_class) take integers.
-_PARAM_PARSERS = {bool: lambda v: v.lower() in ("1", "true", "yes"), float: float}
+_PARAM_PARSERS = {bool: _parse_bool, float: float}
 
 
 def _parse_params(text):
@@ -151,13 +165,15 @@ def _parse_params(text):
         key = key.strip()
         if key not in casts:
             raise SystemExit(f"unknown method param {key!r}")
-        params[key] = casts[key](value.strip())
+        try:
+            params[key] = casts[key](value.strip())
+        except ValueError as exc:
+            raise SystemExit(f"bad value for method param {key!r}: {exc}")
     return params
 
 
 def cmd_saliency_run(args):
-    manifest = load_manifest(args.manifest)
-    samples = load_dataset(manifest)
+    manifest, samples = _load_samples(args.manifest)
     names = samples[0].volume.modality_names
     try:
         method = SaliencyMethod(args.method)
@@ -189,14 +205,23 @@ def cmd_saliency_run(args):
     print(f"wrote {len(files)} {method.value} maps to {out_dir}")
 
 
+def _read_csv(path, header):
+    """The rows of a CSV file whose first row is `header`; every row has its length."""
+    with open(path, encoding="utf-8", newline="") as fp:
+        rows = list(csv.reader(fp))
+    if not rows:
+        raise ValueError(f"{path}: empty file, expected header {header}")
+    if rows[0] != header:
+        raise ValueError(f"{path}: unexpected header {rows[0]}, expected {header}")
+    for row in rows[1:]:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {row} does not have the columns {header}")
+    return rows[1:]
+
+
 def _load_mi_csv(path, modality_names):
     """phi and normalized MI from mi.csv, reordered onto `modality_names`."""
-    with open(path, encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        header = next(reader)
-        if header != ["modality", "phi", "normalized", "variant"]:
-            raise SystemExit(f"{path}: unexpected mi.csv header {header}")
-        rows = list(reader)
+    rows = _read_csv(path, ["modality", "phi", "normalized", "variant"])
     names = [row[0] for row in rows]
     if sorted(names) != sorted(modality_names):
         raise SystemExit(
@@ -216,6 +241,9 @@ def _load_runlogs(path):
     for p in paths:
         with open(p, encoding="utf-8") as fp:
             runlog = json.load(fp)
+        missing = [key for key in ("method", "files", "wall_time") if key not in runlog]
+        if missing:
+            raise ValueError(f"{p}: runlog has no {missing[0]!r} entry")
         method = runlog["method"]
         if method in runlogs:
             raise SystemExit(f"{path}: more than one runlog for method {method!r}")
@@ -224,8 +252,7 @@ def _load_runlogs(path):
 
 
 def cmd_metrics(args):
-    manifest = load_manifest(args.manifest)
-    samples = load_dataset(manifest)
+    _, samples = _load_samples(args.manifest)
     phi = norm = None
     if args.metric in ("msfi", "mi-corr"):
         if not args.mi:
@@ -260,16 +287,11 @@ def cmd_metrics(args):
 
 
 def _read_scores(path, metric=None):
-    records = []
-    with open(path, encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        header = next(reader)
-        if header != ["sample_id", "method", "metric", "value"]:
-            raise SystemExit(f"{path}: unexpected scores header {header}")
-        for sid, method, met, value in reader:
-            if metric is None or met == metric:
-                records.append(MetricRecord(sid, method, met, float(value)))
-    return records
+    return [
+        MetricRecord(sid, method, met, float(value))
+        for sid, method, met, value in _read_csv(path, ["sample_id", "method", "metric", "value"])
+        if metric is None or met == metric
+    ]
 
 
 def cmd_stats_friedman(args):

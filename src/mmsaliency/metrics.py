@@ -149,8 +149,17 @@ def iou(smap, masks, threshold=0.5):
     return int(np.count_nonzero(predicted & actual)) / union
 
 
-def _average_ranks(x):
-    return stats.rankdata(x, method="average")
+def _mean_ranks(scores):
+    """(N, mean rank per method); methods are ranked within each sample, ties averaged."""
+    values = scores.values if isinstance(scores, ScoreMatrix) else np.asarray(scores, float)
+    if values.ndim != 2:
+        raise ValueError("scores must be 2-D (samples x methods)")
+    if not np.isfinite(values).all():
+        raise ValueError("score matrix must be complete")
+    n, k = values.shape
+    if n < 2 or k < 2:
+        raise ValueError(f"need at least 2 samples and 2 methods, got {values.shape}")
+    return n, stats.rankdata(values, method="average", axis=1).mean(axis=0)
 
 
 def chi2_sf(x, df):
@@ -169,16 +178,8 @@ def friedman(scores):
     statistic is 12N/(k(k+1)) * sum(Rbar_j^2) - 3N(k+1) with k-1 degrees of
     freedom and a chi-square upper-tail p-value.
     """
-    values = scores.values if isinstance(scores, ScoreMatrix) else np.asarray(scores, float)
-    if values.ndim != 2:
-        raise ValueError("scores must be 2-D (samples x methods)")
-    if not np.isfinite(values).all():
-        raise ValueError("score matrix must be complete")
-    n, k = values.shape
-    if n < 2 or k < 2:
-        raise ValueError(f"need at least 2 samples and 2 methods, got {values.shape}")
-    ranks = np.apply_along_axis(_average_ranks, 1, values)
-    mean_ranks = ranks.mean(axis=0)
+    n, mean_ranks = _mean_ranks(scores)
+    k = len(mean_ranks)
     chi2 = 12.0 * n / (k * (k + 1)) * float(np.sum(mean_ranks**2)) - 3.0 * n * (k + 1)
     df = k - 1
     return chi2, df, chi2_sf(chi2, df)
@@ -206,12 +207,10 @@ def nemenyi(scores):
     CD = q_0.05(k) * sqrt(k(k+1)/(6N)); the boundary is closed (>= CD is
     significant). q_0.05 is tabulated for k in [2, 20].
     """
-    values = scores.values if isinstance(scores, ScoreMatrix) else np.asarray(scores, float)
-    n, k = values.shape
+    n, mean_ranks = _mean_ranks(scores)
+    k = len(mean_ranks)
     if k not in _NEMENYI_Q05:
         raise ValueError(f"k={k} outside tabulated range [2, 20]")
-    ranks = np.apply_along_axis(_average_ranks, 1, values)
-    mean_ranks = ranks.mean(axis=0)
     cd = _NEMENYI_Q05[k] * np.sqrt(k * (k + 1) / (6.0 * n))
     gaps = np.abs(mean_ranks[:, None] - mean_ranks[None, :])
     significant = gaps >= cd

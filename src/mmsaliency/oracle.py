@@ -9,6 +9,7 @@ without any trained model. Real models plug in through the batch protocol.
 from __future__ import annotations
 
 import csv
+import math
 import shlex
 import subprocess
 import tempfile
@@ -43,6 +44,8 @@ class ClassProbabilities:
         p = tuple(float(v) for v in self.probs)
         if len(p) < 2:
             raise ValueError("need at least two classes")
+        if not all(map(math.isfinite, p)):
+            raise ValueError(f"probabilities must be finite: {p}")
         if any(v < -PROB_TOL or v > 1 + PROB_TOL for v in p):
             raise ValueError(f"probabilities out of [0,1]: {p}")
         if abs(sum(p) - 1.0) > PROB_TOL:

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .ablate import _check_exact_players, exact_shapley
+from .ablate import coalition_table, exact_shapley
 from .oracle import _iter_samples, predict_volumes
 from .tensorio import MultiModalVolume, SaliencyMap
 
@@ -391,12 +391,11 @@ def shapley_sampling(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
 def _exact_shapley_map(volume, oracle, cfg, grid):
     """Exact Shapley segment values from all 2^K keep rows, broadcast over the grid.
 
-    Bit j of row `mask` keeps segment j; the cap on K is checked before any
+    The rows are coalition_table(K); the cap on K is checked before any
     oracle call.
     """
     k_segments = grid.n_segments
-    _check_exact_players(k_segments, "segments")
-    rows = (np.arange(1 << k_segments)[:, None] >> np.arange(k_segments) & 1).astype(bool)
+    rows = coalition_table(k_segments, "segments")
     return _segment_map(
         volume, oracle, cfg, grid, rows, lambda values: exact_shapley(values, k_segments)
     )

@@ -295,21 +295,20 @@ def load_manifest(path) -> DatasetManifest:
             raise FileNotFoundError(f"{sample_id}: referenced path {full} does not exist")
         return str(full)
 
-    records = []
-    for rec in doc["records"]:
+    def _record(rec):
         sid = rec["sample_id"]
-        records.append(
-            ManifestRecord(
-                sample_id=sid,
-                label=int(rec["label"]),
-                volume_path=_resolve(rec["volume"], sid),
-                mask_path=_resolve(rec.get("mask"), sid),
-                saliency_paths={
-                    k: _resolve(v, sid) for k, v in rec.get("saliency", {}).items()
-                },
-            )
+        return ManifestRecord(
+            sample_id=sid,
+            label=int(rec["label"]),
+            volume_path=_resolve(rec["volume"], sid),
+            mask_path=_resolve(rec.get("mask"), sid),
+            saliency_paths={k: _resolve(v, sid) for k, v in rec.get("saliency", {}).items()},
         )
-    return DatasetManifest(tuple(records), tuple(doc["class_names"]))
+
+    try:
+        return DatasetManifest(tuple(map(_record, doc["records"])), tuple(doc["class_names"]))
+    except KeyError as exc:
+        raise ValueError(f"{path}: manifest has no {exc.args[0]!r} entry") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,9 +5,9 @@ from helpers import FixedOracle, make_sample, make_volume, permutation_shapley
 from mmsaliency.ablate import (
     AblationPolicy,
     AblationVariant,
-    Coalition,
     apply_ablation,
     coalition_performance,
+    coalition_table,
     exact_shapley,
     normalize_mi,
     shapley_mi,
@@ -21,16 +21,19 @@ NONLESION = AblationPolicy(AblationVariant.NONLESION_SAMPLE_WHOLE_MODALITY, rng_
 FEATURE = AblationPolicy(AblationVariant.ZERO_FEATURE_REGION)
 
 
-class TestCoalition:
-    def test_canonical_form(self):
-        assert Coalition((2, 0)).members == (0, 2)
-        assert Coalition.full(3).members == (0, 1, 2)
-        assert Coalition.empty().members == ()
-        with pytest.raises(ValueError):
-            Coalition((1, 1))
+KEEP_ALL = np.array([True, True])
+KEEP_NONE = np.array([False, False])
+KEEP_0 = np.array([True, False])
+KEEP_1 = np.array([False, True])
 
-    def test_from_mask(self):
-        assert Coalition.from_mask(0b101, 3).members == (0, 2)
+
+class TestCoalitionTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_row_i_is_the_bits_of_i(self, n):
+        table = coalition_table(n, "players")
+        assert table.dtype == bool and table.shape == (1 << n, n)
+        for i, row in enumerate(table):
+            assert row.tolist() == [bool(i >> j & 1) for j in range(n)]
 
 
 class TestApplyAblation:
@@ -40,17 +43,17 @@ class TestApplyAblation:
 
     def test_full_coalition_is_identity(self):
         vol = self._volume()
-        out = apply_ablation(vol, Coalition.full(2), ZERO)
+        out = apply_ablation(vol, KEEP_ALL, ZERO)
         assert np.array_equal(out.data, vol.data)
 
     def test_empty_coalition_zeroes_everything(self):
         vol = self._volume()
-        out = apply_ablation(vol, Coalition.empty(), ZERO)
+        out = apply_ablation(vol, KEEP_NONE, ZERO)
         assert np.all(out.data == 0.0)
 
     def test_zero_policy_only_touches_ablated_modalities(self):
         vol = self._volume()
-        out = apply_ablation(vol, Coalition((0,)), ZERO)
+        out = apply_ablation(vol, KEEP_0, ZERO)
         assert np.array_equal(out.data[0], vol.data[0])
         assert np.all(out.data[1] == 0.0)
 
@@ -59,7 +62,7 @@ class TestApplyAblation:
         mask_data = np.zeros((2, 3, 3))
         mask_data[1, 0, 0] = mask_data[1, 1, 2] = mask_data[1, 2, 1] = 1.0
         mask = SegmentationMask(vol.modality_names, mask_data)
-        out = apply_ablation(vol, Coalition((0,)), FEATURE, mask)
+        out = apply_ablation(vol, KEEP_0, FEATURE, mask)
         assert np.array_equal(out.data[0], vol.data[0])
         expected = vol.data[1].copy()
         expected[0, 0] = expected[1, 2] = expected[2, 1] = 0.0
@@ -70,23 +73,32 @@ class TestApplyAblation:
         mask_data = np.zeros((2, 3, 3))
         mask_data[1, :2, :] = 1.0  # lesion rows; pool = bottom row
         mask = SegmentationMask(vol.modality_names, mask_data)
-        out = apply_ablation(vol, Coalition((0,)), NONLESION, mask)
+        out = apply_ablation(vol, KEEP_0, NONLESION, mask)
         pool = set(vol.data[1][mask_data[1] <= 0.5].tolist())
         assert set(out.data[1].ravel().tolist()) <= pool
         # seeded and pure: same arguments, same draw
-        again = apply_ablation(vol, Coalition((0,)), NONLESION, mask)
+        again = apply_ablation(vol, KEEP_0, NONLESION, mask)
         assert np.array_equal(out.data, again.data)
 
     def test_nonlesion_empty_pool_is_error(self):
         vol = self._volume()
         mask = SegmentationMask(vol.modality_names, np.ones((2, 3, 3)))
         with pytest.raises(ValueError, match="empty"):
-            apply_ablation(vol, Coalition((0,)), NONLESION, mask)
+            apply_ablation(vol, KEEP_0, NONLESION, mask)
 
     def test_mask_requirement_enforced(self):
         vol = self._volume()
         with pytest.raises(ValueError, match="mask"):
-            apply_ablation(vol, Coalition((0,)), FEATURE)
+            apply_ablation(vol, KEEP_0, FEATURE)
+
+    @pytest.mark.parametrize(
+        "keep",
+        [(0, 1), np.array([1, 0]), np.array([True]), np.array([True, False, True])],
+        ids=["index-tuple", "int-row", "too-short", "too-long"],
+    )
+    def test_keep_must_be_a_bool_row_per_modality(self, keep):
+        with pytest.raises(ValueError, match="keep must be a bool row of 2 modalities"):
+            apply_ablation(self._volume(), keep, ZERO)
 
     def test_zero_policies_idempotent(self):
         vol = self._volume()
@@ -94,8 +106,8 @@ class TestApplyAblation:
         mask_data[:, 1, 1] = 1.0
         mask = SegmentationMask(vol.modality_names, mask_data)
         for policy, m in ((ZERO, None), (FEATURE, mask)):
-            once = apply_ablation(vol, Coalition((0,)), policy, m)
-            twice = apply_ablation(once, Coalition((0,)), policy, m)
+            once = apply_ablation(vol, KEEP_0, policy, m)
+            twice = apply_ablation(once, KEEP_0, policy, m)
             assert np.array_equal(once.data, twice.data)
 
 
@@ -125,20 +137,20 @@ class TestCoalitionPerformance:
         samples = self._samples()
         oracle = LabelFromModalityOracle(1)
         assert coalition_performance(
-            samples, oracle, Coalition.full(2), ZERO
+            samples, oracle, KEEP_ALL, ZERO
         ) == accuracy(samples, oracle)
 
     def test_empty_coalition_uses_tie_break(self):
         samples = self._samples()
         # all-zero input -> oracle sees no signal -> (1, 0) -> class 0; labels are 1
         assert coalition_performance(samples, LabelFromModalityOracle(1),
-                                     Coalition.empty(), ZERO) == 0.0
+                                     KEEP_NONE, ZERO) == 0.0
 
     def test_informative_modality_beats_uninformative(self):
         samples = self._samples()
         oracle = LabelFromModalityOracle(1)
-        v1 = coalition_performance(samples, oracle, Coalition((1,)), ZERO)
-        v0 = coalition_performance(samples, oracle, Coalition((0,)), ZERO)
+        v1 = coalition_performance(samples, oracle, KEEP_1, ZERO)
+        v0 = coalition_performance(samples, oracle, KEEP_0, ZERO)
         assert v1 >= v0
         assert v1 == 1.0 and v0 == 0.0
 
@@ -254,6 +266,24 @@ class TestShapleyMI:
         shapley_mi(samples, CountingOracle(), ZERO)
         # 2^2 coalitions x 3 samples, each evaluated exactly once
         assert len(calls) == 4 * 3
+
+    def test_cap_precedes_any_oracle_call(self):
+        rng = np.random.default_rng(14)
+        samples = [make_sample("s0", make_volume(rng, 13, (2, 2)), label=0)]
+        calls = []
+
+        class CountingOracle:
+            def predict(self, volume):
+                calls.append(1)
+                return ClassProbabilities((0.7, 0.3))
+
+        with pytest.raises(ValueError) as err:
+            shapley_mi(samples, CountingOracle(), ZERO)
+        assert str(err.value) == (
+            "13 modalities would need 8192 coalition evaluations; "
+            "exact enumeration is capped at 12"
+        )
+        assert calls == []
 
 
 class TestMsfiInvarianceToMiScale:

@@ -127,6 +127,88 @@ class TestInputChecks:
             "window": 3, "ridge_lambda": 0.5, "exhaustive": True,
         }
 
+    @pytest.mark.parametrize("value, parsed", [
+        ("1", True), ("TRUE", True), ("yes", True), ("Yes", True),
+        ("0", False), ("false", False), ("NO", False),
+    ])
+    def test_bool_params_take_a_fixed_set(self, value, parsed):
+        assert _parse_params(f"exhaustive={value}") == {"exhaustive": parsed}
+
+    @pytest.mark.parametrize("value", ["ture", "on", "2", ""])
+    def test_bool_param_outside_the_set_exits(self, value):
+        with pytest.raises(SystemExit) as err:
+            _parse_params(f"exhaustive={value}")
+        [line] = str(err.value.code).splitlines()
+        assert "'exhaustive'" in line and "1/0/true/false/yes/no" in line
+
+    @pytest.mark.parametrize("fault, command, match", [
+        ("mi_short_row", "metrics", "does not have the columns"),
+        ("mi_empty", "metrics", "empty file"),
+        ("scores_empty", "stats", "empty file"),
+        ("scores_empty", "report", "empty file"),
+        ("scores_short_row", "stats", "does not have the columns"),
+        ("runlog_without_files", "metrics", "runlog has no 'files' entry"),
+        ("runlog_without_wall_time", "report", "runlog has no 'wall_time' entry"),
+        ("manifest_without_records", "metrics", "manifest has no 'records' entry"),
+        ("manifest_without_records", "mi", "manifest has no 'records' entry"),
+        ("manifest_without_class_names", "mi", "manifest has no 'class_names' entry"),
+        ("manifest_record_without_label", "saliency", "manifest has no 'label' entry"),
+        ("manifest_empty", "mi", "empty dataset"),
+        ("manifest_empty", "saliency", "empty dataset"),
+        ("manifest_empty", "metrics", "empty dataset"),
+    ])
+    def test_malformed_file_exits_with_one_line(self, pipeline, tmp_path, fault, command,
+                                                match):
+        manifest = pipeline / "data" / "manifest.json"
+        mi, scores, sal = pipeline / "mi.csv", pipeline / "scores.csv", pipeline / "saliency"
+        bad = tmp_path / "bad"
+        if fault == "mi_short_row":
+            rows = read_rows(mi)
+            rows[2] = rows[2][:2]
+            bad.write_text("\n".join(",".join(r) for r in rows) + "\n")
+            mi = bad
+        elif fault in ("mi_empty", "scores_empty"):
+            bad.write_text("")
+            mi = scores = bad
+        elif fault == "scores_short_row":
+            bad.write_text(scores.read_text() + "s0000,lime,msfi\n")
+            scores = bad
+        elif fault.startswith("runlog_"):
+            runlog = json.loads((sal / "runlog_kernel_shap.json").read_text())
+            del runlog[fault.removeprefix("runlog_without_")]
+            sal = tmp_path / "runlog_kernel_shap.json"
+            sal.write_text(json.dumps(runlog))
+        else:
+            doc = json.loads(manifest.read_text())
+            for rec in doc["records"]:
+                for key in ("volume", "mask"):
+                    rec[key] = str(manifest.parent / rec[key])
+            if fault == "manifest_empty":
+                doc["records"] = []
+            elif fault == "manifest_record_without_label":
+                del doc["records"][1]["label"]
+            else:
+                del doc[fault.removeprefix("manifest_without_")]
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {
+            "metrics": ["metrics", "msfi", "--manifest", str(manifest), "--saliency-dir",
+                        str(sal), "--mi", str(mi), "--out", str(out)],
+            "stats": ["stats", "friedman", "--scores", str(scores)],
+            "report": ["report", "matrix", "--scores", str(scores), "--runlog", str(sal),
+                       "--out", str(out)],
+            "mi": ["mi", "compute", "--manifest", str(manifest), "--out", str(out)],
+            "saliency": ["saliency", "run", "--manifest", str(manifest), "--method",
+                         "feature_ablation", "--out-dir", str(out)],
+        }[command]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        [line] = str(err.value.code).splitlines()
+        assert line.startswith(f"mmsaliency {argv[0]} {argv[1]}: error: ")
+        assert match in line
+        assert not out.exists()
+
     def _msfi_and_micorr(self, pipeline, mi, out):
         manifest = pipeline / "data" / "manifest.json"
         for metric in ("msfi", "mi-corr"):
@@ -185,8 +267,17 @@ class TestInputChecks:
         speed = [r for r in read_rows(tmp_path / "summary.csv") if r[1] == "speed"]
         assert [r[0] for r in speed] == ["kernel_shap"]
 
+    # per fault: the scorer's probability columns, each row's values, the error
+    SCORER_OUTPUT = {
+        # three probability columns for the dataset's two classes
+        "extra_probability_column": (["p0", "p1", "p2"], [0.5, 0.25, 0.25],
+                                     "3 probability columns for 2 classes"),
+        "nan_probability": (["p0", "p1"], ["nan", "nan"], "probabilities must be finite"),
+    }
+
     @pytest.mark.parametrize(
-        "fault", ["truncated_mmv", "missing_manifest", "extra_probability_column"]
+        "fault",
+        ["truncated_mmv", "missing_manifest", "extra_probability_column", "nan_probability"],
     )
     def test_bad_input_exits_without_traceback(self, tmp_path, fault):
         run_cli("synth", "generate", "--n", "2", "--size", "32", "--seed", "1",
@@ -199,19 +290,19 @@ class TestInputChecks:
         elif fault == "missing_manifest":
             manifest = tmp_path / "absent.json"
         else:
-            # three probability columns for the dataset's two classes
+            columns, values, expected = self.SCORER_OUTPUT[fault]
             script = tmp_path / "scorer.py"
             script.write_text(textwrap.dedent(
-                """\
+                f"""\
                 import csv, json, sys
                 from pathlib import Path
 
                 manifest = json.loads((Path(sys.argv[1]) / "manifest.json").read_text())
                 with open(sys.argv[2], "w", newline="") as fp:
                     w = csv.writer(fp, lineterminator="\\n")
-                    w.writerow(["sample_id", "p0", "p1", "p2"])
+                    w.writerow(["sample_id", *{columns!r}])
                     for rec in manifest["records"]:
-                        w.writerow([rec["sample_id"], 0.5, 0.25, 0.25])
+                        w.writerow([rec["sample_id"], *{values!r}])
                 """
             ))
             oracle = ["--oracle", f"cmd:{sys.executable} {script} {{input_dir}} {{output_csv}}"]
@@ -224,7 +315,8 @@ class TestInputChecks:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
         if oracle:
-            assert "3 probability columns for 2 classes" in proc.stderr
+            assert expected in proc.stderr
+        assert not (tmp_path / "mi.csv").exists()
 
     @pytest.mark.parametrize("target, match", [
         (5, "target_class=5, but the manifest has 2 classes"),

@@ -1,0 +1,39 @@
+"""README's "Library layout" table names only attributes its modules have."""
+
+import importlib
+import re
+
+import pytest
+
+from helpers import REPO
+
+
+def layout_rows():
+    """(module, [backticked names]) per row of the "Library layout" table."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 2 or not cells[0].startswith("`"):
+            continue
+        rows.append((cells[0].strip("`"), re.findall(r"`([^`]+)`", cells[1])))
+    return rows
+
+
+ROWS = layout_rows()
+
+
+def test_layout_table_found():
+    modules = [module for module, _ in ROWS]
+    assert "ablate" in modules and "cli" in modules
+    assert all(names for _, names in ROWS)
+
+
+@pytest.mark.parametrize(
+    "module, names", [pytest.param(*row, id=row[0]) for row in ROWS if row[0] != "cli"]
+)
+def test_layout_names_are_module_attributes(module, names):
+    mod = importlib.import_module(f"mmsaliency.{module}")
+    missing = [name for name in names if not hasattr(mod, name)]
+    assert not missing, f"README lists {missing} under {module}, which lacks them"

@@ -260,6 +260,8 @@ class TestFriedman:
         values = np.array([[0.1, 0.2], [np.nan, 0.4]])
         with pytest.raises(ValueError, match="complete"):
             friedman(values)
+        with pytest.raises(ValueError, match="complete"):
+            nemenyi(values)
         with pytest.raises(ValueError):
             ScoreMatrix(values, ("a", "b"))
 

@@ -40,6 +40,9 @@ class TestClassProbabilities:
             ClassProbabilities((0.5, 0.3))
         with pytest.raises(ValueError):
             ClassProbabilities((1.2, -0.2))
+        for bad in ((np.nan, np.nan), (np.nan, 1.0), (np.inf, 0.0), (-np.inf, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                ClassProbabilities(bad)
         cp = ClassProbabilities((0.25, 0.75))
         assert cp.argmax == 1
 
