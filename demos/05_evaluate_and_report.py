@@ -21,7 +21,6 @@ from mmsaliency import (
     MethodConfig,
     MetricRecord,
     SaliencyMethod,
-    ScoreMatrix,
     ShapeRuleClassifier,
     SynthConfig,
     estimated_mi,
@@ -92,9 +91,7 @@ for metric in ("msfi", "mi_corr", "iou"):
 ids = sorted({r.sample_id for r in records})
 cols = sorted(methods)
 table = {(r.sample_id, r.method): r.value for r in records if r.metric == "msfi"}
-matrix = ScoreMatrix(
-    np.array([[table[(sid, m)] for m in cols] for sid in ids]), tuple(cols), tuple(ids)
-)
+matrix = np.array([[table[(sid, m)] for m in cols] for sid in ids])
 chi2, df, p = friedman(matrix)
 nem = nemenyi(matrix)
 print(f"\nFriedman on MSFI: chi2={chi2:.3f}, df={df}, p={p:.4g}")

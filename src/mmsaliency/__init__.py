@@ -19,7 +19,6 @@ from .ablate import (
 )
 from .metrics import (
     MetricRecord,
-    ScoreMatrix,
     estimated_mi,
     friedman,
     iou,

@@ -19,7 +19,6 @@ from . import report as report_mod
 from .ablate import AblationPolicy, AblationVariant, shapley_mi
 from .metrics import (
     MetricRecord,
-    ScoreMatrix,
     estimated_mi,
     friedman,
     iou,
@@ -42,11 +41,11 @@ def _parse_named_floats(text, modality_names, what):
             name, value = part.split(":")
             by_name[name.strip().upper()] = float(value)
         except ValueError:
-            raise SystemExit(f"cannot parse {what} entry {part!r} (want name:value)")
+            raise ValueError(f"cannot parse {what} entry {part!r} (want name:value)")
     upper = [n.upper() for n in modality_names]
     missing = [n for n in by_name if n not in upper]
     if missing:
-        raise SystemExit(f"{what} names {missing} not in modalities {modality_names}")
+        raise ValueError(f"{what} names {missing} not in modalities {modality_names}")
     return by_name, upper
 
 
@@ -65,7 +64,7 @@ def _build_oracle(args, modality_names, class_names):
     if spec.startswith("cmd:"):
         return ExternalCommandOracle(spec[4:], class_names)
     if spec != "builtin":
-        raise SystemExit("--oracle must be 'builtin' or 'cmd:<template>'")
+        raise ValueError("--oracle must be 'builtin' or 'cmd:<template>'")
     weights = _weights_vector(args.weights, modality_names)
     return ShapeRuleClassifier(
         weights,
@@ -161,27 +160,21 @@ def _parse_params(text):
         try:
             key, value = part.split("=")
         except ValueError:
-            raise SystemExit(f"cannot parse --params entry {part!r} (want key=value)")
+            raise ValueError(f"cannot parse --params entry {part!r} (want key=value)")
         key = key.strip()
         if key not in casts:
-            raise SystemExit(f"unknown method param {key!r}")
+            raise ValueError(f"unknown method param {key!r}")
         try:
             params[key] = casts[key](value.strip())
         except ValueError as exc:
-            raise SystemExit(f"bad value for method param {key!r}: {exc}")
+            raise ValueError(f"bad value for method param {key!r}: {exc}")
     return params
 
 
 def cmd_saliency_run(args):
     manifest, samples = _load_samples(args.manifest)
     names = samples[0].volume.modality_names
-    try:
-        method = SaliencyMethod(args.method)
-    except ValueError:
-        raise SystemExit(
-            f"unknown method {args.method!r}; choose from "
-            f"{[m.value for m in SaliencyMethod]}"
-        )
+    method = SaliencyMethod(args.method)
     cfg = MethodConfig(method=method, rng_seed=args.seed, **_parse_params(args.params))
     n_classes = len(manifest.class_names)
     if cfg.target_class is not None and cfg.target_class >= n_classes:
@@ -224,7 +217,7 @@ def _load_mi_csv(path, modality_names):
     rows = _read_csv(path, ["modality", "phi", "normalized", "variant"])
     names = [row[0] for row in rows]
     if sorted(names) != sorted(modality_names):
-        raise SystemExit(
+        raise ValueError(
             f"{path}: modalities {names} do not match the volumes' {list(modality_names)}"
         )
     rows = [rows[names.index(name)] for name in modality_names]
@@ -236,7 +229,7 @@ def _load_runlogs(path):
     path = Path(path)
     paths = sorted(path.glob("runlog_*.json")) if path.is_dir() else [path]
     if not paths:
-        raise SystemExit(f"no runlog_*.json found in {path}")
+        raise ValueError(f"no runlog_*.json found in {path}")
     runlogs = {}
     for p in paths:
         with open(p, encoding="utf-8") as fp:
@@ -246,7 +239,7 @@ def _load_runlogs(path):
             raise ValueError(f"{p}: runlog has no {missing[0]!r} entry")
         method = runlog["method"]
         if method in runlogs:
-            raise SystemExit(f"{path}: more than one runlog for method {method!r}")
+            raise ValueError(f"{path}: more than one runlog for method {method!r}")
         runlogs[method] = (p.parent, runlog)
     return runlogs
 
@@ -256,16 +249,16 @@ def cmd_metrics(args):
     phi = norm = None
     if args.metric in ("msfi", "mi-corr"):
         if not args.mi:
-            raise SystemExit(f"--mi is required for {args.metric}")
+            raise ValueError(f"--mi is required for {args.metric}")
         phi, norm = _load_mi_csv(args.mi, samples[0].volume.modality_names)
     rows = [["sample_id", "method", "metric", "value"]]
     for method, (directory, runlog) in _load_runlogs(args.saliency_dir).items():
         for s in samples:
             fname = runlog["files"].get(s.record.sample_id)
             if fname is None:
-                raise SystemExit(f"{method}: no saliency file for {s.record.sample_id}")
+                raise ValueError(f"{method}: no saliency file for {s.record.sample_id}")
             if args.metric in ("msfi", "iou") and s.mask is None:
-                raise SystemExit(f"{s.record.sample_id}: {args.metric} needs a mask")
+                raise ValueError(f"{s.record.sample_id}: {args.metric} needs a mask")
             smap = read_saliency(directory / fname)
             if args.metric == "msfi":
                 value = msfi(postprocess(smap), s.mask, norm)
@@ -297,22 +290,16 @@ def _read_scores(path, metric=None):
 def cmd_stats_friedman(args):
     records = _read_scores(args.scores, metric=args.metric)
     if not records:
-        raise SystemExit(f"no {args.metric!r} rows in {args.scores}")
+        raise ValueError(f"no {args.metric!r} rows in {args.scores}")
     methods = sorted({r.method for r in records})
     sample_ids = sorted({r.sample_id for r in records})
     table = {(r.sample_id, r.method): r.value for r in records}
-    try:
-        values = np.array(
-            [[table[(sid, m)] for m in methods] for sid in sample_ids]
-        )
-    except KeyError as exc:
-        raise SystemExit(f"score matrix incomplete: missing cell {exc}")
-    matrix = ScoreMatrix(values, tuple(methods), tuple(sample_ids))
-    try:
-        chi2, df, p = friedman(matrix)
-        nem = nemenyi(matrix)
-    except ValueError as exc:
-        raise SystemExit(f"friedman: {exc}")
+    missing = [(sid, m) for sid in sample_ids for m in methods if (sid, m) not in table]
+    if missing:
+        raise ValueError(f"score matrix incomplete: missing cell {missing[0]}")
+    values = np.array([[table[(sid, m)] for m in methods] for sid in sample_ids])
+    chi2, df, p = friedman(values)
+    nem = nemenyi(values)
     print(f"friedman metric={args.metric} n={len(sample_ids)} k={len(methods)}")
     print(f"chi2={chi2:.6f} df={df} p={p:.6g}")
     print(f"nemenyi cd={nem.critical_difference:.6f}")
@@ -379,7 +366,9 @@ def build_parser():
     sal_sub = sal.add_subparsers(dest="command", required=True)
     run = sal_sub.add_parser("run", help="generate maps for every sample")
     run.add_argument("--manifest", required=True)
-    run.add_argument("--method", required=True)
+    run.add_argument(
+        "--method", required=True, choices=[m.value for m in SaliencyMethod]
+    )
     run.add_argument("--params", default="", help="k=v,... method parameters")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out-dir", required=True)

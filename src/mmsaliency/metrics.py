@@ -36,29 +36,6 @@ class MetricRecord:
         object.__setattr__(self, "value", v)
 
 
-@dataclass(frozen=True, eq=False)
-class ScoreMatrix:
-    """Complete samples-by-methods score table for the Friedman test."""
-
-    values: np.ndarray
-    method_names: tuple
-    sample_ids: tuple = ()
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise ValueError("score matrix must be 2-D (samples x methods)")
-        if vals.shape[1] != len(self.method_names):
-            raise ValueError("method_names length must match column count")
-        if self.sample_ids and len(self.sample_ids) != vals.shape[0]:
-            raise ValueError("sample_ids length must match row count")
-        if not np.isfinite(vals).all():
-            raise ValueError("score matrix must be complete (finite)")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "method_names", tuple(self.method_names))
-        object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
-
-
 def estimated_mi(smap):
     """Per-modality sum of positive saliency values."""
     data = smap.data
@@ -151,7 +128,7 @@ def iou(smap, masks, threshold=0.5):
 
 def _mean_ranks(scores):
     """(N, mean rank per method); methods are ranked within each sample, ties averaged."""
-    values = scores.values if isinstance(scores, ScoreMatrix) else np.asarray(scores, float)
+    values = np.asarray(scores, dtype=np.float64)
     if values.ndim != 2:
         raise ValueError("scores must be 2-D (samples x methods)")
     if not np.isfinite(values).all():

@@ -61,8 +61,9 @@ class ClassProbabilities:
 @runtime_checkable
 class PredictionOracle(Protocol):
     """One prediction per volume. An oracle may also offer
-    `predict_batch(items)`, taking (id, volume) pairs and returning
-    {id: ClassProbabilities}; `predict_volumes` then sends it chunks.
+    `predict_batch(volumes)`, taking a list of volumes and returning one
+    ClassProbabilities per volume, in order; `predict_volumes` then sends it
+    chunks.
 
     A prediction must be a function of the input volume alone: equal volumes
     get equal probabilities, in any call and any batch. The saliency methods
@@ -199,11 +200,12 @@ def predict_all(samples, oracle):
 def predict_volumes(oracle, volumes):
     """Yield a prediction for each of an iterable of volumes, in input order.
 
-    An oracle with `predict_batch` gets chunks of up to BATCH_BYTES of volume
-    data, keyed by the opaque ids "0".."n-1" within each chunk; a volume larger
-    than the budget goes alone. Any other oracle gets one `predict` per volume
-    as the iterable yields it, so a generator of perturbed volumes is never
-    held in full.
+    An oracle with `predict_batch` gets lists of up to BATCH_BYTES of volume
+    data; a volume larger than the budget goes alone, and a call that returns
+    a different number of predictions than it was given volumes is a
+    RuntimeError. Any other oracle gets one `predict` per volume as the
+    iterable yields it, so a generator of perturbed volumes is never held in
+    full.
     """
     batch = getattr(oracle, "predict_batch", None)
     if batch is None:
@@ -221,9 +223,12 @@ def predict_volumes(oracle, volumes):
 
 
 def _predict_chunk(batch, volumes):
-    ids = [str(i) for i in range(len(volumes))]
-    out = batch(list(zip(ids, volumes)))
-    return [out[i] for i in ids]
+    out = list(batch(volumes))
+    if len(out) != len(volumes):
+        raise RuntimeError(
+            f"predict_batch returned {len(out)} predictions for {len(volumes)} volumes"
+        )
+    return out
 
 
 class ExternalCommandOracle:
@@ -232,9 +237,10 @@ class ExternalCommandOracle:
     Each batch call writes the volumes plus a manifest.json to a fresh input
     directory, invokes the command once, and parses the output CSV
     (`sample_id,p0,p1[,...]`, one row per sample and one probability column
-    per class). The batch manifest carries `class_names`, which should be the
-    dataset manifest's; every record's label in it is 0, a placeholder the
-    scorer must not read.
+    per class). The batch's sample ids are its positions, "0".."n-1". The
+    batch manifest carries `class_names`, which should be the dataset
+    manifest's; every record's label in it is 0, a placeholder the scorer
+    must not read.
     """
 
     def __init__(self, command_template, class_names=("class0", "class1"), workdir=None):
@@ -249,19 +255,19 @@ class ExternalCommandOracle:
         self.workdir = workdir
 
     def predict(self, volume: MultiModalVolume) -> ClassProbabilities:
-        return self.predict_batch([("sample", volume)])["sample"]
+        return self.predict_batch([volume])[0]
 
-    def predict_batch(self, items):
+    def predict_batch(self, volumes):
         with tempfile.TemporaryDirectory(dir=self.workdir) as tmp:
             tmp = Path(tmp)
             input_dir = tmp / "input"
             input_dir.mkdir()
+            ids = [str(i) for i in range(len(volumes))]
             records = tuple(
-                ManifestRecord(sid, 0, str(input_dir / f"{sid}.mmv")) for sid, _ in items
+                ManifestRecord(sid, 0, str(input_dir / f"{sid}.mmv")) for sid in ids
             )
-            # the manifest checks the ids before any of them becomes a file name
             manifest = DatasetManifest(records, self.class_names)
-            for record, (_, volume) in zip(records, items):
+            for record, volume in zip(records, volumes):
                 write_volume(volume, record.volume_path)
             save_manifest(manifest, input_dir / "manifest.json")
             output_csv = tmp / "predictions.csv"
@@ -275,9 +281,7 @@ class ExternalCommandOracle:
                     f"external oracle exited with {proc.returncode}: "
                     f"{proc.stderr.strip() or proc.stdout.strip()}"
                 )
-            return _parse_prediction_csv(
-                output_csv, [sid for sid, _ in items], self.class_names
-            )
+            return _parse_prediction_csv(output_csv, ids, self.class_names)
 
 
 def _parse_prediction_csv(path, expected_ids, class_names):
@@ -311,4 +315,4 @@ def _parse_prediction_csv(path, expected_ids, class_names):
     missing = [sid for sid in expected_ids if sid not in rows]
     if missing:
         raise RuntimeError(f"{path}: missing predictions for {missing}")
-    return {sid: rows[sid] for sid in expected_ids}
+    return [rows[sid] for sid in expected_ids]

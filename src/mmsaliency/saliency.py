@@ -288,15 +288,10 @@ def feature_permutation(data, oracle, cfg, grid: SegmentGrid):
     _check_grid(grid, samples[0].volume)
 
     rng = np.random.default_rng(cfg.rng_seed)
-    targets, p_orig = [], []
-    for pred in predict_volumes(oracle, (s.volume for s in samples)):
-        t = cfg.target_class if cfg.target_class is not None else pred.argmax
-        targets.append(t)
-        p_orig.append(_class_prob(pred, t))
-
     n = len(samples)
 
-    def perturbed():
+    def stream():
+        yield from (s.volume for s in samples)
         for k in range(grid.n_segments):
             sel = grid.segment_ids == k
             perm = _derangement_preferring(rng, n)
@@ -305,11 +300,15 @@ def feature_permutation(data, oracle, cfg, grid: SegmentGrid):
                 data[sel] = samples[int(perm[j])].volume.data[sel]
                 yield MultiModalVolume(names, data)
 
-    preds = predict_volumes(oracle, perturbed())
+    # the originals come first and fix each sample's target
+    targets, probs = [], []
+    for i, pred in enumerate(predict_volumes(oracle, stream())):
+        if i < n:
+            targets.append(pred.argmax if cfg.target_class is None else cfg.target_class)
+        probs.append(_class_prob(pred, targets[i % n]))
+    probs = np.array(probs).reshape(grid.n_segments + 1, n)
     # delta[k, j]: sample j's target-probability drop with segment k shuffled
-    delta = np.array(
-        [p_orig[i % n] - _class_prob(p, targets[i % n]) for i, p in enumerate(preds)]
-    ).reshape(grid.n_segments, n)
+    delta = probs[0] - probs[1:]
     return {
         s.record.sample_id: SaliencyMap(names, delta[:, j][grid.segment_ids])
         for j, s in enumerate(samples)

@@ -306,9 +306,16 @@ def load_manifest(path) -> DatasetManifest:
         )
 
     try:
-        return DatasetManifest(tuple(map(_record, doc["records"])), tuple(doc["class_names"]))
+        records, class_names = doc["records"], doc["class_names"]
+        if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+            raise ValueError(f"{path}: manifest 'records' must be a list of objects")
+        if not isinstance(class_names, list):
+            raise ValueError(f"{path}: manifest 'class_names' must be a list")
+        return DatasetManifest(tuple(map(_record, records)), tuple(class_names))
     except KeyError as exc:
         raise ValueError(f"{path}: manifest has no {exc.args[0]!r} entry") from None
+    except TypeError as exc:  # an entry of the wrong JSON type, such as "label": null
+        raise ValueError(f"{path}: malformed manifest: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,10 +30,9 @@ class BatchStub:
     def predict(self, volume):
         raise AssertionError("an oracle with predict_batch must get only batches")
 
-    def predict_batch(self, items):
-        assert [sid for sid, _ in items] == [str(i) for i in range(len(items))]
-        self.calls.append(len(items))
-        return {sid: self.inner.predict(volume) for sid, volume in items}
+    def predict_batch(self, volumes):
+        self.calls.append(len(volumes))
+        return [self.inner.predict(volume) for volume in volumes]
 
 
 def _samples(n=3):
@@ -90,6 +89,15 @@ def test_shapley_mi_is_one_stream(budget, monkeypatch):
     assert shapley_mi(samples, stub, policy) == shapley_mi(samples, INNER, policy)
     # 2^2 coalitions x 3 samples
     assert stub.calls == ([12] if budget is None else [5, 5, 2])
+
+
+def test_feature_permutation_is_one_stream():
+    cfg = MethodConfig(SaliencyMethod.FEATURE_PERMUTATION, rng_seed=9, block_shape=4)
+    stub = BatchStub(INNER)
+    batched, _ = generate_maps(_samples(), stub, cfg)
+    _assert_same_maps(batched, generate_maps(_samples(), INNER, cfg)[0])
+    # the 3 originals, then 3 shuffled copies for each of the K = 4 segments
+    assert stub.calls == [15]
 
 
 def test_chunks_split_by_budget_and_keep_order(monkeypatch):

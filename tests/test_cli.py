@@ -9,7 +9,9 @@ from dataclasses import fields
 import pytest
 
 from helpers import REPO, src_env
+from mmsaliency import cli
 from mmsaliency.cli import _parse_params, main
+from mmsaliency.oracle import ClassProbabilities
 from mmsaliency.saliency import MethodConfig
 
 
@@ -51,6 +53,32 @@ def pipeline(tmp_path_factory):
 def read_rows(path):
     with open(path, newline="") as fp:
         return list(csv.reader(fp))
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="") as fp:
+        csv.writer(fp, lineterminator="\n").writerows(rows)
+
+
+def edited_manifest(pipeline, path, edit):
+    """Write the pipeline's manifest, with absolute paths and `edit(doc)` applied, to path."""
+    manifest = pipeline / "data" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    for rec in doc["records"]:
+        for key in ("volume", "mask"):
+            rec[key] = str(manifest.parent / rec[key])
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def assert_one_error_line(err, argv):
+    """A SystemExit from `main(argv)` has exit status 1 and one line with the
+    subcommand's prefix."""
+    assert isinstance(err.value.code, str)  # a message exits with status 1
+    [line] = err.value.code.splitlines()
+    assert line.startswith(f"mmsaliency {argv[0]} {argv[1]}: error: ")
+    return line
 
 
 class TestPipelineArtifacts:
@@ -119,7 +147,7 @@ class TestInputChecks:
         for f in fields(MethodConfig):
             try:
                 _parse_params(f"{f.name}=1")
-            except SystemExit:
+            except ValueError:
                 continue
             accepted.add(f.name)
         assert accepted == set(runlog["params"])
@@ -136,9 +164,9 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("value", ["ture", "on", "2", ""])
     def test_bool_param_outside_the_set_exits(self, value):
-        with pytest.raises(SystemExit) as err:
+        with pytest.raises(ValueError) as err:
             _parse_params(f"exhaustive={value}")
-        [line] = str(err.value.code).splitlines()
+        [line] = str(err.value).splitlines()
         assert "'exhaustive'" in line and "1/0/true/false/yes/no" in line
 
     @pytest.mark.parametrize("fault, command, match", [
@@ -156,6 +184,12 @@ class TestInputChecks:
         ("manifest_empty", "mi", "empty dataset"),
         ("manifest_empty", "saliency", "empty dataset"),
         ("manifest_empty", "metrics", "empty dataset"),
+        ("manifest_not_an_object", "mi", "malformed manifest: list indices must be"),
+        ("manifest_records_not_a_list", "mi", "manifest 'records' must be a list of objects"),
+        ("manifest_record_not_an_object", "mi",
+         "manifest 'records' must be a list of objects"),
+        ("manifest_class_names_not_a_list", "mi", "manifest 'class_names' must be a list"),
+        ("manifest_label_null", "mi", "malformed manifest: int() argument must be"),
     ])
     def test_malformed_file_exits_with_one_line(self, pipeline, tmp_path, fault, command,
                                                 match):
@@ -178,19 +212,27 @@ class TestInputChecks:
             del runlog[fault.removeprefix("runlog_without_")]
             sal = tmp_path / "runlog_kernel_shap.json"
             sal.write_text(json.dumps(runlog))
-        else:
-            doc = json.loads(manifest.read_text())
-            for rec in doc["records"]:
-                for key in ("volume", "mask"):
-                    rec[key] = str(manifest.parent / rec[key])
-            if fault == "manifest_empty":
-                doc["records"] = []
-            elif fault == "manifest_record_without_label":
-                del doc["records"][1]["label"]
-            else:
-                del doc[fault.removeprefix("manifest_without_")]
+        elif fault == "manifest_not_an_object":
             manifest = tmp_path / "manifest.json"
-            manifest.write_text(json.dumps(doc))
+            manifest.write_text("[]")
+        else:
+            def edit(doc):
+                if fault == "manifest_empty":
+                    doc["records"] = []
+                elif fault == "manifest_record_without_label":
+                    del doc["records"][1]["label"]
+                elif fault == "manifest_records_not_a_list":
+                    doc["records"] = "abc"
+                elif fault == "manifest_record_not_an_object":
+                    doc["records"] = [1]
+                elif fault == "manifest_class_names_not_a_list":
+                    doc["class_names"] = 5
+                elif fault == "manifest_label_null":
+                    doc["records"][1]["label"] = None
+                else:
+                    del doc[fault.removeprefix("manifest_without_")]
+
+            manifest = edited_manifest(pipeline, tmp_path / "manifest.json", edit)
         out = tmp_path / "out"
         argv = {
             "metrics": ["metrics", "msfi", "--manifest", str(manifest), "--saliency-dir",
@@ -204,9 +246,100 @@ class TestInputChecks:
         }[command]
         with pytest.raises(SystemExit) as err:
             main(argv)
-        [line] = str(err.value.code).splitlines()
-        assert line.startswith(f"mmsaliency {argv[0]} {argv[1]}: error: ")
-        assert match in line
+        assert match in assert_one_error_line(err, argv)
+        assert not out.exists()
+
+    # one case per check in the CLI's helpers and commands that no test above
+    # covers: the arguments, with {name} standing for a path from
+    # _check_inputs, and the error it reports
+    CHECKS = {
+        "align_entry": ("synth generate --align t1 --out {out}",
+                        "cannot parse --align entry 't1' (want name:value)"),
+        "align_name": ("synth generate --align pet:0.5 --out {out}",
+                       "--align names ['PET'] not in modalities"),
+        "oracle_spec": ("mi compute --manifest {manifest} --oracle onnx --out {out}",
+                        "--oracle must be 'builtin' or 'cmd:<template>'"),
+        "params_entry": ("saliency run --manifest {manifest} --method lime --params window "
+                         "--out-dir {out}", "cannot parse --params entry 'window'"),
+        "params_key": ("saliency run --manifest {manifest} --method lime --params depth=2 "
+                       "--out-dir {out}", "unknown method param 'depth'"),
+        "params_value": ("saliency run --manifest {manifest} --method lime --params "
+                         "window=x --out-dir {out}", "bad value for method param 'window'"),
+        "mi_required": ("metrics mi-corr --manifest {manifest} --saliency-dir {sal} "
+                        "--out {out}", "--mi is required for mi-corr"),
+        "no_saliency_file": ("metrics iou --manifest {manifest} --saliency-dir "
+                             "{runlog_short} --out {out}",
+                             "kernel_shap: no saliency file for s0000"),
+        "needs_mask": ("metrics iou --manifest {manifest_no_masks} --saliency-dir {sal} "
+                       "--out {out}", "s0000: iou needs a mask"),
+        "no_metric_rows": ("stats friedman --scores {scores} --metric iou",
+                           "no 'iou' rows in"),
+        "missing_cell": ("stats friedman --scores {scores_missing}",
+                         "score matrix incomplete: missing cell ('s0007', 'kernel_shap')"),
+        "one_method": ("stats friedman --scores {scores_one_method}",
+                       "need at least 2 samples and 2 methods, got (8, 1)"),
+    }
+
+    def _check_inputs(self, pipeline, tmp_path):
+        """The paths CHECKS names: the pipeline's files and broken copies of them."""
+        sal = pipeline / "saliency"
+        paths = {"manifest": pipeline / "data" / "manifest.json", "sal": sal,
+                 "scores": pipeline / "scores.csv", "out": tmp_path / "out"}
+        runlog = json.loads((sal / "runlog_kernel_shap.json").read_text())
+        del runlog["files"]["s0000"]
+        paths["runlog_short"] = tmp_path / "runlog_kernel_shap.json"
+        paths["runlog_short"].write_text(json.dumps(runlog))
+        scores = read_rows(paths["scores"])
+        paths["scores_missing"] = tmp_path / "scores_missing.csv"
+        write_rows(paths["scores_missing"],
+                   [r for r in scores if r[:2] != ["s0007", "kernel_shap"]])
+        paths["scores_one_method"] = tmp_path / "scores_one_method.csv"
+        write_rows(paths["scores_one_method"],
+                   [r for r in scores if r[1] != "feature_ablation"])
+
+        def drop_masks(doc):
+            for rec in doc["records"]:
+                del rec["mask"]
+
+        paths["manifest_no_masks"] = edited_manifest(
+            pipeline, tmp_path / "manifest_no_masks.json", drop_masks
+        )
+        return paths
+
+    @pytest.mark.parametrize("check", list(CHECKS))
+    def test_every_check_reports_through_main(self, pipeline, tmp_path, capsys, check):
+        paths = self._check_inputs(pipeline, tmp_path)
+        args, match = self.CHECKS[check]
+        argv = [part.format(**paths) for part in args.split()]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert match in assert_one_error_line(err, argv)
+        assert capsys.readouterr().out == ""
+        assert not paths["out"].exists()
+
+    def test_wrong_prediction_count_reports_through_main(self, pipeline, tmp_path,
+                                                         monkeypatch):
+        class DropsOne:
+            def predict_batch(self, volumes):
+                return [ClassProbabilities((0.5, 0.5))] * (len(volumes) - 1)
+
+        monkeypatch.setattr(cli, "_build_oracle", lambda *args: DropsOne())
+        out = tmp_path / "mi.csv"
+        argv = ["mi", "compute", "--manifest", str(pipeline / "data" / "manifest.json"),
+                "--out", str(out)]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        line = assert_one_error_line(err, argv)
+        assert "predict_batch returned 127 predictions for 128 volumes" in line
+        assert not out.exists()
+
+    def test_unknown_method_is_a_usage_error(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "maps"
+        with pytest.raises(SystemExit) as err:
+            main(["saliency", "run", "--manifest", str(pipeline / "data" / "manifest.json"),
+                  "--method", "gradcam", "--out-dir", str(out)])
+        assert err.value.code == 2
+        assert "invalid choice: 'gradcam'" in capsys.readouterr().err
         assert not out.exists()
 
     def _msfi_and_micorr(self, pipeline, mi, out):
@@ -220,8 +353,7 @@ class TestInputChecks:
     def test_mi_csv_rows_follow_modality_names(self, pipeline, tmp_path):
         rows = read_rows(pipeline / "mi.csv")
         permuted = tmp_path / "mi_permuted.csv"
-        with open(permuted, "w", newline="") as fp:
-            csv.writer(fp, lineterminator="\n").writerows([rows[0], *reversed(rows[1:])])
+        write_rows(permuted, [rows[0], *reversed(rows[1:])])
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         assert self._msfi_and_micorr(pipeline, pipeline / "mi.csv", tmp_path / "a") == (
@@ -232,10 +364,15 @@ class TestInputChecks:
         rows = read_rows(pipeline / "mi.csv")
         rows[1][0] = "PET"
         bad = tmp_path / "mi_bad.csv"
-        with open(bad, "w", newline="") as fp:
-            csv.writer(fp, lineterminator="\n").writerows(rows)
-        with pytest.raises(SystemExit, match="do not match"):
-            self._msfi_and_micorr(pipeline, bad, tmp_path)
+        write_rows(bad, rows)
+        out = tmp_path / "msfi.csv"
+        argv = ["metrics", "msfi", "--manifest", str(pipeline / "data" / "manifest.json"),
+                "--saliency-dir", str(pipeline / "saliency"), "--mi", str(bad),
+                "--out", str(out)]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert "do not match the volumes'" in assert_one_error_line(err, argv)
+        assert not out.exists()
 
     @pytest.mark.parametrize("fault", ["duplicate_method", "no_runlogs"])
     def test_runlog_directory_must_name_each_method_once(self, pipeline, tmp_path, fault):
@@ -246,13 +383,16 @@ class TestInputChecks:
             match = "more than one runlog for method 'kernel_shap'"
         else:
             sal.mkdir()
-            match = "no runlog_"
-        with pytest.raises(SystemExit, match=match):
-            run_cli("metrics", "iou", "--manifest", str(pipeline / "data" / "manifest.json"),
-                    "--saliency-dir", str(sal), "--out", str(tmp_path / "iou.csv"))
-        with pytest.raises(SystemExit, match=match):
-            run_cli("report", "matrix", "--scores", str(pipeline / "scores.csv"),
-                    "--runlog", str(sal), "--out", str(tmp_path / "matrix.svg"))
+            match = "no runlog_*.json found in"
+        for argv in (
+            ["metrics", "iou", "--manifest", str(pipeline / "data" / "manifest.json"),
+             "--saliency-dir", str(sal), "--out", str(tmp_path / "iou.csv")],
+            ["report", "matrix", "--scores", str(pipeline / "scores.csv"),
+             "--runlog", str(sal), "--out", str(tmp_path / "matrix.svg")],
+        ):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert match in assert_one_error_line(err, argv)
         assert not (tmp_path / "iou.csv").exists()
         assert not (tmp_path / "matrix.svg").exists()
 

@@ -1,4 +1,5 @@
-"""README's "Library layout" table names only attributes its modules have."""
+"""README's "Library layout" table names only attributes its modules have, and
+CI runs ROADMAP's tier-1 command."""
 
 import importlib
 import re
@@ -37,3 +38,14 @@ def test_layout_names_are_module_attributes(module, names):
     mod = importlib.import_module(f"mmsaliency.{module}")
     missing = [name for name in names if not hasattr(mod, name)]
     assert not missing, f"README lists {missing} under {module}, which lacks them"
+
+
+def test_ci_runs_the_tier1_command():
+    yaml = pytest.importorskip("yaml")
+    roadmap = (REPO / "ROADMAP.md").read_text(encoding="utf-8")
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1)
+    with open(REPO / ".github" / "workflows" / "tests.yml", encoding="utf-8") as fp:
+        workflow = yaml.safe_load(fp)
+    [job] = workflow["jobs"].values()
+    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    assert tier1 in [step.get("run") for step in job["steps"]]

@@ -6,7 +6,6 @@ import pytest
 from helpers import brute_tau_b, chi2_sf_reference
 from mmsaliency.metrics import (
     MetricRecord,
-    ScoreMatrix,
     chi2_sf,
     estimated_mi,
     friedman,
@@ -251,19 +250,12 @@ class TestFriedman:
             assert chi2 == pytest.approx(expected, abs=1e-10)
             assert df == k - 1
 
-    def test_score_matrix_type_accepted(self):
-        matrix = ScoreMatrix(np.tile([0.2, 0.8], (3, 1)), ("a", "b"))
-        chi2, df, p = friedman(matrix)
-        assert df == 1
-
     def test_incomplete_matrix_rejected(self):
         values = np.array([[0.1, 0.2], [np.nan, 0.4]])
         with pytest.raises(ValueError, match="complete"):
             friedman(values)
         with pytest.raises(ValueError, match="complete"):
             nemenyi(values)
-        with pytest.raises(ValueError):
-            ScoreMatrix(values, ("a", "b"))
 
 
 class TestNemenyi:
