@@ -183,9 +183,9 @@ def cmd_saliency_run(args):
             f"classes {list(manifest.class_names)}"
         )
     oracle = _build_oracle(args, names, manifest.class_names)
+    maps, runlog = generate_maps(samples, oracle, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    maps, runlog = generate_maps(samples, oracle, cfg)
     files = {}
     for s in samples:
         path = out_dir / f"{s.record.sample_id}_{method.value}.mmv"
@@ -234,9 +234,14 @@ def _load_runlogs(path):
     for p in paths:
         with open(p, encoding="utf-8") as fp:
             runlog = json.load(fp)
-        missing = [key for key in ("method", "files", "wall_time") if key not in runlog]
-        if missing:
-            raise ValueError(f"{p}: runlog has no {missing[0]!r} entry")
+        if not isinstance(runlog, dict):
+            raise ValueError(f"{p}: runlog must be a JSON object")
+        for key, kind, name in (("method", str, "string"), ("files", dict, "object"),
+                                ("wall_time", dict, "object")):
+            if key not in runlog:
+                raise ValueError(f"{p}: runlog has no {key!r} entry")
+            if not isinstance(runlog[key], kind):
+                raise ValueError(f"{p}: runlog {key!r} must be a JSON {name}")
         method = runlog["method"]
         if method in runlogs:
             raise ValueError(f"{path}: more than one runlog for method {method!r}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 METRIC_NAMES = ("msfi", "mi_corr", "iou")
 
@@ -136,7 +136,11 @@ def _mean_ranks(scores):
     n, k = values.shape
     if n < 2 or k < 2:
         raise ValueError(f"need at least 2 samples and 2 methods, got {values.shape}")
-    return n, stats.rankdata(values, method="average", axis=1).mean(axis=0)
+    # rank = 1 + (values below) + (other values equal) / 2, which is exact in
+    # float64 and equals the average rank of a tie group
+    below = (values[:, None, :] < values[:, :, None]).sum(axis=2)
+    equal = (values[:, None, :] == values[:, :, None]).sum(axis=2)
+    return n, (below + (equal + 1) / 2).mean(axis=0)
 
 
 def chi2_sf(x, df):

@@ -77,9 +77,13 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+# Face connectivity for 2D and 3D fields; ndimage.label would rebuild it per call.
+_FACE_NEIGHBORS = {ndim: ndimage.generate_binary_structure(ndim, 1) for ndim in (2, 3)}
+
+
 def largest_component(foreground):
     """Largest 4-connected (2D) / 6-connected (3D) component of a boolean field."""
-    labels, n = ndimage.label(foreground)
+    labels, n = ndimage.label(foreground, _FACE_NEIGHBORS.get(foreground.ndim))
     if n == 0:
         return None
     sizes = np.bincount(labels.ravel())
@@ -92,14 +96,13 @@ def boundary_count(component):
 
     Positions beyond the array edge count as background.
     """
+    inner = (slice(1, -1),) * component.ndim
+    padded = np.zeros(tuple(n + 2 for n in component.shape), dtype=bool)
+    padded[inner] = component
     interior = component.copy()
     for axis in range(component.ndim):
-        inner = np.moveaxis(interior, axis, 0)  # a view: writes land in interior
-        comp = np.moveaxis(component, axis, 0)
-        inner[1:] &= comp[:-1]
-        inner[:-1] &= comp[1:]
-        inner[0] = False
-        inner[-1] = False
+        for shifted in (slice(None, -2), slice(2, None)):
+            interior &= padded[inner[:axis] + (shifted,) + inner[axis + 1:]]
     return int(np.count_nonzero(component)) - int(np.count_nonzero(interior))
 
 
@@ -161,7 +164,9 @@ def predict_shape_rule(cfg: ShapeRuleClassifier, volume: MultiModalVolume):
             f"classifier has {len(w)} weights but volume has "
             f"{volume.n_modalities} modalities"
         )
-    combined = np.tensordot(w, volume.data.astype(np.float64), axes=(0, 0)) / w.sum()
+    data = volume.data.astype(np.float64)
+    # the product tensordot(w, data, axes=(0, 0)) computes, without its set-up
+    combined = np.dot(w[None], data.reshape(len(w), -1)).reshape(data.shape[1:]) / w.sum()
     component = largest_component(combined > cfg.intensity_threshold)
     if component is None:
         return ClassProbabilities((0.5, 0.5))

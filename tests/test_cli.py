@@ -177,6 +177,12 @@ class TestInputChecks:
         ("scores_short_row", "stats", "does not have the columns"),
         ("runlog_without_files", "metrics", "runlog has no 'files' entry"),
         ("runlog_without_wall_time", "report", "runlog has no 'wall_time' entry"),
+        ("runlog_not_an_object", "metrics", "runlog must be a JSON object"),
+        ("runlog_not_an_object", "report", "runlog must be a JSON object"),
+        ("runlog_method_not_a_string", "metrics", "runlog 'method' must be a JSON string"),
+        ("runlog_files_not_an_object", "metrics", "runlog 'files' must be a JSON object"),
+        ("runlog_wall_time_not_an_object", "report",
+         "runlog 'wall_time' must be a JSON object"),
         ("manifest_without_records", "metrics", "manifest has no 'records' entry"),
         ("manifest_without_records", "mi", "manifest has no 'records' entry"),
         ("manifest_without_class_names", "mi", "manifest has no 'class_names' entry"),
@@ -209,7 +215,12 @@ class TestInputChecks:
             scores = bad
         elif fault.startswith("runlog_"):
             runlog = json.loads((sal / "runlog_kernel_shap.json").read_text())
-            del runlog[fault.removeprefix("runlog_without_")]
+            if fault == "runlog_not_an_object":
+                runlog = [runlog]
+            elif fault.startswith("runlog_without_"):
+                del runlog[fault.removeprefix("runlog_without_")]
+            else:  # runlog_<key>_not_a...: a JSON list in place of the entry
+                runlog[fault.removeprefix("runlog_").split("_not_a")[0]] = []
             sal = tmp_path / "runlog_kernel_shap.json"
             sal.write_text(json.dumps(runlog))
         elif fault == "manifest_not_an_object":
@@ -485,6 +496,18 @@ class TestInputChecks:
         assert not log.exists()  # the scorer never ran
         assert not out.exists()
 
+    def test_failing_oracle_leaves_no_out_dir(self, tmp_path):
+        run_cli("synth", "generate", "--n", "2", "--size", "32", "--seed", "1",
+                "--out", str(tmp_path / "data"))
+        out = tmp_path / "maps"
+        argv = ["saliency", "run", "--manifest", str(tmp_path / "data" / "manifest.json"),
+                "--method", "feature_ablation",
+                "--oracle", "cmd:false {input_dir} {output_csv}", "--out-dir", str(out)]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert "external oracle exited with 1" in assert_one_error_line(err, argv)
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_synth_rerun_byte_identical(self, tmp_path):
@@ -673,6 +696,18 @@ def test_console_script_installed(tmp_path):
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("mmsaliency mi compute: error: ")
+
+
+def test_package_import_leaves_out_scipy_stats():
+    """Every CLI process and `cmd:` scorer imports the package; scipy.stats
+    alone would take most of that start-up time."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mmsaliency, mmsaliency.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.skipif(shutil.which("mmsaliency") is None,

@@ -288,6 +288,15 @@ class TestNemenyi:
         with pytest.raises(ValueError, match="outside"):
             nemenyi(np.ones((3, 25)))
 
+    def test_mean_ranks_equal_independent_ranks_exactly(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            k = int(rng.integers(2, 10))
+            values = rng.integers(0, 4, size=(n, k)).astype(float)  # many ties
+            ranks = np.array([_independent_row_ranks(list(row)) for row in values])
+            assert np.array_equal(nemenyi(values).mean_ranks, ranks.mean(axis=0))
+
 
 class TestEstimatedMiPostprocessInteraction:
     def test_invariant_to_negative_clamp(self):

@@ -86,6 +86,15 @@ class TestCircularity:
                     if comp is not None:
                         assert boundary_count(comp) == boundary_count_reference(comp)
 
+    def test_boundary_count_3d_component_touching_every_face(self):
+        # a solid 3x3x3 core with one bar along each axis from face to face
+        comp = np.zeros((7, 9, 5), dtype=bool)
+        comp[2:5, 3:6, 1:4] = True
+        comp[:, 4, 2] = comp[3, :, 2] = comp[3, 4, :] = True
+        assert np.array_equal(largest_component(comp), comp)
+        # 39 voxels; the core's centre and its six face centres are interior
+        assert boundary_count(comp) == boundary_count_reference(comp) == 32
+
     def test_3d_sphericity_from_direct_counts(self):
         yy, xx, zz = np.indices((24, 24, 24))
         ball = (yy - 12) ** 2 + (xx - 12) ** 2 + (zz - 12) ** 2 <= 8**2
