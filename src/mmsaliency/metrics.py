@@ -6,10 +6,11 @@ All operations are pure functions of their numeric inputs.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 METRIC_NAMES = ("msfi", "mi_corr", "iou")
 
@@ -143,13 +144,37 @@ def _mean_ranks(scores):
     return n, (below + (equal + 1) / 2).mean(axis=0)
 
 
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def chi2_sf(x, df):
-    """Upper tail of the chi-square distribution (regularized gamma Q)."""
+    """Upper tail of the chi-square distribution for integer df.
+
+    With h = x/2 and a = df/2 this is the regularized gamma Q(a, h): the sum
+    of h^j e^(-h) / Gamma(j+1) over j = 0, 1, ..., a-1 for even df, and
+    erfc(sqrt(h)) plus the same sum over j = 1/2, 3/2, ..., a-1 for odd df.
+    Each term is exp of its logarithm, so e^(-h) does not underflow before
+    the sum does. In the upper tail (h > a), where h^a e^(-h) / Gamma(a) is
+    below 1 / (largest float), the tail is 0.0, as `scipy.special.chdtrc`
+    gives it; in the lower tail the same factor only means Q is 1.0, which
+    the sum gives.
+    """
+    if not float(df).is_integer():
+        raise ValueError(f"df must be an integer, got {df}")
     if df < 1:
         raise ValueError("df must be positive")
-    if x < 0:
+    if x <= 0:
         return 1.0
-    return float(special.chdtrc(df, x))
+    a, h = df / 2.0, x / 2.0
+    log_h = math.log(h)
+    if h > a and a * log_h - h - math.lgamma(a) < -_LOG_MAX:
+        return 0.0
+    terms = [math.erfc(math.sqrt(h))] if df % 2 else []
+    j = (df % 2) / 2.0
+    while j < a:
+        terms.append(math.exp(j * log_h - h - math.lgamma(j + 1.0)))
+        j += 1.0
+    return math.fsum(terms)
 
 
 def friedman(scores):

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 import numpy as np
-from scipy import ndimage
 
 from .tensorio import (
     DatasetManifest,
@@ -77,18 +76,131 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-# Face connectivity for 2D and 3D fields; ndimage.label would rebuild it per call.
-_FACE_NEIGHBORS = {ndim: ndimage.generate_binary_structure(ndim, 1) for ndim in (2, 3)}
+def _pad(field):
+    """The field with one False pixel added on every side, so that runs and
+    neighbours can be read off its flat view without wrapping."""
+    padded = np.zeros(tuple(n + 2 for n in field.shape), dtype=bool)
+    padded[(slice(1, -1),) * field.ndim] = field
+    return padded
+
+
+def _runs(flat):
+    """(starts, ends) of the runs of True in a flat mask whose first and last
+    elements are False; ends are exclusive."""
+    edges = (flat[1:] != flat[:-1]).nonzero()[0] + 1
+    return edges[0::2], edges[1::2]
+
+
+# Below this many joins the Python loop beats the vectorized rounds, whose
+# fixed cost is a few dozen numpy calls (crossover about 250 joins, 2-core x86)
+_LOOP_MAX_JOINS = 256
+
+
+def _label_runs(padded):
+    """Face-connected components of a padded boolean field, as runs.
+
+    Returns (starts, roots, best, area), or None for an empty field. Run r
+    (numbered from 1, in raster order) starts at flat index starts[r - 1] of
+    padded.reshape(-1) and runs along the last axis; roots[r] is the lowest
+    run number in its component. best is the root of the largest component
+    and area its pixel count. Equal sizes go to the component met first in
+    raster order, the one `ndimage.label` numbers first. Works for any
+    ndim >= 1.
+    """
+    flat = padded.reshape(-1)
+    s, e = _runs(flat)
+    if not s.size:
+        return None
+    # one join per overlap of two runs that neighbour along an axis, looked up
+    # at the overlap's first pixel; bool strides count elements
+    lo, hi = [], []
+    for stride in padded.strides[:-1]:
+        p = _runs(flat[:-stride] & flat[stride:])[0]
+        lo.append(s.searchsorted(p, "right"))
+        hi.append(s.searchsorted(p + stride, "right"))
+    lo = np.concatenate(lo) if lo else np.zeros(0, dtype=np.intp)
+    hi = np.concatenate(hi) if hi else lo
+    union = _union_loop if lo.size < _LOOP_MAX_JOINS else _union_rounds
+    roots = union(s.size, lo, hi)
+    sizes = np.bincount(roots[1:], e - s)
+    best = sizes.argmax()
+    return s, roots, best, int(sizes[best])
+
+
+def _union_loop(n, lo, hi):
+    """roots[r] for runs r = 0..n: the lowest run that the joins
+    (lo[i], hi[i]) connect to r.
+
+    A union-find with path halving that unions toward the lower run number,
+    so parent[r] <= r throughout.
+    """
+    parent = list(range(n + 1))
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for r in range(n + 1):
+        parent[r] = parent[parent[r]]
+    return np.array(parent)
+
+
+def _union_rounds(n, lo, hi):
+    """`_union_loop`'s roots in vectorized rounds, for fields with many joins.
+
+    Each round hooks the higher root of every join whose ends still have
+    different roots onto the lower one, then points every run at its root by
+    pointer jumping. roots[r] <= r throughout, so each tree's root is its
+    lowest run.
+    """
+    roots = np.arange(n + 1)
+    while True:
+        a, b = roots[lo], roots[hi]
+        cross = a != b
+        if not cross.any():
+            return roots
+        lo, hi, a, b = lo[cross], hi[cross], a[cross], b[cross]
+        # a root hooked by several joins keeps one of them; the rest stay
+        # crossing and are hooked in a later round
+        roots[np.maximum(a, b)] = np.minimum(a, b)
+        up = roots[roots]
+        while (up != roots).any():
+            roots, up = up, up[up]
+
+
+def _in_component(runs, flat_index):
+    """Which of the foreground pixels at `flat_index` lie in the largest component."""
+    s, roots, best, _ = runs
+    return roots[s.searchsorted(flat_index, "right")] == best
+
+
+def _interior(padded):
+    """Flat indices into padded.reshape(-1) of the foreground pixels whose
+    axis neighbours are all foreground."""
+    flat = padded.reshape(-1)
+    n, reach = flat.size, padded.strides[0]
+    inner = flat[reach:n - reach].copy()
+    for stride in padded.strides:
+        inner &= flat[reach - stride:n - reach - stride]
+        inner &= flat[reach + stride:n - reach + stride]
+    return inner.nonzero()[0] + reach
 
 
 def largest_component(foreground):
-    """Largest 4-connected (2D) / 6-connected (3D) component of a boolean field."""
-    labels, n = ndimage.label(foreground, _FACE_NEIGHBORS.get(foreground.ndim))
-    if n == 0:
+    """Largest face-connected component (4-connected in 2D, 6 in 3D) of a
+    boolean field, as a mask; None when the field is empty."""
+    padded = _pad(foreground)
+    runs = _label_runs(padded)
+    if runs is None:
         return None
-    sizes = np.bincount(labels.ravel())
-    sizes[0] = 0
-    return labels == sizes.argmax()
+    on = padded.reshape(-1).nonzero()[0]
+    mask = np.zeros(padded.size, dtype=bool)
+    mask[on[_in_component(runs, on)]] = True
+    return mask.reshape(padded.shape)[(slice(1, -1),) * foreground.ndim]
 
 
 def boundary_count(component):
@@ -96,14 +208,14 @@ def boundary_count(component):
 
     Positions beyond the array edge count as background.
     """
-    inner = (slice(1, -1),) * component.ndim
-    padded = np.zeros(tuple(n + 2 for n in component.shape), dtype=bool)
-    padded[inner] = component
-    interior = component.copy()
-    for axis in range(component.ndim):
-        for shifted in (slice(None, -2), slice(2, None)):
-            interior &= padded[inner[:axis] + (shifted,) + inner[axis + 1:]]
-    return int(np.count_nonzero(component)) - int(np.count_nonzero(interior))
+    return int(np.count_nonzero(component)) - len(_interior(_pad(component)))
+
+
+def _roundness(area, perim, ndim):
+    """`circularity` from a component's pixel count and boundary count."""
+    if ndim == 2:
+        return 4.0 * np.pi * area / perim**2
+    return np.pi ** (1.0 / 3.0) * (6.0 * area) ** (2.0 / 3.0) / perim
 
 
 def circularity(component):
@@ -114,10 +226,7 @@ def circularity(component):
     area = int(np.count_nonzero(component))
     if area == 0:
         raise ValueError("empty component")
-    perim = boundary_count(component)
-    if component.ndim == 2:
-        return 4.0 * np.pi * area / perim**2
-    return np.pi ** (1.0 / 3.0) * (6.0 * area) ** (2.0 / 3.0) / perim
+    return _roundness(area, boundary_count(component), component.ndim)
 
 
 @dataclass(frozen=True)
@@ -167,10 +276,15 @@ def predict_shape_rule(cfg: ShapeRuleClassifier, volume: MultiModalVolume):
     data = volume.data.astype(np.float64)
     # the product tensordot(w, data, axes=(0, 0)) computes, without its set-up
     combined = np.dot(w[None], data.reshape(len(w), -1)).reshape(data.shape[1:]) / w.sum()
-    component = largest_component(combined > cfg.intensity_threshold)
-    if component is None:
+    padded = _pad(combined > cfg.intensity_threshold)
+    runs = _label_runs(padded)
+    if runs is None:
         return ClassProbabilities((0.5, 0.5))
-    c = circularity(component)
+    # every foreground axis neighbour of a component pixel is in the component,
+    # so its boundary count is its area less its foreground-interior pixels
+    area = runs[3]
+    perim = area - int(np.count_nonzero(_in_component(runs, _interior(padded))))
+    c = _roundness(area, perim, combined.ndim)
     p_round = float(_sigmoid((c - cfg.circularity_cutoff) / cfg.softness))
     return ClassProbabilities((p_round, 1.0 - p_round))
 

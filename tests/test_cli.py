@@ -698,16 +698,65 @@ def test_console_script_installed(tmp_path):
     assert lines[0].startswith("mmsaliency mi compute: error: ")
 
 
-def test_package_import_leaves_out_scipy_stats():
-    """Every CLI process and `cmd:` scorer imports the package; scipy.stats
-    alone would take most of that start-up time."""
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, mmsaliency, mmsaliency.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=src_env(),
-    )
+def test_no_scipy_module_is_loaded():
+    """The package, its CLI, the built-in oracle and the Friedman test load
+    no scipy module: every CLI process and `cmd:` scorer would pay its import."""
+    code = textwrap.dedent("""\
+        import sys
+        import numpy as np
+        import mmsaliency, mmsaliency.cli
+        from mmsaliency.metrics import friedman
+        from mmsaliency.oracle import ShapeRuleClassifier
+        from mmsaliency.tensorio import MultiModalVolume
+
+        data = np.zeros((2, 16, 16))
+        data[0, 4:12, 5:11] = 1.0
+        ShapeRuleClassifier((1.0, 0.5)).predict(MultiModalVolume(("a", "b"), data))
+        friedman(np.arange(12.0).reshape(4, 3) % 5)
+        print(sorted(name for name, module in sys.modules.items()
+                     if name.split(".")[0] == "scipy" and module is not None))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_readme_pipeline_runs_with_scipy_blocked(tmp_path):
+    """Each README stage exits 0 in a process where `import scipy` fails."""
+    data, sal = tmp_path / "data", tmp_path / "saliency"
+    manifest = str(data / "manifest.json")
+    stages = [
+        ["synth", "generate", "--n", "4", "--size", "32", "--seed", "5", "--out", str(data)],
+        ["mi", "compute", "--manifest", manifest, "--policy", "zero",
+         "--out", str(tmp_path / "mi.csv")],
+        ["saliency", "run", "--manifest", manifest, "--method", "feature_ablation",
+         "--params", "block_shape=16", "--seed", "3", "--out-dir", str(sal)],
+        ["saliency", "run", "--manifest", manifest, "--method", "occlusion",
+         "--params", "window=16,stride=16", "--seed", "3", "--out-dir", str(sal)],
+        ["metrics", "msfi", "--manifest", manifest, "--saliency-dir", str(sal),
+         "--mi", str(tmp_path / "mi.csv"), "--out", str(tmp_path / "scores.csv")],
+        ["stats", "friedman", "--scores", str(tmp_path / "scores.csv")],
+        ["report", "matrix", "--scores", str(tmp_path / "scores.csv"),
+         "--out", str(tmp_path / "matrix.svg")],
+    ]
+    code = textwrap.dedent("""\
+        import json, sys
+        sys.modules["scipy"] = None  # any import of scipy now fails
+        from mmsaliency.cli import main
+        for argv in json.loads(sys.argv[1]):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+            print(json.dumps([argv[:2], status]), flush=True)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(stages)],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    statuses = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[[")]
+    assert statuses == [[argv[:2], 0] for argv in stages], proc.stdout + proc.stderr
+    assert "chi2=" in proc.stdout
 
 
 @pytest.mark.skipif(shutil.which("mmsaliency") is None,

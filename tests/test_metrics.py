@@ -204,6 +204,50 @@ class TestChi2Tail:
     def test_df2_is_exponential(self):
         assert chi2_sf(8.0, 2) == pytest.approx(math.exp(-4.0), abs=1e-14)
 
+    # x on [0, 2000], densest around where the tail underflows for df 1..19
+    GRID = np.unique(np.concatenate([
+        np.linspace(0.0, 2000.0, 4001), np.linspace(0.0, 30.0, 301),
+        np.linspace(1410.0, 1540.0, 2601),
+    ]))
+
+    def test_matches_scipy_chdtrc(self):
+        special = pytest.importorskip("scipy.special")
+        for df in range(1, 20):
+            expected = special.chdtrc(df, self.GRID)
+            got = np.array([chi2_sf(float(x), df) for x in self.GRID])
+            normal = expected >= 1e-300
+            rel = np.abs(got[normal] - expected[normal]) / expected[normal]
+            assert rel.max() <= 1e-12, (df, self.GRID[normal][rel.argmax()])
+            # the printed p-value, including where the tail reads 0.0
+            assert [f"{p:.6g}" for p in got] == [f"{p:.6g}" for p in expected], df
+        assert special.chdtrc(12, 1490.0) == chi2_sf(1490.0, 12) == 0.0
+
+    def test_matches_scipy_chdtrc_for_large_df_and_tiny_x(self):
+        # the lower tail, where h^a e^(-h) / Gamma(a) underflows but Q is 1.0,
+        # and many-method Friedman tests
+        special = pytest.importorskip("scipy.special")
+        grid = np.concatenate([
+            np.logspace(-300, 0, 31), np.linspace(0.0, 2000.0, 401),
+            np.linspace(150.0, 450.0, 301),
+        ])
+        for df in (20, 45, 59, 100, 199, 320, 400):
+            expected = special.chdtrc(df, grid)
+            got = np.array([chi2_sf(float(x), df) for x in grid])
+            normal = expected >= 1e-300
+            rel = np.abs(got[normal] - expected[normal]) / expected[normal]
+            assert rel.max() <= 1e-12, (df, grid[normal][rel.argmax()])
+            assert [f"{p:.6g}" for p in got] == [f"{p:.6g}" for p in expected], df
+            assert (got[grid <= 1e-3] == 1.0).all(), df
+        assert chi2_sf(1e-6, 100) == chi2_sf(1.0, 320) == chi2_sf(1e-32, 19) == 1.0
+
+    def test_rejects_non_integer_df(self):
+        for df in (2.5, 0.5, math.nan):
+            with pytest.raises(ValueError, match="integer"):
+                chi2_sf(3.0, df)
+        with pytest.raises(ValueError, match="positive"):
+            chi2_sf(3.0, 0)
+        assert chi2_sf(3.0, 4.0) == chi2_sf(3.0, 4)
+
 
 def _independent_row_ranks(row):
     """Sort-based average ranks, independent of scipy."""
@@ -222,6 +266,13 @@ def _independent_row_ranks(row):
 
 
 class TestFriedman:
+    def test_all_tied_many_methods_p_is_one(self):
+        # float cancellation leaves a tiny positive statistic here (k = 60,
+        # N = 11 gives about 2e-13); its p-value is 1, not an underflowed 0
+        chi2, df, p = friedman(np.zeros((11, 60)))
+        assert 0.0 <= chi2 < 1e-9 and df == 59
+        assert p == 1.0
+
     def test_fixed_ordering_example(self):
         # 3 methods, 4 samples, identical ordering in every sample
         values = np.tile([0.2, 0.5, 0.8], (4, 1))

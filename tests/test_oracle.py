@@ -10,6 +10,7 @@ from helpers import (
     make_sample,
     make_volume,
 )
+from mmsaliency import oracle
 from mmsaliency.oracle import (
     ClassProbabilities,
     ExternalCommandOracle,
@@ -20,7 +21,7 @@ from mmsaliency.oracle import (
     largest_component,
     predict_shape_rule,
 )
-from mmsaliency.synthgen import ShapeSpec, rasterize_shape
+from mmsaliency.synthgen import ShapeSpec, SynthConfig, rasterize_shape, render_sample
 from mmsaliency.tensorio import MultiModalVolume
 
 
@@ -116,6 +117,199 @@ class TestCircularity:
         cfg = ShapeRuleClassifier((1.0, 0.0), circularity_cutoff=0.7, softness=0.1)
         probs = predict_shape_rule(cfg, vol)
         assert probs.probs[0] > 0.5  # a ball reads as the round class
+
+
+def ndimage_largest(field):
+    """Largest face-connected component by `scipy.ndimage.label`; None if empty."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    labels, n = ndimage.label(field)
+    if n == 0:
+        return None
+    sizes = np.bincount(labels.ravel())
+    sizes[0] = 0
+    return labels == sizes.argmax()
+
+
+def assert_same_component(field):
+    expected = ndimage_largest(field)
+    got = largest_component(field)
+    if expected is None:
+        assert got is None
+    else:
+        assert got.shape == field.shape and got.dtype == bool
+        assert np.array_equal(got, expected)
+
+
+@pytest.fixture(params=["loop", "rounds"])
+def union_path(request, monkeypatch):
+    """Resolve every field's joins with the Python loop, or with the vectorized rounds."""
+    monkeypatch.setattr(oracle, "_LOOP_MAX_JOINS", 2**62 if request.param == "loop" else 0)
+    return request.param
+
+
+def spiral(size):
+    """A one-pixel-wide square spiral walked in from the top-left corner: a
+    single component whose runs are numbered far out of order along it."""
+    field = np.zeros((size, size), dtype=bool)
+    y, x, dy, dx = 0, 0, 0, 1
+    field[0, 0] = True
+
+    def on(yy, xx):
+        return 0 <= yy < size and 0 <= xx < size and field[yy, xx]
+
+    for _ in range(2 * size):
+        # step while the next pixel is inside and the one after it is not taken
+        while (0 <= y + dy < size and 0 <= x + dx < size
+               and not on(y + 2 * dy, x + 2 * dx)):
+            y, x = y + dy, x + dx
+            field[y, x] = True
+        dy, dx = dx, -dy
+    return field
+
+
+class TestUnion:
+    def test_loop_and_rounds_give_the_same_roots(self):
+        rng = np.random.default_rng(5)
+        for n, n_joins in ((1, 0), (5, 3), (40, 30), (300, 250), (2000, 2500), (5000, 1200)):
+            for _ in range(5):
+                lo = rng.integers(1, n + 1, size=n_joins)
+                hi = rng.integers(1, n + 1, size=n_joins)
+                roots = oracle._union_loop(n, lo, hi)
+                assert np.array_equal(oracle._union_rounds(n, lo, hi), roots)
+                # every run points at the lowest run of its component
+                assert (roots <= np.arange(n + 1)).all()
+                assert (roots[lo] == roots[hi]).all()
+                assert (roots[roots] == roots).all()
+
+    def test_rounds_on_a_long_chain_in_shuffled_order(self):
+        rng = np.random.default_rng(6)
+        order = rng.permutation(np.arange(1, 3001))
+        roots = oracle._union_rounds(3000, order[:-1], order[1:])
+        assert np.array_equal(roots, np.r_[0, np.ones(3000, dtype=int)])
+
+
+@pytest.mark.usefixtures("union_path")
+class TestLargestComponent:
+    @pytest.mark.parametrize(
+        "shape",
+        [(40, 40), (64, 64), (17, 23), (9, 11, 7), (18, 20, 16), (4, 5, 6, 7), (3, 1, 8, 5)],
+    )
+    def test_matches_ndimage_on_random_fields(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for density in (0.1, 0.3, 0.5, 0.6, 0.8):
+            for _ in range(8):
+                assert_same_component(rng.random(shape) < density)
+
+    @pytest.mark.parametrize(
+        "shape", [(1,), (9,), (1, 1), (1, 12), (12, 1), (1, 1, 10), (10, 1, 1), (1, 7, 1)]
+    )
+    def test_matches_ndimage_on_one_wide_axes(self, shape):
+        rng = np.random.default_rng(len(shape) * 31 + max(shape))
+        for density in (0.3, 0.6, 0.9):
+            for _ in range(10):
+                assert_same_component(rng.random(shape) < density)
+
+    @pytest.mark.parametrize("shape", [(5,), (6, 7), (3, 4, 5), (2, 3, 2, 3)])
+    def test_empty_and_full_fields(self, shape):
+        assert largest_component(np.zeros(shape, dtype=bool)) is None
+        full = np.ones(shape, dtype=bool)
+        assert np.array_equal(largest_component(full), full)
+        assert_same_component(full)
+
+    def test_equal_sizes_go_to_the_first_in_raster_order(self):
+        # two 2x2 squares: the top-right one comes first in raster order,
+        # the bottom-left one first in column order
+        field = np.zeros((8, 8), dtype=bool)
+        field[1:3, 5:7] = True
+        field[5:7, 0:2] = True
+        expected = np.zeros_like(field)
+        expected[1:3, 5:7] = True
+        assert np.array_equal(largest_component(field), expected)
+        assert_same_component(field)
+        # a U whose arms are separate runs down to its bottom row, tied with a
+        # bar below it that reaches further left
+        field = np.zeros((6, 9), dtype=bool)
+        field[0:3, 2] = field[0:3, 4] = field[2, 2:5] = True  # 7 pixels
+        field[4, 0:7] = True  # 7 pixels
+        assert np.count_nonzero(largest_component(field)[0:3]) == 7
+        assert_same_component(field)
+        # equal-size 3D blobs, one per plane
+        field = np.zeros((3, 4, 4), dtype=bool)
+        field[2, 0, 0:3] = field[0, 3, 1:4] = True
+        assert np.array_equal(np.nonzero(largest_component(field))[0], [0, 0, 0])
+        assert_same_component(field)
+
+    def test_spiral_is_one_component(self):
+        for size in (5, 12, 61):
+            field = spiral(size)
+            assert np.array_equal(largest_component(field), field)
+            assert_same_component(field | np.eye(size, dtype=bool)[::-1])
+
+    def test_matches_ndimage_on_many_equal_blobs(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            field = np.zeros((24, 24), dtype=bool)
+            for y, x in rng.integers(0, 22, size=(6, 2)):
+                field[y:y + 2, x:x + 2] = True
+            assert_same_component(field)
+
+
+def predict_shape_rule_reference(cfg, volume):
+    """The shape rule with `scipy.ndimage.label` and the pad-and-roll boundary count."""
+    w = np.asarray(cfg.modality_weights, dtype=np.float64)
+    data = volume.data.astype(np.float64)
+    combined = np.dot(w[None], data.reshape(len(w), -1)).reshape(data.shape[1:]) / w.sum()
+    component = ndimage_largest(combined > cfg.intensity_threshold)
+    if component is None:
+        return (0.5, 0.5)
+    area = int(np.count_nonzero(component))
+    perim = boundary_count_reference(component)
+    if component.ndim == 2:
+        c = 4.0 * np.pi * area / perim**2
+    else:
+        c = np.pi ** (1.0 / 3.0) * (6.0 * area) ** (2.0 / 3.0) / perim
+    p_round = float(1.0 / (1.0 + np.exp(-(c - cfg.circularity_cutoff) / cfg.softness)))
+    return (p_round, 1.0 - p_round)
+
+
+def block_dropped(rng, volume, block):
+    """The volume with each modality's blocks kept or zeroed at random."""
+    m, *dims = volume.data.shape
+    keep = rng.random((m, *(-(-d // block) for d in dims))) < 0.6
+    for axis, d in enumerate(dims, start=1):
+        keep = np.repeat(keep, block, axis=axis)[(slice(None),) * axis + (slice(0, d),)]
+    return volume.with_data(volume.data * keep)
+
+
+@pytest.mark.usefixtures("union_path")
+class TestShapeRuleMatchesNdimage:
+    def test_perturbed_2d_volumes(self):
+        cfg = ShapeRuleClassifier((0.0, 1.0, 0.0, 1.0), intensity_threshold=0.35,
+                                  circularity_cutoff=0.7, softness=0.08)
+        synth = SynthConfig(n_samples=6, image_size=48, seed=4, background="brain_texture")
+        rng = np.random.default_rng(8)
+        for index in range(6):
+            volume = render_sample(synth, index, index % 2)[0]
+            for block in (6, 12, 16):
+                for _ in range(6):
+                    perturbed = block_dropped(rng, volume, block)
+                    assert (predict_shape_rule(cfg, perturbed).probs
+                            == predict_shape_rule_reference(cfg, perturbed))
+
+    def test_perturbed_3d_volumes(self):
+        cfg = ShapeRuleClassifier((1.0, 0.5), intensity_threshold=0.4)
+        rng = np.random.default_rng(9)
+        zz, yy, xx = np.indices((14, 16, 12))
+        for _ in range(10):
+            c = rng.uniform(4, 10, size=3)
+            ball = (zz - c[0]) ** 2 + (yy - c[1]) ** 2 + (xx - c[2]) ** 2 <= rng.uniform(9, 30)
+            data = np.stack([ball * rng.uniform(0.5, 1.0, ball.shape),
+                             rng.uniform(0, 0.9, ball.shape)])
+            volume = MultiModalVolume(("a", "b"), data)
+            for block in (3, 5):
+                perturbed = block_dropped(rng, volume, block)
+                assert (predict_shape_rule(cfg, perturbed).probs
+                        == predict_shape_rule_reference(cfg, perturbed))
 
 
 class TestShapeRuleClassifier:
