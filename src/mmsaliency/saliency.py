@@ -133,14 +133,18 @@ def _axis_tuple(value, ndim, name):
 def _explain(volume, oracle, cfg, perturbed, reduce):
     """Evaluate `perturbed` as one stream and return the map `reduce` makes of it.
 
-    The target is cfg.target_class, or else the predicted class of `volume`;
-    `reduce` gets the target probability of each perturbed volume, in order,
-    and returns the map data.
+    The target is cfg.target_class, or else the predicted class of `volume`,
+    which then heads the stream: a batch oracle sees one stream per sample.
+    The head is evaluated apart from any equal perturbed volume. `reduce`
+    gets the target probability of each perturbed volume, in order, and
+    returns the map data.
     """
     target = cfg.target_class
     if target is None:
-        target = next(predict_volumes(oracle, [volume])).argmax
-    preds = predict_volumes(oracle, perturbed)
+        preds = predict_volumes(oracle, itertools.chain([volume], perturbed))
+        target = next(preds).argmax
+    else:
+        preds = predict_volumes(oracle, perturbed)
     probs = np.array([_class_prob(p, target) for p in preds])
     return SaliencyMap(volume.modality_names, reduce(probs))
 

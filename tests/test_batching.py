@@ -1,18 +1,27 @@
 """The chunked batch path: an oracle with `predict_batch` sees every evaluation
 in chunks and gives the same answers as one `predict` per volume."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from helpers import FunctionOracle, make_sample, make_volume
+from helpers import FunctionOracle, make_sample, make_volume, sampled_keep_rows
 from mmsaliency import oracle as oracle_mod
 from mmsaliency.ablate import AblationPolicy, AblationVariant, shapley_mi
 from mmsaliency.oracle import predict_volumes
-from mmsaliency.saliency import MethodConfig, SaliencyMethod, generate_maps
+from mmsaliency.saliency import (
+    MethodConfig,
+    SaliencyMethod,
+    default_grid_for,
+    generate_maps,
+)
 from mmsaliency.tensorio import MultiModalVolume
 
 INNER = FunctionOracle(lambda d: float(np.clip(d.mean() + d.std(), 0, 1)))
-KEEP_DROP_METHODS = (
+# every method but feature_permutation, which streams the whole dataset at once
+PER_SAMPLE_METHODS = (
+    SaliencyMethod.OCCLUSION,
     SaliencyMethod.FEATURE_ABLATION,
     SaliencyMethod.LIME,
     SaliencyMethod.SHAPLEY_SAMPLING,
@@ -56,27 +65,49 @@ def _assert_same_maps(a, b):
         assert np.array_equal(a[sid].data, b[sid].data)
 
 
-@pytest.mark.parametrize("budget", [None, 3 * 2 * 8 * 8 * 8])
+def _stream_length(method):
+    """The evaluations of one sample after the unperturbed head, for _cfg(method)."""
+    if method is SaliencyMethod.OCCLUSION:
+        return 1 + 2 * 3 * 3  # the original, then 2 modalities x 3 x 3 windows
+    k = default_grid_for(method, 2, (8, 8), 4).n_segments
+    if method is SaliencyMethod.FEATURE_ABLATION:
+        return k + 1  # keep everything, then drop each segment
+    return len(set(sampled_keep_rows(method.value, k, 40, seed=9)))
+
+
+VOLUME_BYTES = 2 * 8 * 8 * 8  # one float64 sample of _samples()
+
+
+@pytest.mark.parametrize("chunk_volumes", [None, 3, 1])
 @pytest.mark.parametrize("method", list(SaliencyMethod))
-def test_maps_equal_the_per_item_path(method, budget, monkeypatch):
-    if budget is not None:
-        monkeypatch.setattr(oracle_mod, "BATCH_BYTES", budget)  # 3 volumes a chunk
+def test_maps_equal_the_per_item_path(method, chunk_volumes, monkeypatch):
+    if chunk_volumes is not None:
+        monkeypatch.setattr(oracle_mod, "BATCH_BYTES", chunk_volumes * VOLUME_BYTES)
     samples = _samples()
     stub = BatchStub(INNER)
     batched, _ = generate_maps(samples, stub, _cfg(method))
     per_item, _ = generate_maps(samples, INNER, _cfg(method))
     _assert_same_maps(batched, per_item)
-    if budget is not None:
-        assert max(stub.calls) == 3
+    if chunk_volumes is not None:
+        # at 1, the unperturbed head is a chunk of its own
+        assert max(stub.calls) == chunk_volumes
 
 
-@pytest.mark.parametrize("method", KEEP_DROP_METHODS)
-def test_keep_drop_methods_make_two_batch_calls_per_sample(method):
+@pytest.mark.parametrize("method", PER_SAMPLE_METHODS)
+def test_keep_drop_methods_make_one_batch_call_per_sample(method):
     stub = BatchStub(INNER)
     generate_maps(_samples(), stub, _cfg(method))
-    # the target call, then every keep/drop row in one chunk
-    assert len(stub.calls) == 2 * 3
-    assert stub.calls[0::2] == [1, 1, 1]
+    # the unperturbed head, then every distinct perturbation, in one chunk
+    assert stub.calls == [1 + _stream_length(method)] * 3
+
+
+@pytest.mark.parametrize("method", PER_SAMPLE_METHODS)
+def test_a_set_target_sends_no_head(method):
+    stub = BatchStub(INNER)
+    batched, _ = generate_maps(_samples(), stub, replace(_cfg(method), target_class=1))
+    assert stub.calls == [_stream_length(method)] * 3
+    per_item, _ = generate_maps(_samples(), INNER, replace(_cfg(method), target_class=1))
+    _assert_same_maps(batched, per_item)
 
 
 @pytest.mark.parametrize("budget", [None, 5 * 2 * 8 * 8 * 8])

@@ -644,9 +644,9 @@ class TestExternalOracleCli:
         assert outputs[command] == outputs["builtin"]
         # 2^4 coalitions x 2 samples in one spawn
         assert mi_spawns == [[32, ["LGG", "HGG"]]]
-        # per sample: the target call, then the original and 4 modalities x 4
-        # windows in one chunk; 36 evaluations in 4 spawns
-        assert spawns() == [[1, ["LGG", "HGG"]], [17, ["LGG", "HGG"]]] * 2
+        # per sample, one chunk: the unperturbed head that fixes the target,
+        # then the original and 4 modalities x 4 windows; 36 evaluations in 2 spawns
+        assert spawns() == [[18, ["LGG", "HGG"]]] * 2
 
 
 # What an installer's console-script wrapper does: resolve the entry point,

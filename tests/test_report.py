@@ -1,8 +1,12 @@
+import subprocess
+import sys
+import textwrap
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from helpers import src_env
 from mmsaliency.metrics import MetricRecord
 from mmsaliency.report import (
     matrix_value,
@@ -136,6 +140,50 @@ class TestRenderStrip:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
             render_strip(records_for("a", [0.5]), "iou")
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_median_bar_at_the_median(self, n):
+        values = np.random.default_rng(n).random(n).tolist()
+        root = ET.fromstring(render_strip(records_for("a", values), "msfi"))
+        [line] = [e for e in root.iter() if e.tag.endswith("line")]
+        # values in [0, 1]: y = top + plot height * (1 - value)
+        assert line.get("y1") == f"{36 + 220 * (1.0 - np.median(values)):.2f}"
+
+
+class TestMedian:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_summary_median_is_numpy_median_bit_for_bit(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(50):
+            values = rng.uniform(-1.0, 1.0, n).tolist()
+            [summary] = summarize(
+                records_for("a", np.abs(values).tolist(), mi_corr=values)
+            )
+            assert summary.stats["mi_corr"][1] == float(np.median(values))
+            assert summary.stats["msfi"][1] == float(np.median(np.abs(values)))
+
+    def test_summary_and_strip_do_not_import_numpy_ma(self):
+        """np.median imports numpy.ma (about 12 ms in a fresh process); the
+        report's medians do without it."""
+        code = textwrap.dedent("""\
+            import sys
+            from mmsaliency.metrics import MetricRecord
+            from mmsaliency.report import render_strip, summarize, summary_csv_rows
+
+            print("numpy.ma" in sys.modules)
+            rows = [MetricRecord(f"s{i}", m, "msfi", (i % 5) / 4)
+                    for m in ("a", "b") for i in range(6)]
+            summary_csv_rows(summarize(rows))
+            render_strip(rows, "msfi")
+            print("numpy.ma" in sys.modules)
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        at_import, after = proc.stdout.split()
+        if at_import == "True":
+            pytest.skip("numpy before 2.0 imports numpy.ma with numpy itself")
+        assert after == "False"
 
 
 class TestSummaryCsv:

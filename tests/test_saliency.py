@@ -789,7 +789,7 @@ class TestGenerateMaps:
             rows = len(set(drawn))
             assert rows < len(drawn)
         generate_maps(samples, FunctionOracle(fn), cfg)
-        # per sample: one call resolves the target, then one per distinct row
+        # per sample: the unperturbed head fixes the target, then one per distinct row
         assert len(calls) == 2 * (1 + rows)
 
 
