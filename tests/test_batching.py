@@ -8,6 +8,7 @@ import pytest
 
 from helpers import FunctionOracle, make_sample, make_volume, sampled_keep_rows
 from mmsaliency import oracle as oracle_mod
+from mmsaliency import saliency
 from mmsaliency.ablate import AblationPolicy, AblationVariant, shapley_mi
 from mmsaliency.oracle import predict_volumes
 from mmsaliency.saliency import (
@@ -97,17 +98,87 @@ def test_maps_equal_the_per_item_path(method, chunk_volumes, monkeypatch):
 def test_keep_drop_methods_make_one_batch_call_per_sample(method):
     stub = BatchStub(INNER)
     generate_maps(_samples(), stub, _cfg(method))
-    # the unperturbed head, then every distinct perturbation, in one chunk
-    assert stub.calls == [1 + _stream_length(method)] * 3
+    # per sample the unperturbed head, then every distinct perturbation; the
+    # 3 samples' streams make one stream, which fits in one chunk
+    assert stub.calls == [3 * (1 + _stream_length(method))]
 
 
 @pytest.mark.parametrize("method", PER_SAMPLE_METHODS)
 def test_a_set_target_sends_no_head(method):
     stub = BatchStub(INNER)
     batched, _ = generate_maps(_samples(), stub, replace(_cfg(method), target_class=1))
-    assert stub.calls == [_stream_length(method)] * 3
+    assert stub.calls == [3 * _stream_length(method)]
     per_item, _ = generate_maps(_samples(), INNER, replace(_cfg(method), target_class=1))
     _assert_same_maps(batched, per_item)
+
+
+@pytest.mark.parametrize("target_class", [None, 1])
+@pytest.mark.parametrize("method", PER_SAMPLE_METHODS)
+def test_chunks_that_split_a_sample_give_the_per_item_maps(
+    method, target_class, monkeypatch
+):
+    per_sample = (target_class is None) + _stream_length(method)
+    # 7 volumes, or 6 where 7 would divide a sample's share (lime's 1 + 34)
+    chunk = 7 if per_sample % 7 else 6
+    monkeypatch.setattr(oracle_mod, "BATCH_BYTES", chunk * VOLUME_BYTES)
+    cfg = replace(_cfg(method), target_class=target_class)
+    stub = BatchStub(INNER)
+    batched, _ = generate_maps(_samples(), stub, cfg)
+    # full chunks, so one holds the tail of sample 0 and the head of sample 1
+    assert per_sample % chunk
+    assert sum(stub.calls) == 3 * per_sample
+    assert stub.calls[:-1] == [chunk] * (len(stub.calls) - 1)
+    _assert_same_maps(batched, generate_maps(_samples(), INNER, cfg)[0])
+
+
+@pytest.mark.parametrize("method", PER_SAMPLE_METHODS)
+def test_per_item_path_builds_each_volume_after_the_last_is_predicted(
+    method, monkeypatch
+):
+    events = []
+
+    class Recorded(MultiModalVolume):
+        def __post_init__(self):
+            super().__post_init__()
+            events.append(("built", self))
+
+    class Recording:
+        def predict(self, volume):
+            events.append(("predicted", volume))
+            return INNER.predict(volume)
+
+    monkeypatch.setattr(saliency, "MultiModalVolume", Recorded)
+    samples = _samples(2)
+    generate_maps(samples, Recording(), _cfg(method))
+    built = iter([volume for event, volume in events if event == "built"])
+    expected = []
+    for s in samples:
+        # the sample's own volume heads its share of the stream unbuilt, and
+        # occlusion sends it once more as its first item
+        unbuilt = 2 if method is SaliencyMethod.OCCLUSION else 1
+        expected += [("predicted", s.volume)] * unbuilt
+        for _ in range(_stream_length(method) + 1 - unbuilt):
+            volume = next(built)
+            expected += [("built", volume), ("predicted", volume)]
+    assert next(built, None) is None
+    assert events == expected
+
+
+@pytest.mark.parametrize("target_class", [None, 1])
+@pytest.mark.parametrize("method", list(SaliencyMethod))
+def test_runlog_oracle_evals_add_up_to_the_oracle_calls(method, target_class):
+    calls = []
+
+    class Counting:
+        def predict(self, volume):
+            calls.append(1)
+            return INNER.predict(volume)
+
+    cfg = replace(_cfg(method), target_class=target_class)
+    maps, runlog = generate_maps(_samples(), Counting(), cfg)
+    assert set(runlog["oracle_evals"]) == set(runlog["wall_time"]) == set(maps)
+    assert sum(runlog["oracle_evals"].values()) == len(calls)
+    assert all(t >= 0.0 for t in runlog["wall_time"].values())
 
 
 @pytest.mark.parametrize("budget", [None, 5 * 2 * 8 * 8 * 8])

@@ -104,6 +104,8 @@ class TestPipelineArtifacts:
         assert runlog["seed"] == 3
         assert len(runlog["wall_time"]) == 8
         assert len(runlog["files"]) == 8
+        # per sample: the head, the keep-all row and 4 modalities x 4 x 4 blocks
+        assert runlog["oracle_evals"] == dict.fromkeys(runlog["files"], 66)
 
     def test_scores_csv_format(self, pipeline):
         rows = read_rows(pipeline / "scores.csv")
@@ -133,6 +135,8 @@ class TestPipelineArtifacts:
         svg = (pipeline / "matrix.svg").read_text()
         assert svg.startswith('<?xml version="1.0" encoding="UTF-8"?>')
         assert "feature_ablation" in svg and "kernel_shap" in svg
+        # the report read the runlogs' wall times
+        assert {r[0] for r in rows[1:] if r[1] == "speed"} == {"feature_ablation", "kernel_shap"}
 
     def test_stats_friedman_runs(self, pipeline, capsys):
         run_cli("stats", "friedman", "--scores", str(pipeline / "scores.csv"))
@@ -644,9 +648,10 @@ class TestExternalOracleCli:
         assert outputs[command] == outputs["builtin"]
         # 2^4 coalitions x 2 samples in one spawn
         assert mi_spawns == [[32, ["LGG", "HGG"]]]
-        # per sample, one chunk: the unperturbed head that fixes the target,
-        # then the original and 4 modalities x 4 windows; 36 evaluations in 2 spawns
-        assert spawns() == [[18, ["LGG", "HGG"]]] * 2
+        # per sample, the unperturbed head that fixes the target, then the
+        # original and 4 modalities x 4 windows; both samples' 36 evaluations
+        # are one stream, which fits in one spawn
+        assert spawns() == [[36, ["LGG", "HGG"]]]
 
 
 # What an installer's console-script wrapper does: resolve the entry point,
