@@ -5,7 +5,7 @@ normalized ground-truth modality importance, so a good map must both rank
 modalities correctly and localize each modality's feature. Kendall tau-b
 between estimated and ground-truth MI scores the ranking alone. The Friedman
 test (with Nemenyi post hoc) compares methods across samples, and the report
-module renders the summary matrix and strip plots as deterministic SVG.
+module renders the summary matrix as deterministic SVG.
 
 Run:  python demos/05_evaluate_and_report.py
 Equivalent CLI:  mmsaliency metrics msfi ... / stats friedman ... / report matrix ...
@@ -34,7 +34,6 @@ from mmsaliency import (
     nemenyi,
     postprocess,
     render_matrix,
-    render_strip,
     shapley_mi,
     summarize,
 )
@@ -100,6 +99,5 @@ print(f"Nemenyi CD={nem.critical_difference:.3f}, mean ranks "
 
 summaries = summarize(records, wall_times)
 (out / "matrix.svg").write_text(render_matrix(summaries), encoding="utf-8")
-(out / "msfi_strip.svg").write_text(render_strip(records, "msfi"), encoding="utf-8")
-print(f"\nwrote {out}/matrix.svg and {out}/msfi_strip.svg")
+print(f"\nwrote {out}/matrix.svg")
 print("method order by summed MSFI:", [s.method for s in summaries])

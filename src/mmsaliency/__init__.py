@@ -34,7 +34,7 @@ from .oracle import (
     accuracy,
     predict_shape_rule,
 )
-from .report import MethodSummary, render_matrix, render_strip, summarize
+from .report import MethodSummary, render_matrix, summarize
 from .saliency import (
     MethodConfig,
     SaliencyMethod,

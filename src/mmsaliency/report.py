@@ -1,12 +1,11 @@
-"""Aggregation and presentation: per-method summaries, the comparison-matrix
-SVG, and strip plots of score distributions. All output is a pure function of
-its numeric input (fixed precision, stable ordering, no timestamps).
+"""Aggregation and presentation: per-method summaries and the comparison-matrix
+SVG. All output is a pure function of its numeric input (fixed precision,
+stable ordering, no timestamps).
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,58 +148,6 @@ def render_matrix(summaries) -> str:
                 f'<rect x="{cx - side / 2:.2f}" y="{cy - side / 2:.2f}" '
                 f'width="{side:.2f}" height="{side:.2f}" '
                 f'fill="rgb({shade},{shade},{shade})"/>\n'
-            )
-    parts.append("</svg>\n")
-    return "".join(parts)
-
-
-def _jitter(sample_id):
-    """Deterministic jitter in [-0.5, 0.5) from a stable hash of the id."""
-    return zlib.crc32(sample_id.encode("utf-8")) / 2**32 - 0.5
-
-
-def render_strip(records, metric) -> str:
-    """Strip plot of one metric's per-sample scores, one column per method.
-
-    Dots are jittered by a stable hash of the sample id; a horizontal bar
-    marks each method's median.
-    """
-    rows = [r for r in records if r.metric == metric]
-    if not rows:
-        raise ValueError(f"no records for metric {metric!r}")
-    methods = sorted({r.method for r in rows})
-    col_w, plot_h = 90, 220
-    width = _LEFT + col_w * len(methods) + 10
-    height = _TOP + plot_h + 40
-    lo = min(0.0, min(r.value for r in rows))
-    hi = max(1.0, max(r.value for r in rows))
-
-    def y_of(v):
-        return _TOP + plot_h * (1.0 - (v - lo) / (hi - lo))
-
-    parts = [_svg_open(width, height)]
-    parts.append(
-        f'<text x="12" y="{_TOP - 14}" font-size="11">{_esc(metric)}</text>\n'
-    )
-    for j, method in enumerate(methods):
-        x0 = _LEFT + j * col_w + col_w / 2.0
-        vals = [r.value for r in rows if r.method == method]
-        parts.append(
-            f'<text x="{x0:.2f}" y="{height - 12}" font-size="9" '
-            f'text-anchor="middle">{_esc(method)}</text>\n'
-        )
-        med = float(_median(sorted(vals)))
-        parts.append(
-            f'<line x1="{x0 - 24:.2f}" y1="{y_of(med):.2f}" x2="{x0 + 24:.2f}" '
-            f'y2="{y_of(med):.2f}" stroke="black" stroke-width="1.5"/>\n'
-        )
-        for r in sorted(
-            (r for r in rows if r.method == method), key=lambda r: r.sample_id
-        ):
-            x = x0 + 40 * _jitter(r.sample_id)
-            parts.append(
-                f'<circle cx="{x:.2f}" cy="{y_of(r.value):.2f}" r="2" '
-                f'fill="steelblue" fill-opacity="0.7"/>\n'
             )
     parts.append("</svg>\n")
     return "".join(parts)

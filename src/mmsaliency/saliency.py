@@ -112,10 +112,13 @@ class MethodConfig:
             raise ValueError(f"target_class must be nonnegative, got {self.target_class}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
-        if self.kernel_width <= 0:
-            raise ValueError("kernel_width must be positive")
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be nonnegative")
+        # NaN fails every comparison, so these also reject NaN
+        if not self.kernel_width > 0:
+            raise ValueError(f"kernel_width must be positive, got {self.kernel_width}")
+        if not 0 <= self.ridge_lambda < math.inf:
+            raise ValueError(
+                f"ridge_lambda must be finite and nonnegative, got {self.ridge_lambda}"
+            )
 
     @classmethod
     def param_fields(cls):
@@ -137,42 +140,54 @@ class _Plan(NamedTuple):
 
     `perturbed` lazily builds the sample's n_items perturbed volumes;
     `reduce` turns their target probabilities, in order, into the map data.
+    `baseline` means "reduce reads the unperturbed prediction": the sample's
+    volume is evaluated even when cfg.target_class is set, and its
+    probability comes first.
     """
 
     volume: MultiModalVolume
     perturbed: Iterator[MultiModalVolume]
     n_items: int
     reduce: Callable[[np.ndarray], np.ndarray]
+    baseline: bool = False
 
 
 def _explain(plans, oracle, cfg):
     """Evaluate every plan's volumes as one stream; yield each plan's map, in order.
 
     A plan's target is cfg.target_class, or else the predicted class of its
-    volume, which then heads the plan's share of the stream. One stream
-    serves the whole list, so a batch oracle gets chunks that may span
-    samples; the per-item path builds each volume only after the one before
-    it is predicted, and yields a plan's map before it builds the next
-    plan's volumes. The head is evaluated apart from any equal perturbed
-    volume.
+    volume. The volume heads the plan's share of the stream when the target
+    is unset or the plan is a baseline plan, and is evaluated apart from any
+    equal perturbed volume. One stream serves the whole list, so a batch
+    oracle gets chunks that may span samples; the per-item path builds each
+    volume only after the one before it is predicted, and yields a plan's
+    map before it builds the next plan's volumes.
     """
-    head = cfg.target_class is None
 
     def stream():
         for plan in plans:
-            if head:
+            if _heads(plan, cfg):
                 yield plan.volume
             yield from plan.perturbed
 
     preds = predict_volumes(oracle, stream())
     for plan in plans:
-        target = next(preds).argmax if head else cfg.target_class
-        probs = [_class_prob(p, target) for p in itertools.islice(preds, plan.n_items)]
+        head = next(preds) if _heads(plan, cfg) else None
+        target = head.argmax if cfg.target_class is None else cfg.target_class
+        mine = itertools.islice(preds, plan.n_items)
+        if plan.baseline:
+            mine = itertools.chain([head], mine)
+        probs = [_class_prob(p, target) for p in mine]
         yield SaliencyMap(plan.volume.modality_names, plan.reduce(np.array(probs)))
 
 
-def _explain_one(plan, oracle, cfg):
-    [smap] = _explain([plan], oracle, cfg)
+def _heads(plan, cfg):
+    """Whether the plan's unperturbed volume heads its share of the stream."""
+    return cfg.target_class is None or plan.baseline
+
+
+def _explain_one(plans, oracle, cfg):
+    [smap] = _explain(plans, oracle, cfg)
     return smap
 
 
@@ -185,30 +200,36 @@ def _class_prob(pred, target):
     return pred.probs[target]
 
 
-def _segment_plan(volume, grid, rows, reduce):
-    """Plan from keep rows: each row is a boolean keep mask over the grid's segments.
+def _segment_plans(volumes, grid, rows, reduce):
+    """One plan per volume from keep rows: each row is a boolean keep mask over
+    the grid's segments.
 
     A row's volume has its dropped segments zeroed; `reduce` turns the rows'
     target probabilities into one value per segment, broadcast over the grid.
-    Each distinct row is evaluated once, in order of first occurrence, and
-    its probability is passed to `reduce` for every row equal to it.
+    The rows are deduplicated once for all volumes: each distinct row is
+    evaluated once per volume, in order of first occurrence, and its
+    probability is passed to `reduce` for every row equal to it.
     """
-    _check_grid(grid, volume)
-    # where[i]: row i's position in the stream of distinct rows; a dict over the
-    # row bytes is >10x faster here than np.unique(rows, axis=0)
+    for volume in volumes:
+        _check_grid(grid, volume)
+    # where[i]: row i's position among the distinct rows; a dict over the row
+    # bytes is >10x faster here than np.unique(rows, axis=0)
     position = {}
     where = np.array([position.setdefault(row.tobytes(), len(position)) for row in rows])
-    stream = np.unique(where, return_index=True)[1]  # each position's first row
+    distinct = rows[np.unique(where, return_index=True)[1]]  # each position's first row
 
-    def kept():
+    def kept(volume):
         # made here, so that a plan waiting its turn does not hold it; np.take
         # would convert int32 ids on every call
         ids = grid.segment_ids.astype(np.intp)
-        for i in stream:
+        for row in distinct:
             # a bool keep mask, so the product keeps the volume's dtype
-            yield MultiModalVolume(volume.modality_names, volume.data * np.take(rows[i], ids))
+            yield MultiModalVolume(volume.modality_names, volume.data * np.take(row, ids))
 
-    return _Plan(volume, kept(), len(stream), lambda p: reduce(p[where])[grid.segment_ids])
+    def reduce_rows(probs):
+        return reduce(probs[where])[grid.segment_ids]
+
+    return [_Plan(volume, kept(volume), len(distinct), reduce_rows) for volume in volumes]
 
 
 def _solve(gram, rhs, what):
@@ -269,7 +290,12 @@ def occlusion(volume, oracle, cfg) -> SaliencyMap:
     positions step by `stride` plus a final flush-to-edge position; voxels a
     stride > window leaves uncovered keep attribution 0.
     """
-    return _explain_one(_occlusion_plan(volume, cfg), oracle, cfg)
+    return _explain_one(_occlusion_plans([volume], cfg, None), oracle, cfg)
+
+
+def _occlusion_plans(volumes, cfg, grid):
+    """One plan per volume, each with its own noise stream; the grid is unused."""
+    return [_occlusion_plan(volume, cfg) for volume in volumes]
 
 
 def _occlusion_plan(volume, cfg):
@@ -319,15 +345,15 @@ def feature_ablation(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
 
     Requires a per-modality grid so the maps are modality-specific.
     """
-    return _explain_one(_feature_ablation_plan(volume, cfg, grid), oracle, cfg)
+    return _explain_one(_feature_ablation_plans([volume], cfg, grid), oracle, cfg)
 
 
-def _feature_ablation_plan(volume, cfg, grid):
+def _feature_ablation_plans(volumes, cfg, grid):
     if not grid.per_modality:
         raise ValueError("feature_ablation requires a per-modality segment grid")
     # row 0 keeps everything; row k + 1 drops segment k
     rows = ~np.eye(grid.n_segments + 1, grid.n_segments, k=-1, dtype=bool)
-    return _segment_plan(volume, grid, rows, lambda p: p[0] - p[1:])
+    return _segment_plans(volumes, grid, rows, lambda p: p[0] - p[1:])
 
 
 def feature_permutation(data, oracle, cfg, grid: SegmentGrid):
@@ -338,44 +364,41 @@ def feature_permutation(data, oracle, cfg, grid: SegmentGrid):
     to a random full cycle), is seeded, and swaps the segment's content in all
     modalities at once. Returns {sample_id: SaliencyMap}.
     """
+    samples = _iter_samples(data)
+    plans = _feature_permutation_plans([s.volume for s in samples], cfg, grid)
+    return {
+        s.record.sample_id: smap for s, smap in zip(samples, _explain(plans, oracle, cfg))
+    }
+
+
+def _feature_permutation_plans(volumes, cfg, grid):
     if grid.per_modality:
         raise ValueError("feature_permutation requires a shared segment grid")
-    samples = _iter_samples(data)
-    if len(samples) < 2:
+    if len(volumes) < 2:
         raise ValueError("feature_permutation needs at least 2 samples in the batch")
-    names = samples[0].volume.modality_names
-    shape = samples[0].volume.data.shape
-    for s in samples:
-        if s.volume.modality_names != names or s.volume.data.shape != shape:
-            raise ValueError("all samples in the batch must share modalities and dims")
-    _check_grid(grid, samples[0].volume)
-
+    names, shape = volumes[0].modality_names, volumes[0].data.shape
+    if any(v.modality_names != names or v.data.shape != shape for v in volumes):
+        raise ValueError("all samples in the batch must share modalities and dims")
+    _check_grid(grid, volumes[0])
     rng = np.random.default_rng(cfg.rng_seed)
-    n = len(samples)
+    # perms[k][j]: the sample whose segment k sample j gets
+    perms = [_derangement_preferring(rng, len(volumes)) for _ in range(grid.n_segments)]
 
-    def stream():
-        yield from (s.volume for s in samples)
-        for k in range(grid.n_segments):
+    def shuffled(j, volume):
+        for k, perm in enumerate(perms):
             sel = grid.segment_ids == k
-            perm = _derangement_preferring(rng, n)
-            for j, s in enumerate(samples):
-                data = s.volume.data.copy()
-                data[sel] = samples[int(perm[j])].volume.data[sel]
-                yield MultiModalVolume(names, data)
+            data = volume.data.copy()
+            data[sel] = volumes[int(perm[j])].data[sel]
+            yield MultiModalVolume(names, data)
 
-    # the originals come first and fix each sample's target
-    targets, probs = [], []
-    for i, pred in enumerate(predict_volumes(oracle, stream())):
-        if i < n:
-            targets.append(pred.argmax if cfg.target_class is None else cfg.target_class)
-        probs.append(_class_prob(pred, targets[i % n]))
-    probs = np.array(probs).reshape(grid.n_segments + 1, n)
-    # delta[k, j]: sample j's target-probability drop with segment k shuffled
-    delta = probs[0] - probs[1:]
-    return {
-        s.record.sample_id: SaliencyMap(names, delta[:, j][grid.segment_ids])
-        for j, s in enumerate(samples)
-    }
+    def reduce(probs):
+        # the unperturbed probability, then one per shuffled segment
+        return (probs[0] - probs[1:])[grid.segment_ids]
+
+    return [
+        _Plan(volume, shuffled(j, volume), grid.n_segments, reduce, baseline=True)
+        for j, volume in enumerate(volumes)
+    ]
 
 
 def _derangement_preferring(rng, n):
@@ -398,10 +421,10 @@ def lime(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     intercept; each segment's voxels receive its coefficient. n_samples
     masks are drawn; each distinct one is evaluated once.
     """
-    return _explain_one(_lime_plan(volume, cfg, grid), oracle, cfg)
+    return _explain_one(_lime_plans([volume], cfg, grid), oracle, cfg)
 
 
-def _lime_plan(volume, cfg, grid):
+def _lime_plans(volumes, cfg, grid):
     k_segments = grid.n_segments
     if cfg.n_samples < k_segments:
         raise ValueError(
@@ -410,21 +433,19 @@ def _lime_plan(volume, cfg, grid):
         )
     rng = np.random.default_rng(cfg.rng_seed)
     rows = rng.integers(0, 2, size=(cfg.n_samples, k_segments)).astype(bool)
+    Z = rows.astype(np.float64)
+    frac = Z.sum(axis=1) / k_segments
+    weights = np.exp(-((1.0 - frac) ** 2) / cfg.kernel_width**2)
+    design = np.hstack([np.ones((cfg.n_samples, 1)), Z])
+    penalty = np.eye(k_segments + 1) * cfg.ridge_lambda
+    penalty[0, 0] = 0.0  # intercept unpenalized
+    gram = design.T @ (design * weights[:, None]) + penalty
 
     def reduce(y):
-        # the fit is built from the rows here, so that a plan waiting its turn
-        # holds only its rows
-        Z = rows.astype(np.float64)
-        frac = Z.sum(axis=1) / k_segments
-        weights = np.exp(-((1.0 - frac) ** 2) / cfg.kernel_width**2)
-        design = np.hstack([np.ones((cfg.n_samples, 1)), Z])
-        penalty = np.eye(k_segments + 1) * cfg.ridge_lambda
-        penalty[0, 0] = 0.0  # intercept unpenalized
-        gram = design.T @ (design * weights[:, None]) + penalty
         beta = _solve(gram, design.T @ (weights * y), "lime normal equations are singular")
         return beta[1:]
 
-    return _segment_plan(volume, grid, rows, reduce)
+    return _segment_plans(volumes, grid, rows, reduce)
 
 
 def shapley_sampling(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
@@ -435,14 +456,14 @@ def shapley_sampling(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     of which each distinct one is evaluated once (every ordering ends on the
     full coalition). cfg.exhaustive returns exact Shapley values instead (the
     mean over all K! orderings) from the 2^K coalition table; see
-    _exact_shapley_plan.
+    _exact_shapley_plans.
     """
-    return _explain_one(_shapley_sampling_plan(volume, cfg, grid), oracle, cfg)
+    return _explain_one(_shapley_sampling_plans([volume], cfg, grid), oracle, cfg)
 
 
-def _shapley_sampling_plan(volume, cfg, grid):
+def _shapley_sampling_plans(volumes, cfg, grid):
     if cfg.exhaustive:
-        return _exact_shapley_plan(volume, grid)
+        return _exact_shapley_plans(volumes, grid)
     k_segments = grid.n_segments
     rng = np.random.default_rng(cfg.rng_seed)
     perms = np.array([rng.permutation(k_segments) for _ in range(cfg.n_samples)])
@@ -458,10 +479,10 @@ def _shapley_sampling_plan(volume, cfg, grid):
         np.add.at(marginals, perms, np.diff(steps, axis=1, prepend=probs[0]))
         return marginals / len(perms)
 
-    return _segment_plan(volume, grid, rows, reduce)
+    return _segment_plans(volumes, grid, rows, reduce)
 
 
-def _exact_shapley_plan(volume, grid):
+def _exact_shapley_plans(volumes, grid):
     """Exact Shapley segment values from all 2^K keep rows, broadcast over the grid.
 
     The rows are coalition_table(K); the cap on K is checked before any
@@ -469,7 +490,7 @@ def _exact_shapley_plan(volume, grid):
     """
     k_segments = grid.n_segments
     rows = coalition_table(k_segments, "segments")
-    return _segment_plan(volume, grid, rows, lambda values: exact_shapley(values, k_segments))
+    return _segment_plans(volumes, grid, rows, lambda values: exact_shapley(values, k_segments))
 
 
 def _kernel_shap_weight(k, size):
@@ -485,17 +506,17 @@ def kernel_shap(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     drawn; each distinct one is evaluated once. The grid is shared across
     modalities, so the map is not modality-specific. cfg.exhaustive, and any
     K = 1 grid, return exact Shapley values from the 2^K coalition table
-    (exhaustive KernelSHAP is exact Shapley); see _exact_shapley_plan.
+    (exhaustive KernelSHAP is exact Shapley); see _exact_shapley_plans.
     """
-    return _explain_one(_kernel_shap_plan(volume, cfg, grid), oracle, cfg)
+    return _explain_one(_kernel_shap_plans([volume], cfg, grid), oracle, cfg)
 
 
-def _kernel_shap_plan(volume, cfg, grid):
+def _kernel_shap_plans(volumes, cfg, grid):
     if grid.per_modality:
         raise ValueError("kernel_shap requires a shared segment grid")
     k_segments = grid.n_segments
     if cfg.exhaustive or k_segments == 1:
-        return _exact_shapley_plan(volume, grid)
+        return _exact_shapley_plans(volumes, grid)
     if cfg.n_samples < k_segments + 2:
         raise ValueError(
             f"kernel_shap needs n_samples >= K+2 = {k_segments + 2}, "
@@ -513,23 +534,21 @@ def _kernel_shap_plan(volume, cfg, grid):
     for i in range(cfg.n_samples):
         s = int(rng.choice(sizes, p=size_probs))
         rows[i + 2, rng.choice(k_segments, size=s, replace=False)] = True
+    Z = rows[2:].astype(np.float64)
+    coalition_sizes = Z.sum(axis=1).astype(int)
+    weights = np.array([_kernel_shap_weight(k_segments, s) for s in coalition_sizes])
+    # Eliminate the last player with the efficiency constraint, then solve WLS.
+    B = Z[:, :-1] - Z[:, -1:]
+    gram = B.T @ (B * weights[:, None])
 
     def reduce(probs):
-        # the fit is built from the rows here, so that a plan waiting its turn
-        # holds only its rows
-        Z = rows[2:].astype(np.float64)
-        coalition_sizes = Z.sum(axis=1).astype(int)
-        weights = np.array([_kernel_shap_weight(k_segments, s) for s in coalition_sizes])
-        # Eliminate the last player with the efficiency constraint, then solve WLS.
-        B = Z[:, :-1] - Z[:, -1:]
-        gram = B.T @ (B * weights[:, None])
         p_full, p_empty, y = probs[0], probs[1], probs[2:]
         delta = p_full - p_empty
         t = y - p_empty - Z[:, -1] * delta
         head = _solve(gram, B.T @ (weights * t), "kernel_shap system is singular")
         return np.concatenate([head, [delta - head.sum()]])
 
-    return _segment_plan(volume, grid, rows, reduce)
+    return _segment_plans(volumes, grid, rows, reduce)
 
 
 def _check_grid(grid, volume):
@@ -549,57 +568,42 @@ def default_grid_for(method, n_modalities, dims, block_shape):
     return build_grid(n_modalities, dims, block_shape, per_modality=not shared)
 
 
-# the plan builder of each per-sample method
+# each method's plan builder: (volumes, cfg, grid) -> one plan per volume
 _PLANS = {
-    SaliencyMethod.OCCLUSION: _occlusion_plan,
-    SaliencyMethod.FEATURE_ABLATION: _feature_ablation_plan,
-    SaliencyMethod.LIME: _lime_plan,
-    SaliencyMethod.SHAPLEY_SAMPLING: _shapley_sampling_plan,
-    SaliencyMethod.KERNEL_SHAP: _kernel_shap_plan,
+    SaliencyMethod.OCCLUSION: _occlusion_plans,
+    SaliencyMethod.FEATURE_ABLATION: _feature_ablation_plans,
+    SaliencyMethod.FEATURE_PERMUTATION: _feature_permutation_plans,
+    SaliencyMethod.LIME: _lime_plans,
+    SaliencyMethod.SHAPLEY_SAMPLING: _shapley_sampling_plans,
+    SaliencyMethod.KERNEL_SHAP: _kernel_shap_plans,
 }
 
 
 def generate_maps(data, oracle, cfg: MethodConfig, grid=None):
     """Run one method over a dataset; returns ({sample_id: map}, runlog dict).
 
-    A per-sample method builds every sample's plan first, so every check
-    fails before any oracle call, then sends all samples' volumes through
-    one oracle stream (see _explain). The runlog records method, params,
-    seed, and per sample its wall time and its oracle evaluations. A
-    per-sample method's wall time is the sample's plan building plus the
-    time from the previous sample's map to its own; feature_permutation's
-    batch time is split evenly. Wall times are measurement, not a
-    deterministic output.
+    The method's plan builder checks its input, draws its rows and builds
+    every sample's plan before any oracle call; then all samples' volumes go
+    through one oracle stream (see _explain). The runlog records method,
+    params, seed, and per sample its oracle evaluations and its wall time:
+    the time from the previous sample's map, or from the start of the call,
+    to its own. Wall times are measurement, not a deterministic output.
     """
+    t0 = time.perf_counter()
     samples = _iter_samples(data)
     method = SaliencyMethod(cfg.method)
     first = samples[0].volume
     if grid is None:
         grid = default_grid_for(method, first.n_modalities, first.dims, cfg.block_shape)
-    ids = [s.record.sample_id for s in samples]
-
-    if method is SaliencyMethod.FEATURE_PERMUTATION:
-        t0 = time.perf_counter()
-        maps = feature_permutation(samples, oracle, cfg, grid)
-        wall = dict.fromkeys(ids, (time.perf_counter() - t0) / len(samples))
-        # the original, then one shuffled copy per segment
-        evals = dict.fromkeys(ids, grid.n_segments + 1)
-    else:
-        grid_arg = () if method is SaliencyMethod.OCCLUSION else (grid,)
-        plans, wall = [], {}
-        for sid, s in zip(ids, samples):
-            t0 = time.perf_counter()
-            plans.append(_PLANS[method](s.volume, cfg, *grid_arg))
-            wall[sid] = time.perf_counter() - t0
-        head = int(cfg.target_class is None)
-        evals = {sid: head + plan.n_items for sid, plan in zip(ids, plans)}
-        maps = {}
-        t0 = time.perf_counter()
-        for sid, smap in zip(ids, _explain(plans, oracle, cfg)):
-            maps[sid] = smap
-            t1 = time.perf_counter()
-            wall[sid] += t1 - t0
-            t0 = t1
+    plans = _PLANS[method]([s.volume for s in samples], cfg, grid)
+    maps, wall, evals = {}, {}, {}
+    for s, plan, smap in zip(samples, plans, _explain(plans, oracle, cfg)):
+        sid = s.record.sample_id
+        maps[sid] = smap
+        t1 = time.perf_counter()
+        wall[sid] = t1 - t0
+        t0 = t1
+        evals[sid] = int(_heads(plan, cfg)) + plan.n_items
     runlog = {
         "method": method.value,
         "params": {f.name: getattr(cfg, f.name) for f in MethodConfig.param_fields()},

@@ -1,6 +1,7 @@
 """The chunked batch path: an oracle with `predict_batch` sees every evaluation
 in chunks and gives the same answers as one `predict` per volume."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -20,14 +21,10 @@ from mmsaliency.saliency import (
 from mmsaliency.tensorio import MultiModalVolume
 
 INNER = FunctionOracle(lambda d: float(np.clip(d.mean() + d.std(), 0, 1)))
-# every method but feature_permutation, which streams the whole dataset at once
-PER_SAMPLE_METHODS = (
-    SaliencyMethod.OCCLUSION,
-    SaliencyMethod.FEATURE_ABLATION,
-    SaliencyMethod.LIME,
-    SaliencyMethod.SHAPLEY_SAMPLING,
-    SaliencyMethod.KERNEL_SHAP,
-)
+# feature_permutation's reduction reads each sample's unperturbed prediction,
+# so its originals are sent even when target_class is set
+BASELINE_METHODS = (SaliencyMethod.FEATURE_PERMUTATION,)
+HEADLESS_METHODS = [m for m in SaliencyMethod if m not in BASELINE_METHODS]
 
 
 class BatchStub:
@@ -73,7 +70,14 @@ def _stream_length(method):
     k = default_grid_for(method, 2, (8, 8), 4).n_segments
     if method is SaliencyMethod.FEATURE_ABLATION:
         return k + 1  # keep everything, then drop each segment
+    if method is SaliencyMethod.FEATURE_PERMUTATION:
+        return k  # one shuffled copy per segment
     return len(set(sampled_keep_rows(method.value, k, 40, seed=9)))
+
+
+def _heads(method, target_class):
+    """1 if each sample's unperturbed volume heads its share of the stream."""
+    return int(target_class is None or method in BASELINE_METHODS)
 
 
 VOLUME_BYTES = 2 * 8 * 8 * 8  # one float64 sample of _samples()
@@ -94,7 +98,7 @@ def test_maps_equal_the_per_item_path(method, chunk_volumes, monkeypatch):
         assert max(stub.calls) == chunk_volumes
 
 
-@pytest.mark.parametrize("method", PER_SAMPLE_METHODS)
+@pytest.mark.parametrize("method", list(SaliencyMethod))
 def test_keep_drop_methods_make_one_batch_call_per_sample(method):
     stub = BatchStub(INNER)
     generate_maps(_samples(), stub, _cfg(method))
@@ -103,7 +107,7 @@ def test_keep_drop_methods_make_one_batch_call_per_sample(method):
     assert stub.calls == [3 * (1 + _stream_length(method))]
 
 
-@pytest.mark.parametrize("method", PER_SAMPLE_METHODS)
+@pytest.mark.parametrize("method", HEADLESS_METHODS)
 def test_a_set_target_sends_no_head(method):
     stub = BatchStub(INNER)
     batched, _ = generate_maps(_samples(), stub, replace(_cfg(method), target_class=1))
@@ -112,12 +116,23 @@ def test_a_set_target_sends_no_head(method):
     _assert_same_maps(batched, per_item)
 
 
+@pytest.mark.parametrize("method", BASELINE_METHODS)
+def test_a_set_target_still_sends_the_originals_a_reduction_reads(method):
+    stub = BatchStub(INNER)
+    cfg = replace(_cfg(method), target_class=1)
+    batched, runlog = generate_maps(_samples(), stub, cfg)
+    # per sample its original, then its shuffled copies, as with no target set
+    assert stub.calls == [3 * (1 + _stream_length(method))]
+    assert set(runlog["oracle_evals"].values()) == {1 + _stream_length(method)}
+    _assert_same_maps(batched, generate_maps(_samples(), INNER, cfg)[0])
+
+
 @pytest.mark.parametrize("target_class", [None, 1])
-@pytest.mark.parametrize("method", PER_SAMPLE_METHODS)
+@pytest.mark.parametrize("method", list(SaliencyMethod))
 def test_chunks_that_split_a_sample_give_the_per_item_maps(
     method, target_class, monkeypatch
 ):
-    per_sample = (target_class is None) + _stream_length(method)
+    per_sample = _heads(method, target_class) + _stream_length(method)
     # 7 volumes, or 6 where 7 would divide a sample's share (lime's 1 + 34)
     chunk = 7 if per_sample % 7 else 6
     monkeypatch.setattr(oracle_mod, "BATCH_BYTES", chunk * VOLUME_BYTES)
@@ -131,7 +146,7 @@ def test_chunks_that_split_a_sample_give_the_per_item_maps(
     _assert_same_maps(batched, generate_maps(_samples(), INNER, cfg)[0])
 
 
-@pytest.mark.parametrize("method", PER_SAMPLE_METHODS)
+@pytest.mark.parametrize("method", list(SaliencyMethod))
 def test_per_item_path_builds_each_volume_after_the_last_is_predicted(
     method, monkeypatch
 ):
@@ -175,10 +190,17 @@ def test_runlog_oracle_evals_add_up_to_the_oracle_calls(method, target_class):
             return INNER.predict(volume)
 
     cfg = replace(_cfg(method), target_class=target_class)
+    start = time.perf_counter()
     maps, runlog = generate_maps(_samples(), Counting(), cfg)
+    elapsed = time.perf_counter() - start
     assert set(runlog["oracle_evals"]) == set(runlog["wall_time"]) == set(maps)
     assert sum(runlog["oracle_evals"].values()) == len(calls)
+    assert set(runlog["oracle_evals"].values()) == {
+        _heads(method, target_class) + _stream_length(method)
+    }
+    # each sample's time runs from the previous map, or the call's start, to its own
     assert all(t >= 0.0 for t in runlog["wall_time"].values())
+    assert sum(runlog["wall_time"].values()) <= elapsed
 
 
 @pytest.mark.parametrize("budget", [None, 5 * 2 * 8 * 8 * 8])
@@ -191,15 +213,6 @@ def test_shapley_mi_is_one_stream(budget, monkeypatch):
     assert shapley_mi(samples, stub, policy) == shapley_mi(samples, INNER, policy)
     # 2^2 coalitions x 3 samples
     assert stub.calls == ([12] if budget is None else [5, 5, 2])
-
-
-def test_feature_permutation_is_one_stream():
-    cfg = MethodConfig(SaliencyMethod.FEATURE_PERMUTATION, rng_seed=9, block_shape=4)
-    stub = BatchStub(INNER)
-    batched, _ = generate_maps(_samples(), stub, cfg)
-    _assert_same_maps(batched, generate_maps(_samples(), INNER, cfg)[0])
-    # the 3 originals, then 3 shuffled copies for each of the K = 4 segments
-    assert stub.calls == [15]
 
 
 def test_chunks_split_by_budget_and_keep_order(monkeypatch):

@@ -348,6 +348,33 @@ class TestInputChecks:
         assert "predict_batch returned 127 predictions for 128 volumes" in line
         assert not out.exists()
 
+    @pytest.mark.parametrize("param, match", [
+        ("kernel_width=nan", "kernel_width must be positive, got nan"),
+        ("ridge_lambda=nan", "ridge_lambda must be finite and nonnegative, got nan"),
+        ("ridge_lambda=inf", "ridge_lambda must be finite and nonnegative, got inf"),
+    ])
+    def test_non_finite_fit_param_exits_before_any_oracle_call(
+        self, pipeline, tmp_path, monkeypatch, capsys, param, match
+    ):
+        calls = []
+
+        class Counting:
+            def predict(self, volume):
+                calls.append(1)
+                return ClassProbabilities((0.5, 0.5))
+
+        monkeypatch.setattr(cli, "_build_oracle", lambda *args: Counting())
+        out = tmp_path / "maps"
+        argv = ["saliency", "run", "--manifest", str(pipeline / "data" / "manifest.json"),
+                "--method", "lime", "--params", f"block_shape=32,{param}",
+                "--out-dir", str(out)]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert match in assert_one_error_line(err, argv)
+        assert capsys.readouterr().out == ""
+        assert calls == []
+        assert not out.exists()
+
     def test_unknown_method_is_a_usage_error(self, pipeline, tmp_path, capsys):
         out = tmp_path / "maps"
         with pytest.raises(SystemExit) as err:

@@ -11,7 +11,6 @@ from mmsaliency.metrics import MetricRecord
 from mmsaliency.report import (
     matrix_value,
     render_matrix,
-    render_strip,
     summarize,
     summary_csv_rows,
 )
@@ -123,33 +122,6 @@ class TestRenderMatrix:
         assert ">speed<" in svg
 
 
-class TestRenderStrip:
-    def test_deterministic_and_dot_per_record(self):
-        rng = np.random.default_rng(1)
-        rows = records_for("a", rng.random(12).tolist()) + records_for(
-            "b", rng.random(12).tolist()
-        )
-        svg = render_strip(rows, "msfi")
-        assert svg == render_strip(rows, "msfi")
-        root = ET.fromstring(svg)
-        circles = [e for e in root.iter() if e.tag.endswith("circle")]
-        assert len(circles) == 24
-        lines = [e for e in root.iter() if e.tag.endswith("line")]
-        assert len(lines) == 2  # one median bar per method
-
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ValueError):
-            render_strip(records_for("a", [0.5]), "iou")
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 8])
-    def test_median_bar_at_the_median(self, n):
-        values = np.random.default_rng(n).random(n).tolist()
-        root = ET.fromstring(render_strip(records_for("a", values), "msfi"))
-        [line] = [e for e in root.iter() if e.tag.endswith("line")]
-        # values in [0, 1]: y = top + plot height * (1 - value)
-        assert line.get("y1") == f"{36 + 220 * (1.0 - np.median(values)):.2f}"
-
-
 class TestMedian:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_summary_median_is_numpy_median_bit_for_bit(self, n):
@@ -162,19 +134,18 @@ class TestMedian:
             assert summary.stats["mi_corr"][1] == float(np.median(values))
             assert summary.stats["msfi"][1] == float(np.median(np.abs(values)))
 
-    def test_summary_and_strip_do_not_import_numpy_ma(self):
+    def test_summary_does_not_import_numpy_ma(self):
         """np.median imports numpy.ma (about 12 ms in a fresh process); the
         report's medians do without it."""
         code = textwrap.dedent("""\
             import sys
             from mmsaliency.metrics import MetricRecord
-            from mmsaliency.report import render_strip, summarize, summary_csv_rows
+            from mmsaliency.report import summarize, summary_csv_rows
 
             print("numpy.ma" in sys.modules)
             rows = [MetricRecord(f"s{i}", m, "msfi", (i % 5) / 4)
                     for m in ("a", "b") for i in range(6)]
             summary_csv_rows(summarize(rows))
-            render_strip(rows, "msfi")
             print("numpy.ma" in sys.modules)
         """)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

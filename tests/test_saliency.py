@@ -835,6 +835,25 @@ class TestGenerateMaps:
         # per sample: the unperturbed head fixes the target, then one per distinct row
         assert len(calls) == 2 * (1 + rows)
 
+    @pytest.mark.parametrize(
+        "method",
+        [SaliencyMethod.LIME, SaliencyMethod.SHAPLEY_SAMPLING, SaliencyMethod.KERNEL_SHAP],
+    )
+    def test_one_draw_per_call(self, method, monkeypatch):
+        # every sample shares the rows drawn from one generator
+        made = []
+        real = np.random.default_rng
+
+        def default_rng(*args):
+            made.append(args)
+            return real(*args)
+
+        samples = self._samples(3)
+        cfg = MethodConfig(method, rng_seed=5, block_shape=4, n_samples=40)
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        generate_maps(samples, FunctionOracle(lambda d: d.mean()), cfg)
+        assert made == [(5,)]
+
 
 class TestDistinctRows:
     """Keep-row methods evaluate each distinct row once per sample."""
@@ -914,12 +933,18 @@ class TestDistinctRows:
         ]
         oracle, seen = self._recording_oracle()
 
-        def every_row(volume, grid, rows, reduce):
-            # a plan that streams every row, repeats included
-            volumes = (volume.with_data(volume.data * row[grid.segment_ids]) for row in rows)
-            return saliency._Plan(
-                volume, volumes, len(rows), lambda p: reduce(p)[grid.segment_ids]
-            )
+        def every_row(volumes, grid, rows, reduce):
+            # plans that stream every row, repeats included
+            def kept(volume):
+                for row in rows:
+                    yield volume.with_data(volume.data * row[grid.segment_ids])
+
+            return [
+                saliency._Plan(
+                    volume, kept(volume), len(rows), lambda p: reduce(p)[grid.segment_ids]
+                )
+                for volume in volumes
+            ]
 
         configs = [
             MethodConfig(
@@ -939,7 +964,7 @@ class TestDistinctRows:
             maps, _ = generate_maps(samples, oracle, cfg)
             memo_calls = len(seen)
             with monkeypatch.context() as patch:
-                patch.setattr(saliency, "_segment_plan", every_row)
+                patch.setattr(saliency, "_segment_plans", every_row)
                 reference, _ = generate_maps(samples, oracle, cfg)
             assert memo_calls <= len(seen) - memo_calls
             for sid, smap in maps.items():
@@ -964,3 +989,24 @@ class TestTargetClass:
         with pytest.raises(ValueError, match="target_class=2, but the oracle predicts 2"):
             generate_maps(samples, CONSTANT, cfg)
 
+
+class TestMethodConfig:
+    @pytest.mark.parametrize("field, value, match", [
+        ("kernel_width", math.nan, "kernel_width must be positive, got nan"),
+        ("kernel_width", 0.0, "kernel_width must be positive, got 0.0"),
+        ("ridge_lambda", math.nan, "ridge_lambda must be finite and nonnegative, got nan"),
+        ("ridge_lambda", math.inf, "ridge_lambda must be finite and nonnegative, got inf"),
+        ("ridge_lambda", -1e-3, "ridge_lambda must be finite and nonnegative, got -0.001"),
+    ])
+    def test_bad_fit_params_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            MethodConfig(SaliencyMethod.LIME, **{field: value})
+
+    def test_infinite_kernel_width_weighs_every_row_alike(self):
+        vol = make_volume(np.random.default_rng(54), 2, (8, 8), low=0.1)
+        oracle = FunctionOracle(lambda d: float(np.clip(d.mean(), 0, 1)))
+        grid = build_grid(2, (8, 8), 4, per_modality=True)
+        cfg = MethodConfig(
+            SaliencyMethod.LIME, target_class=0, n_samples=40, kernel_width=math.inf
+        )
+        assert np.all(np.isfinite(lime(vol, oracle, cfg, grid).data))
