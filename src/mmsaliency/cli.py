@@ -28,11 +28,13 @@ from .metrics import (
 )
 from .oracle import ExternalCommandOracle, ShapeRuleClassifier, _iter_samples
 from .saliency import MethodConfig, SaliencyMethod, generate_maps, postprocess
-from .synthgen import SynthConfig, generate_dataset, generate_probe
+from .synthgen import DEFAULT_MODALITIES, SynthConfig, generate_dataset, generate_probe
 from .tensorio import load_dataset, load_manifest, read_saliency, write_saliency
 
-def _parse_named_floats(text, modality_names, what):
-    """Parse 't1:0.5,t1c:1.0,...' onto the modality order (case-insensitive)."""
+
+def _named_floats(text, names, default, what):
+    """Parse 't1:0.5,t1c:1.0,...' onto the order of `names` (case-insensitive);
+    a name the text leaves out keeps its entry of `default`."""
     by_name = {}
     for part in text.split(","):
         if not part:
@@ -42,21 +44,11 @@ def _parse_named_floats(text, modality_names, what):
             by_name[name.strip().upper()] = float(value)
         except ValueError:
             raise ValueError(f"cannot parse {what} entry {part!r} (want name:value)")
-    upper = [n.upper() for n in modality_names]
+    upper = [n.upper() for n in names]
     missing = [n for n in by_name if n not in upper]
     if missing:
-        raise ValueError(f"{what} names {missing} not in modalities {modality_names}")
-    return by_name, upper
-
-
-def _alignment_vector(text, modality_names, default):
-    by_name, upper = _parse_named_floats(text, modality_names, "--align")
+        raise ValueError(f"{what} names {missing} not in modalities {names}")
     return tuple(by_name.get(n, d) for n, d in zip(upper, default))
-
-
-def _weights_vector(text, modality_names):
-    by_name, upper = _parse_named_floats(text, modality_names, "--weights")
-    return tuple(by_name.get(n, 0.0) for n in upper)
 
 
 def _build_oracle(args, modality_names, class_names):
@@ -65,7 +57,8 @@ def _build_oracle(args, modality_names, class_names):
         return ExternalCommandOracle(spec[4:], class_names)
     if spec != "builtin":
         raise ValueError("--oracle must be 'builtin' or 'cmd:<template>'")
-    weights = _weights_vector(args.weights, modality_names)
+    weights = _named_floats(args.weights, modality_names, [0.0] * len(modality_names),
+                            "--weights")
     return ShapeRuleClassifier(
         weights,
         intensity_threshold=args.threshold,
@@ -105,8 +98,8 @@ def cmd_synth_generate(args):
     cfg = SynthConfig(
         n_samples=args.n,
         image_size=args.size,
-        alignment=_alignment_vector(
-            args.align, SynthConfig.modality_names, SynthConfig.alignment
+        alignment=_named_floats(
+            args.align, DEFAULT_MODALITIES, SynthConfig.alignment, "--align"
         ),
         background=args.background,
         seed=args.seed,

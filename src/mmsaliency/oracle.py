@@ -354,7 +354,7 @@ class ExternalCommandOracle:
     """Adapter for an external scorer: `<command> {input_dir} {output_csv}`.
 
     Each batch call writes the volumes plus a manifest.json to a fresh input
-    directory, invokes the command once, and parses the output CSV
+    directory under TMPDIR, invokes the command once, and parses the output CSV
     (`sample_id,p0,p1[,...]`, one row per sample and one probability column
     per class). The batch's sample ids are its positions, "0".."n-1". The
     batch manifest carries `class_names`, which should be the dataset
@@ -362,7 +362,7 @@ class ExternalCommandOracle:
     must not read.
     """
 
-    def __init__(self, command_template, class_names=("class0", "class1"), workdir=None):
+    def __init__(self, command_template, class_names=("class0", "class1")):
         if "{input_dir}" not in command_template or "{output_csv}" not in command_template:
             raise ValueError(
                 "command template must contain {input_dir} and {output_csv}"
@@ -371,13 +371,12 @@ class ExternalCommandOracle:
         if len(self.class_names) < 2:
             raise ValueError(f"need at least two class names, got {self.class_names}")
         self.command_template = command_template
-        self.workdir = workdir
 
     def predict(self, volume: MultiModalVolume) -> ClassProbabilities:
         return self.predict_batch([volume])[0]
 
     def predict_batch(self, volumes):
-        with tempfile.TemporaryDirectory(dir=self.workdir) as tmp:
+        with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             input_dir = tmp / "input"
             input_dir.mkdir()

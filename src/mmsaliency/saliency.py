@@ -435,15 +435,17 @@ def _lime_plans(volumes, cfg, grid):
     rows = rng.integers(0, 2, size=(cfg.n_samples, k_segments)).astype(bool)
     Z = rows.astype(np.float64)
     frac = Z.sum(axis=1) / k_segments
-    weights = np.exp(-((1.0 - frac) ** 2) / cfg.kernel_width**2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # kernel_width**2 may be 0
+        weights = np.exp(-((1.0 - frac) ** 2) / cfg.kernel_width**2)
     design = np.hstack([np.ones((cfg.n_samples, 1)), Z])
     penalty = np.eye(k_segments + 1) * cfg.ridge_lambda
     penalty[0, 0] = 0.0  # intercept unpenalized
     gram = design.T @ (design * weights[:, None]) + penalty
+    singular = "lime normal equations are singular"
+    _solve(gram, np.zeros(len(gram)), singular)  # a singular fit fails before any oracle call
 
     def reduce(y):
-        beta = _solve(gram, design.T @ (weights * y), "lime normal equations are singular")
-        return beta[1:]
+        return _solve(gram, design.T @ (weights * y), singular)[1:]
 
     return _segment_plans(volumes, grid, rows, reduce)
 
@@ -540,12 +542,14 @@ def _kernel_shap_plans(volumes, cfg, grid):
     # Eliminate the last player with the efficiency constraint, then solve WLS.
     B = Z[:, :-1] - Z[:, -1:]
     gram = B.T @ (B * weights[:, None])
+    singular = "kernel_shap system is singular"
+    _solve(gram, np.zeros(len(gram)), singular)  # a singular fit fails before any oracle call
 
     def reduce(probs):
         p_full, p_empty, y = probs[0], probs[1], probs[2:]
         delta = p_full - p_empty
         t = y - p_empty - Z[:, -1] * delta
-        head = _solve(gram, B.T @ (weights * t), "kernel_shap system is singular")
+        head = _solve(gram, B.T @ (weights * t), singular)
         return np.concatenate([head, [delta - head.sum()]])
 
     return _segment_plans(volumes, grid, rows, reduce)

@@ -40,11 +40,11 @@ _LABEL_STREAM = 2**31 - 1  # rng stream id for the label shuffle
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Dataset settings; `alignment` holds one probability per DEFAULT_MODALITIES entry."""
+
     n_samples: int = 200
     image_size: int = 64
-    modality_names: tuple = DEFAULT_MODALITIES
     alignment: tuple = (0.5, 1.0, 0.5, 0.7)
-    class0_fraction: float = 0.5
     background: str = "brain_texture"  # or "none"
     seed: int = 0
 
@@ -53,23 +53,21 @@ class SynthConfig:
             raise ValueError("n_samples must be at least 1")
         if self.image_size < 32:
             raise ValueError("image_size must be at least 32")
-        if len(self.alignment) != len(self.modality_names):
+        if len(self.alignment) != len(DEFAULT_MODALITIES):
             raise ValueError("one alignment probability per modality")
         if any(not 0.0 <= p <= 1.0 for p in self.alignment):
             raise ValueError("alignment probabilities must lie in [0,1]")
-        if not 0.0 <= self.class0_fraction <= 1.0:
-            raise ValueError("class0_fraction must lie in [0,1]")
         if self.background not in ("brain_texture", "none"):
             raise ValueError(f"unknown background {self.background!r}")
-        object.__setattr__(self, "modality_names", tuple(self.modality_names))
         object.__setattr__(self, "alignment", tuple(float(p) for p in self.alignment))
 
 
 @dataclass(frozen=True)
 class ShapeSpec:
-    """One rasterizable tumor: a mildly elliptical disk or a lobed blob.
+    """The support of one tumor: a mildly elliptical disk or a lobed blob.
 
-    `intensity` is the rendered tumor value on its modality.
+    It fixes where the tumor is, not its value; render_sample paints the
+    support with an intensity drawn per modality.
     """
 
     kind: str
@@ -80,7 +78,6 @@ class ShapeSpec:
     phases: tuple = (0.0, 0.0)
     axis_ratio: float = 1.0
     rotation: float = 0.0
-    intensity: float = 1.0
 
     def __post_init__(self):
         if self.kind not in (ROUND, IRREGULAR):
@@ -95,8 +92,6 @@ class ShapeSpec:
             raise ValueError("axis ratio must lie in [1, 1.2]")
         if self.base_radius <= 1.0:
             raise ValueError("base_radius must exceed 1 pixel")
-        if not 0.0 < self.intensity <= 1.0:
-            raise ValueError("intensity must lie in (0, 1]")
 
     @property
     def max_radius(self):
@@ -143,7 +138,7 @@ def _modality_offsets(n_modalities, image_size):
     return [(mag * math.sin(a), mag * math.cos(a)) for a in angles]
 
 
-def _draw_shape(rng, kind, center, image_size, intensity=1.0):
+def _draw_shape(rng, kind, center, image_size):
     base_radius = rng.uniform(0.14, 0.19) * image_size
     # clamp so the lobes always fit inside the frame
     cy, cx = center
@@ -157,7 +152,6 @@ def _draw_shape(rng, kind, center, image_size, intensity=1.0):
             base_radius=base_radius,
             axis_ratio=ratio,
             rotation=rng.uniform(0.0, math.pi),
-            intensity=intensity,
         )
     amplitude = rng.uniform(0.45, 0.6)
     lobes = int(rng.integers(6, 9))
@@ -170,7 +164,6 @@ def _draw_shape(rng, kind, center, image_size, intensity=1.0):
         amplitude=amplitude,
         lobes=lobes,
         phases=phases,
-        intensity=intensity,
     )
 
 
@@ -192,7 +185,7 @@ def render_sample(cfg: SynthConfig, index, label):
     """Render one sample's volume and per-modality masks, deterministically."""
     rng = np.random.default_rng([cfg.seed, index])
     size = cfg.image_size
-    n_mod = len(cfg.modality_names)
+    n_mod = len(DEFAULT_MODALITIES)
     offsets = _modality_offsets(n_mod, size)
     data = np.zeros((n_mod, size, size))
     masks = np.zeros((n_mod, size, size))
@@ -208,18 +201,18 @@ def render_sample(cfg: SynthConfig, index, label):
         )
         spec = _draw_shape(rng, kind, center, size)
         support = rasterize_shape(spec, size)
-        spec = replace(spec, intensity=rng.uniform(0.88, 1.0))
+        intensity = rng.uniform(0.88, 1.0)
         if cfg.background == "brain_texture":
             data[m] = _brain_texture(rng, size)
-        data[m][support] = spec.intensity
+        data[m][support] = intensity
         masks[m][support] = 1.0
-    volume = MultiModalVolume(cfg.modality_names, data)
-    mask = SegmentationMask(cfg.modality_names, masks)
+    volume = MultiModalVolume(DEFAULT_MODALITIES, data)
+    mask = SegmentationMask(DEFAULT_MODALITIES, masks)
     return volume, mask, kinds
 
 
 def _draw_labels(cfg: SynthConfig):
-    n0 = int(round(cfg.n_samples * cfg.class0_fraction))
+    n0 = round(cfg.n_samples / 2)  # halves round to even: n = 1, 3, 5 give 0, 2, 2
     labels = np.array([0] * n0 + [1] * (cfg.n_samples - n0))
     rng = np.random.default_rng([cfg.seed, _LABEL_STREAM])
     return labels[rng.permutation(cfg.n_samples)]
@@ -275,19 +268,18 @@ def generate_probe(cfg: SynthConfig, which, out_dir) -> DatasetManifest:
     probe_cfg = replace(
         cfg,
         background="none",
-        alignment=probe_alignment(which, cfg.modality_names),
+        alignment=probe_alignment(which, DEFAULT_MODALITIES),
     )
     return generate_dataset(probe_cfg, out_dir)
 
 
-def probe_modality_importance(acc_t1c, acc_flair, modality_names=DEFAULT_MODALITIES):
+def probe_modality_importance(acc_t1c, acc_flair):
     """Ground-truth MI from probe accuracies, chance-adjusted and normalized.
 
-    Each probed modality scores max(accuracy - 0.5, 0); unprobed modalities
-    score 0; the vector is then max-normalized.
+    Of DEFAULT_MODALITIES, each probed one scores max(accuracy - 0.5, 0) and
+    the others 0; the vector is then max-normalized.
     """
-    names = [n.upper() for n in modality_names]
-    raw = np.zeros(len(names))
-    raw[names.index("T1C")] = max(float(acc_t1c) - 0.5, 0.0)
-    raw[names.index("FLAIR")] = max(float(acc_flair) - 0.5, 0.0)
+    raw = np.zeros(len(DEFAULT_MODALITIES))
+    raw[DEFAULT_MODALITIES.index("T1C")] = max(float(acc_t1c) - 0.5, 0.0)
+    raw[DEFAULT_MODALITIES.index("FLAIR")] = max(float(acc_flair) - 0.5, 0.0)
     return normalize_mi(raw)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -149,7 +149,9 @@ def _read_field(cls, path, broadcast_to=None):
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MMVFormatError(f"{path}: malformed header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("mmv") != MMV_VERSION:
+    # `type(x) is int` here and below, as JSON true and 1.0 equal 1
+    version = header.get("mmv") if isinstance(header, dict) else None
+    if type(version) is not int or version != MMV_VERSION:
         raise MMVFormatError(f"{path}: not an MMV v{MMV_VERSION} header")
     kind = header.get("kind")
     if kind not in _KINDS:
@@ -165,7 +167,7 @@ def _read_field(cls, path, broadcast_to=None):
     if (
         not isinstance(dims, list)
         or len(dims) not in (2, 3)
-        or any(not isinstance(d, int) or d < 1 for d in dims)
+        or any(type(d) is not int or d < 1 for d in dims)
     ):
         raise MMVFormatError(f"{path}: invalid dims {dims!r}")
     expected = 4 * len(modalities) * int(np.prod(dims))
@@ -215,7 +217,6 @@ class ManifestRecord:
     label: int
     volume_path: str
     mask_path: str | None = None
-    saliency_paths: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +269,6 @@ def save_manifest(manifest: DatasetManifest, path):
                 "label": r.label,
                 "volume": _rel(r.volume_path),
                 "mask": _rel(r.mask_path),
-                "saliency": {k: _rel(v) for k, v in sorted(r.saliency_paths.items())},
             }
             for r in manifest.records
         ],
@@ -279,7 +279,7 @@ def save_manifest(manifest: DatasetManifest, path):
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Load a manifest and resolve every referenced path, failing if one is missing."""
+    """Load a manifest and resolve its volume and mask paths, failing if one is missing."""
     path = Path(path)
     with open(path, encoding="utf-8") as fp:
         doc = json.load(fp)
@@ -296,13 +296,14 @@ def load_manifest(path) -> DatasetManifest:
         return str(full)
 
     def _record(rec):
-        sid = rec["sample_id"]
+        sid, label = rec["sample_id"], rec["label"]
+        if type(label) is not int:  # not true, 1.0 or "1"
+            raise ValueError(f"{path}: {sid}: label must be a JSON integer, got {label!r}")
         return ManifestRecord(
             sample_id=sid,
-            label=int(rec["label"]),
+            label=label,
             volume_path=_resolve(rec["volume"], sid),
             mask_path=_resolve(rec.get("mask"), sid),
-            saliency_paths={k: _resolve(v, sid) for k, v in rec.get("saliency", {}).items()},
         )
 
     try:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +71,21 @@ def edited_manifest(pipeline, path, edit):
     edit(doc)
     path.write_text(json.dumps(doc))
     return path
+
+
+def edited_volume(src, dst, edit):
+    """Copy the MMV file src to dst with `edit` merged into its header."""
+    header, payload = Path(src).read_bytes().split(b"\n", 1)
+    dst.write_bytes(json.dumps({**json.loads(header), **edit}).encode() + b"\n" + payload)
+    return dst
+
+
+# entries that must be JSON integers, given another JSON type
+NON_INTEGER_LABELS = {"manifest_label_null": None, "manifest_label_float": 1.7,
+                      "manifest_label_negative_float": -0.5, "manifest_label_string": "1",
+                      "manifest_label_true": True}
+NON_INTEGER_HEADERS = {"volume_mmv_true": {"mmv": True},
+                       "volume_dims_bool": {"dims": [True, 48 * 48]}}  # fits the payload
 
 
 def assert_one_error_line(err, argv):
@@ -199,7 +215,14 @@ class TestInputChecks:
         ("manifest_record_not_an_object", "mi",
          "manifest 'records' must be a list of objects"),
         ("manifest_class_names_not_a_list", "mi", "manifest 'class_names' must be a list"),
-        ("manifest_label_null", "mi", "malformed manifest: int() argument must be"),
+        ("manifest_label_null", "mi", "s0001: label must be a JSON integer, got None"),
+        ("manifest_label_float", "mi", "s0001: label must be a JSON integer, got 1.7"),
+        ("manifest_label_negative_float", "saliency",
+         "s0001: label must be a JSON integer, got -0.5"),
+        ("manifest_label_string", "metrics", "s0001: label must be a JSON integer, got '1'"),
+        ("manifest_label_true", "mi", "s0001: label must be a JSON integer, got True"),
+        ("volume_mmv_true", "mi", "not an MMV v1 header"),
+        ("volume_dims_bool", "mi", "invalid dims [True, 2304]"),
     ])
     def test_malformed_file_exits_with_one_line(self, pipeline, tmp_path, fault, command,
                                                 match):
@@ -242,8 +265,13 @@ class TestInputChecks:
                     doc["records"] = [1]
                 elif fault == "manifest_class_names_not_a_list":
                     doc["class_names"] = 5
-                elif fault == "manifest_label_null":
-                    doc["records"][1]["label"] = None
+                elif fault in NON_INTEGER_LABELS:
+                    doc["records"][1]["label"] = NON_INTEGER_LABELS[fault]
+                elif fault in NON_INTEGER_HEADERS:
+                    doc["records"][1]["volume"] = str(edited_volume(
+                        doc["records"][1]["volume"], tmp_path / "v.mmv",
+                        NON_INTEGER_HEADERS[fault],
+                    ))
                 else:
                     del doc[fault.removeprefix("manifest_without_")]
 
@@ -356,6 +384,32 @@ class TestInputChecks:
     def test_non_finite_fit_param_exits_before_any_oracle_call(
         self, pipeline, tmp_path, monkeypatch, capsys, param, match
     ):
+        self._assert_fails_before_any_oracle_call(
+            pipeline, tmp_path, monkeypatch, capsys,
+            ["--method", "lime", "--params", f"block_shape=32,{param}"], match,
+        )
+
+    # lime: at these widths only all-ones keep rows get a nonzero weight, and
+    # 40 rows over 16 segments hold none; kernel_shap: seed 45 draws 6
+    # coalitions of K = 4 segments that do not span the fit
+    @pytest.mark.parametrize("args, match", [
+        ("lime block_shape=24,n_samples=40,kernel_width=1e-200 0",
+         "lime normal equations are singular"),
+        ("lime block_shape=24,n_samples=40,kernel_width=1e-3 0",
+         "lime normal equations are singular"),
+        ("kernel_shap block_shape=24,n_samples=6 45", "kernel_shap system is singular"),
+    ])
+    def test_singular_fit_exits_before_any_oracle_call(
+        self, pipeline, tmp_path, monkeypatch, capsys, args, match
+    ):
+        method, params, seed = args.split()
+        self._assert_fails_before_any_oracle_call(
+            pipeline, tmp_path, monkeypatch, capsys,
+            ["--method", method, "--params", params, "--seed", seed], match,
+        )
+
+    def _assert_fails_before_any_oracle_call(self, pipeline, tmp_path, monkeypatch, capsys,
+                                             args, match):
         calls = []
 
         class Counting:
@@ -366,12 +420,11 @@ class TestInputChecks:
         monkeypatch.setattr(cli, "_build_oracle", lambda *args: Counting())
         out = tmp_path / "maps"
         argv = ["saliency", "run", "--manifest", str(pipeline / "data" / "manifest.json"),
-                "--method", "lime", "--params", f"block_shape=32,{param}",
-                "--out-dir", str(out)]
+                *args, "--out-dir", str(out)]
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert match in assert_one_error_line(err, argv)
-        assert capsys.readouterr().out == ""
+        assert capsys.readouterr() == ("", "")
         assert calls == []
         assert not out.exists()
 

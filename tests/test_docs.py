@@ -49,3 +49,12 @@ def test_ci_runs_the_tier1_command():
     [job] = workflow["jobs"].values()
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     assert tier1 in [step.get("run") for step in job["steps"]]
+
+
+def test_ci_installs_the_dependencies_pyproject_lists():
+    yaml = pytest.importorskip("yaml")
+    with open(REPO / ".github" / "workflows" / "tests.yml", encoding="utf-8") as fp:
+        workflow = yaml.safe_load(fp)
+    [job] = workflow["jobs"].values()
+    installs = [step["run"] for step in job["steps"] if "pip install" in step.get("run", "")]
+    assert installs == ["python -m pip install -e '.[test]'"]

@@ -1,5 +1,7 @@
 import sys
+import tempfile
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -541,6 +543,21 @@ class TestExternalOracle:
             self._predict(cmd)
         with pytest.raises(ValueError, match="two class names"):
             ExternalCommandOracle(cmd, ("only",))
+
+    def test_batches_land_under_tmpdir(self, tmp_path, monkeypatch):
+        # the stub notes its input directory, which is <TMPDIR>/<batch>/input
+        note = 'open(input_dir.parents[1] / "seen.txt", "a").write(f"{input_dir}\\n")\n'
+        cmd = _write_stub(tmp_path, note + GOOD_BODY)
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        monkeypatch.setenv("TMPDIR", str(tmpdir))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # so TMPDIR is read again
+        self._predict(cmd)
+        self._predict(cmd)
+        seen = (tmpdir / "seen.txt").read_text().splitlines()
+        assert len(seen) == 2
+        assert all(Path(d).parents[1] == tmpdir for d in seen)
+        assert [p.name for p in tmpdir.iterdir()] == ["seen.txt"]  # each batch removed
 
     def test_template_placeholders_required(self):
         with pytest.raises(ValueError, match="placeholder|input_dir"):

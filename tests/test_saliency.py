@@ -616,6 +616,15 @@ class TestExactShapleyPath:
             (kernel_shap, False, (2, 2), (2, 3), {}, "does not match"),
             (kernel_shap, False, (2, 2), (2, 3), dict(exhaustive=True), "does not match"),
             (occlusion, None, (2, 2), None, dict(window=3), "window"),
+            # at these widths only all-ones keep rows get a nonzero weight, and
+            # these 40 rows over K = 8 segments hold none
+            (lime, True, (2, 4), (2, 4), dict(n_samples=40, kernel_width=1e-200), "singular"),
+            (lime, True, (2, 4), (2, 4), dict(n_samples=40, kernel_width=1e-100), "singular"),
+            (lime, True, (2, 4), (2, 4), dict(n_samples=40, kernel_width=1e-3), "singular"),
+            # 1e-200 squares to 0, so an all-ones row (K = 4) gets the weight exp(-0/0) = NaN
+            (lime, True, (2, 2), (2, 2), dict(n_samples=40, kernel_width=1e-200), "singular"),
+            # a draw of 6 coalitions of K = 4 segments that does not span the fit
+            (kernel_shap, False, (2, 2), (2, 2), dict(n_samples=6, rng_seed=45), "singular"),
         ],
     )
     def test_configuration_errors_precede_any_oracle_call(
@@ -638,6 +647,22 @@ class TestExactShapleyPath:
 
 
 class TestKernelShap:
+    def test_every_singular_draw_fails_before_any_oracle_call(self):
+        vol = make_volume(np.random.default_rng(38), 1, (2, 2))
+        grid = build_grid(1, (2, 2), 1, per_modality=False)
+        failed = 0
+        for seed in range(200):
+            calls = []
+            oracle = FunctionOracle(lambda data: calls.append(1) or data.mean())
+            cfg = MethodConfig(SaliencyMethod.KERNEL_SHAP, rng_seed=seed, n_samples=6)
+            try:
+                kernel_shap(vol, oracle, cfg, grid)
+            except ValueError as exc:
+                assert "kernel_shap system is singular" in str(exc)
+                assert calls == [], seed
+                failed += 1
+        assert failed > 0
+
     def test_exhaustive_linear_oracle_exact_shapley(self):
         rng = np.random.default_rng(26)
         vol = make_volume(rng, 2, (4, 4), low=0.2, high=0.9)

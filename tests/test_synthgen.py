@@ -8,6 +8,7 @@ from mmsaliency.synthgen import (
     ROUND,
     ShapeSpec,
     SynthConfig,
+    _draw_labels,
     _draw_shape,
     generate_dataset,
     generate_probe,
@@ -115,6 +116,12 @@ class TestGenerateDataset:
             flair_match += kinds[3] == expected_kind
         assert t1c_match == 60  # T1C alignment probability is 1.0
         assert 33 <= flair_match <= 51  # Binomial(60, 0.7), seeded draw
+
+    @pytest.mark.parametrize("n, class0", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 2)])
+    def test_half_the_labels_are_class0_rounded_half_to_even(self, n, class0):
+        labels = _draw_labels(SynthConfig(n_samples=n, seed=12))
+        assert len(labels) == n
+        assert list(labels).count(0) == class0
 
     def test_default_config_counts_at_full_scale(self, tmp_path):
         cfg = SynthConfig()  # n=200, alignment (0.5, 1.0, 0.5, 0.7)

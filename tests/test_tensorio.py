@@ -121,6 +121,22 @@ def test_malformed_header(tmp_path):
         read_volume(path)
 
 
+@pytest.mark.parametrize("edit, match", [
+    ({"mmv": True}, "not an MMV v1 header"),
+    ({"mmv": 1.0}, "not an MMV v1 header"),
+    ({"dims": [True, 4]}, r"invalid dims \[True, 4\]"),
+    ({"dims": [1.0, 4]}, r"invalid dims \[1.0, 4\]"),
+])
+def test_header_integers_must_be_json_integers(tmp_path, edit, match):
+    # the payload fits the dims, so only the entry's type is wrong
+    header = {"mmv": 1, "kind": "volume", "modalities": ["a"], "dims": [1, 4],
+              "dtype": "f32le", **edit}
+    path = tmp_path / "v.mmv"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 16)
+    with pytest.raises(MMVFormatError, match=match):
+        read_volume(path)
+
+
 def test_kind_mismatch(tmp_path):
     vol = MultiModalVolume(("a",), np.zeros((1, 2, 2)))
     path = tmp_path / "v.mmv"
@@ -242,3 +258,41 @@ def test_manifest_missing_path_fails(tmp_path):
     )
     with pytest.raises(FileNotFoundError, match="missing.mmv"):
         load_manifest(tmp_path / "manifest.json")
+
+
+def _write_manifest(tmp_path, records):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"class_names": ["a", "b"], "records": records}))
+    return path
+
+
+def test_saved_manifest_has_no_saliency_entry(tmp_path):
+    write_volume(MultiModalVolume(("a",), np.zeros((1, 2, 2))), tmp_path / "s0.mmv")
+    manifest = DatasetManifest((ManifestRecord("s0", 0, str(tmp_path / "s0.mmv")),),
+                               ("x", "y"))
+    save_manifest(manifest, tmp_path / "manifest.json")
+    [record] = json.loads((tmp_path / "manifest.json").read_text())["records"]
+    assert sorted(record) == ["label", "mask", "sample_id", "volume"]
+
+
+def test_an_old_saliency_map_is_ignored(tmp_path):
+    write_volume(MultiModalVolume(("a",), np.arange(4.0).reshape(1, 2, 2)),
+                 tmp_path / "s0.mmv")
+    record = {"sample_id": "s0", "label": 1, "volume": "s0.mmv", "mask": None}
+    plain = load_manifest(_write_manifest(tmp_path, [record]))
+    # an older manifest's map, naming a file that does not exist
+    old = load_manifest(_write_manifest(
+        tmp_path, [{**record, "saliency": {"lime": "missing_lime.mmv"}}]
+    ))
+    assert old.records == plain.records
+    [a], [b] = load_dataset(old), load_dataset(plain)
+    assert a.record == b.record and a.mask is None and b.mask is None
+    assert np.array_equal(a.volume.data, b.volume.data)
+
+
+@pytest.mark.parametrize("label", [1.7, -0.5, 1.0, "1", True, None])
+def test_manifest_label_must_be_a_json_integer(tmp_path, label):
+    write_volume(MultiModalVolume(("a",), np.zeros((1, 2, 2))), tmp_path / "s0.mmv")
+    path = _write_manifest(tmp_path, [{"sample_id": "s0", "label": label, "volume": "s0.mmv"}])
+    with pytest.raises(ValueError, match=f"s0: label must be a JSON integer, got {label!r}"):
+        load_manifest(path)
