@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -235,6 +236,15 @@ def _load_runlogs(path):
                 raise ValueError(f"{p}: runlog has no {key!r} entry")
             if not isinstance(runlog[key], kind):
                 raise ValueError(f"{p}: runlog {key!r} must be a JSON {name}")
+        for sid, fname in runlog["files"].items():
+            if not isinstance(fname, str):
+                raise ValueError(f"{p}: runlog 'files' entry {sid!r} must be a JSON string")
+        for sid, seconds in runlog["wall_time"].items():
+            # not true, "x", null, NaN or Infinity
+            if type(seconds) not in (int, float) or not math.isfinite(seconds):
+                raise ValueError(
+                    f"{p}: runlog 'wall_time' entry {sid!r} must be a finite JSON number"
+                )
         method = runlog["method"]
         if method in runlogs:
             raise ValueError(f"{path}: more than one runlog for method {method!r}")

@@ -13,7 +13,8 @@ import math
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -31,6 +32,9 @@ PROB_TOL = 1e-6
 # Volume bytes per predict_batch call; one BraTS volume (4 x 240 x 240 x 155
 # float32) is about 143 MB.
 BATCH_BYTES = 512 << 20
+# Packed foreground bytes a classifier remembers predictions for: 256 fields
+# of 64x64, 455 of 48x48; a field larger than this is remembered alone.
+MEMO_KEY_BYTES = 128 << 10
 
 
 @dataclass(frozen=True)
@@ -229,6 +233,21 @@ def circularity(component):
     return _roundness(area, boundary_count(component), component.ndim)
 
 
+class _ForegroundMemo(OrderedDict):
+    """Predictions by (shape, packed bits) of a thresholded field, least
+    recently used first, holding at most MEMO_KEY_BYTES of keys besides the
+    newest entry."""
+
+    key_bytes = 0
+
+    def add(self, key, probs):
+        self[key] = probs
+        self.key_bytes += len(key[1])
+        while self.key_bytes > MEMO_KEY_BYTES and len(self) > 1:
+            old, _ = self.popitem(last=False)
+            self.key_bytes -= len(old[1])
+
+
 @dataclass(frozen=True)
 class ShapeRuleClassifier:
     """Deterministic two-class (round vs. irregular) shape-based classifier.
@@ -236,12 +255,21 @@ class ShapeRuleClassifier:
     Combines modalities with fixed weights, thresholds, keeps the largest
     connected component, and maps its circularity through a logistic with
     the given cutoff and temperature. Class 0 is the round class.
+
+    Each instance remembers the predictions of its recent thresholded fields
+    (see MEMO_KEY_BYTES), so a perturbation that leaves the foreground as it
+    was is not labeled again. The memo takes no part in equality, hashing or
+    repr. It is not locked: threads that share an instance must lock around
+    predict.
     """
 
     modality_weights: tuple
     intensity_threshold: float = 0.5
     circularity_cutoff: float = 0.7
     softness: float = 0.1
+    _memo: _ForegroundMemo = field(
+        default_factory=_ForegroundMemo, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.modality_weights)
@@ -265,7 +293,9 @@ def predict_shape_rule(cfg: ShapeRuleClassifier, volume: MultiModalVolume):
     """Apply the shape rule; empty foreground yields uniform probabilities.
 
     The uniform output is a documented degenerate case, not an error:
-    modality ablation legitimately empties the foreground.
+    modality ablation legitimately empties the foreground. Everything after
+    the threshold reads only the foreground and cfg, so a foreground met
+    before gets its remembered prediction, the very one labeling would give.
     """
     w = np.asarray(cfg.modality_weights, dtype=np.float64)
     if len(w) != volume.n_modalities:
@@ -276,7 +306,20 @@ def predict_shape_rule(cfg: ShapeRuleClassifier, volume: MultiModalVolume):
     data = volume.data.astype(np.float64)
     # the product tensordot(w, data, axes=(0, 0)) computes, without its set-up
     combined = np.dot(w[None], data.reshape(len(w), -1)).reshape(data.shape[1:]) / w.sum()
-    padded = _pad(combined > cfg.intensity_threshold)
+    fg = combined > cfg.intensity_threshold
+    key = (fg.shape, np.packbits(fg).tobytes())
+    probs = cfg._memo.get(key)
+    if probs is None:
+        probs = _shape_rule_probs(cfg, fg)
+        cfg._memo.add(key, probs)
+    else:
+        cfg._memo.move_to_end(key)
+    return probs
+
+
+def _shape_rule_probs(cfg, fg):
+    """The shape rule's prediction for a thresholded field."""
+    padded = _pad(fg)
     runs = _label_runs(padded)
     if runs is None:
         return ClassProbabilities((0.5, 0.5))
@@ -284,7 +327,7 @@ def predict_shape_rule(cfg: ShapeRuleClassifier, volume: MultiModalVolume):
     # so its boundary count is its area less its foreground-interior pixels
     area = runs[3]
     perim = area - int(np.count_nonzero(_in_component(runs, _interior(padded))))
-    c = _roundness(area, perim, combined.ndim)
+    c = _roundness(area, perim, fg.ndim)
     p_round = float(_sigmoid((c - cfg.circularity_cutoff) / cfg.softness))
     return ClassProbabilities((p_round, 1.0 - p_round))
 

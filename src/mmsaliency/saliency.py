@@ -223,8 +223,7 @@ def _segment_plans(volumes, grid, rows, reduce):
         # would convert int32 ids on every call
         ids = grid.segment_ids.astype(np.intp)
         for row in distinct:
-            # a bool keep mask, so the product keeps the volume's dtype
-            yield MultiModalVolume(volume.modality_names, volume.data * np.take(row, ids))
+            yield MultiModalVolume._masked(volume, np.take(row, ids))
 
     def reduce_rows(probs):
         return reduce(probs[where])[grid.segment_ids]

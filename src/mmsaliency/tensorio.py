@@ -94,6 +94,18 @@ class MultiModalVolume(_Field):
     def with_data(self, data):
         return MultiModalVolume(self.modality_names, data)
 
+    @classmethod
+    def _masked(cls, volume, keep):
+        """`volume` times a bool array `keep` of its shape, made without the
+        checks of _freeze: the product of a validated volume and a bool mask
+        keeps its dtype, shape and finiteness."""
+        data = volume.data * keep
+        data.setflags(write=False)
+        masked = object.__new__(cls)
+        object.__setattr__(masked, "modality_names", volume.modality_names)
+        object.__setattr__(masked, "data", data)
+        return masked
+
 
 @dataclass(frozen=True, eq=False)
 class SegmentationMask(_Field):
@@ -297,6 +309,8 @@ def load_manifest(path) -> DatasetManifest:
 
     def _record(rec):
         sid, label = rec["sample_id"], rec["label"]
+        if type(sid) is not str:  # ids name output files and runlog keys
+            raise ValueError(f"{path}: sample_id must be a JSON string, got {sid!r}")
         if type(label) is not int:  # not true, 1.0 or "1"
             raise ValueError(f"{path}: {sid}: label must be a JSON integer, got {label!r}")
         return ManifestRecord(

@@ -157,6 +157,13 @@ def test_per_item_path_builds_each_volume_after_the_last_is_predicted(
             super().__post_init__()
             events.append(("built", self))
 
+        @classmethod
+        def _masked(cls, volume, keep):
+            # keep-row volumes are made without __post_init__
+            masked = super()._masked(volume, keep)
+            events.append(("built", masked))
+            return masked
+
     class Recording:
         def predict(self, volume):
             events.append(("predicted", volume))

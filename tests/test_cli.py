@@ -86,6 +86,12 @@ NON_INTEGER_LABELS = {"manifest_label_null": None, "manifest_label_float": 1.7,
                       "manifest_label_true": True}
 NON_INTEGER_HEADERS = {"volume_mmv_true": {"mmv": True},
                        "volume_dims_bool": {"dims": [True, 48 * 48]}}  # fits the payload
+# a runlog entry of the wrong JSON type: (key, the value given for s0000)
+BAD_RUNLOG_ENTRIES = {"runlog_files_entry_int": ("files", 5),
+                      "runlog_wall_time_entry_string": ("wall_time", "x"),
+                      "runlog_wall_time_entry_null": ("wall_time", None),
+                      "runlog_wall_time_entry_true": ("wall_time", True),
+                      "runlog_wall_time_entry_nan": ("wall_time", float("nan"))}
 
 
 def assert_one_error_line(err, argv):
@@ -203,6 +209,10 @@ class TestInputChecks:
         ("runlog_files_not_an_object", "metrics", "runlog 'files' must be a JSON object"),
         ("runlog_wall_time_not_an_object", "report",
          "runlog 'wall_time' must be a JSON object"),
+        ("runlog_files_entry_int", "metrics",
+         "runlog 'files' entry 's0000' must be a JSON string"),
+        *[(fault, "report", "runlog 'wall_time' entry 's0000' must be a finite JSON number")
+          for fault in BAD_RUNLOG_ENTRIES if fault.startswith("runlog_wall_time")],
         ("manifest_without_records", "metrics", "manifest has no 'records' entry"),
         ("manifest_without_records", "mi", "manifest has no 'records' entry"),
         ("manifest_without_class_names", "mi", "manifest has no 'class_names' entry"),
@@ -221,6 +231,8 @@ class TestInputChecks:
          "s0001: label must be a JSON integer, got -0.5"),
         ("manifest_label_string", "metrics", "s0001: label must be a JSON integer, got '1'"),
         ("manifest_label_true", "mi", "s0001: label must be a JSON integer, got True"),
+        ("manifest_sample_id_int", "saliency", "sample_id must be a JSON string, got 7"),
+        ("manifest_sample_id_int", "mi", "sample_id must be a JSON string, got 7"),
         ("volume_mmv_true", "mi", "not an MMV v1 header"),
         ("volume_dims_bool", "mi", "invalid dims [True, 2304]"),
     ])
@@ -246,6 +258,9 @@ class TestInputChecks:
                 runlog = [runlog]
             elif fault.startswith("runlog_without_"):
                 del runlog[fault.removeprefix("runlog_without_")]
+            elif fault in BAD_RUNLOG_ENTRIES:
+                key, value = BAD_RUNLOG_ENTRIES[fault]
+                runlog[key]["s0000"] = value
             else:  # runlog_<key>_not_a...: a JSON list in place of the entry
                 runlog[fault.removeprefix("runlog_").split("_not_a")[0]] = []
             sal = tmp_path / "runlog_kernel_shap.json"
@@ -265,6 +280,8 @@ class TestInputChecks:
                     doc["records"] = [1]
                 elif fault == "manifest_class_names_not_a_list":
                     doc["class_names"] = 5
+                elif fault == "manifest_sample_id_int":
+                    doc["records"][1]["sample_id"] = 7
                 elif fault in NON_INTEGER_LABELS:
                     doc["records"][1]["label"] = NON_INTEGER_LABELS[fault]
                 elif fault in NON_INTEGER_HEADERS:

@@ -1,6 +1,7 @@
 import sys
 import tempfile
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from helpers import (
     make_volume,
 )
 from mmsaliency import oracle
+from mmsaliency.ablate import AblationPolicy, AblationVariant, shapley_mi
 from mmsaliency.oracle import (
     ClassProbabilities,
     ExternalCommandOracle,
@@ -23,6 +25,7 @@ from mmsaliency.oracle import (
     largest_component,
     predict_shape_rule,
 )
+from mmsaliency.saliency import MethodConfig, SaliencyMethod, generate_maps
 from mmsaliency.synthgen import ShapeSpec, SynthConfig, rasterize_shape, render_sample
 from mmsaliency.tensorio import MultiModalVolume
 
@@ -312,6 +315,157 @@ class TestShapeRuleMatchesNdimage:
                 perturbed = block_dropped(rng, volume, block)
                 assert (predict_shape_rule(cfg, perturbed).probs
                         == predict_shape_rule_reference(cfg, perturbed))
+
+
+class ReferenceShapeRule:
+    """The shape rule through predict_shape_rule_reference: scipy labeling, no memo."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+
+    def predict(self, volume):
+        return ClassProbabilities(predict_shape_rule_reference(self.cfg, volume))
+
+
+class Counting:
+    """Counts the predict calls it passes on, as the benchmark's oracle proxy does."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def predict(self, volume):
+        self.calls += 1
+        return self.inner.predict(volume)
+
+
+MEMO_CFG = ShapeRuleClassifier((0.0, 1.0, 0.0, 1.0), intensity_threshold=0.35,
+                               circularity_cutoff=0.7, softness=0.08)
+
+
+def memo_samples():
+    """Three 32x32 synthetic samples; the classifier reads only two of their
+    four modalities, so many perturbations leave the foreground as it was."""
+    synth = SynthConfig(n_samples=3, image_size=32, seed=5)
+    return [make_sample(f"s{i}", *render_sample(synth, i, i % 2)[:2], label=i % 2)
+            for i in range(3)]
+
+
+@pytest.fixture
+def labelings(monkeypatch):
+    """The number of foregrounds the shape rule has labeled so far, as a one-item list."""
+    count = [0]
+    label = oracle._shape_rule_probs
+
+    def counted(cfg, fg):
+        count[0] += 1
+        return label(cfg, fg)
+
+    monkeypatch.setattr(oracle, "_shape_rule_probs", counted)
+    return count
+
+
+class TestForegroundMemo:
+    @pytest.mark.parametrize("method", list(SaliencyMethod))
+    def test_maps_equal_the_reference_oracle(self, method, labelings):
+        samples = memo_samples()
+        cfg = MethodConfig(method, rng_seed=3, window=8, stride=8, block_shape=16,
+                           n_samples=24)
+        expected, log = generate_maps(samples, ReferenceShapeRule(MEMO_CFG), cfg)
+        classifier = replace(MEMO_CFG)
+        for _ in range(2):  # the second pass finds its foregrounds in the memo
+            got, got_log = generate_maps(samples, classifier, cfg)
+            assert list(got) == list(expected)
+            for sid, smap in got.items():
+                assert smap.data.dtype == expected[sid].data.dtype
+                assert np.array_equal(smap.data, expected[sid].data)
+            assert got_log["oracle_evals"] == log["oracle_evals"]
+        # each distinct foreground was labeled once over both passes
+        assert labelings[0] == len(classifier._memo) <= sum(log["oracle_evals"].values())
+
+    @pytest.mark.parametrize("variant", list(AblationVariant))
+    def test_modality_importance_equals_the_reference_oracle(self, variant):
+        samples = memo_samples()
+        policy = AblationPolicy(variant, rng_seed=2)
+        expected = shapley_mi(samples, ReferenceShapeRule(MEMO_CFG), policy)
+        assert shapley_mi(samples, replace(MEMO_CFG), policy) == expected
+
+    def test_a_counting_proxy_sees_every_call(self, labelings):
+        # oracle_evals counts calls, not labelings
+        samples = memo_samples()
+        cfg = MethodConfig(SaliencyMethod.FEATURE_ABLATION, block_shape=8)
+        classifier = replace(MEMO_CFG)
+        calls = []
+        for oracle_ in (ReferenceShapeRule(MEMO_CFG), classifier, classifier):
+            counting = Counting(oracle_)
+            log = generate_maps(samples, counting, cfg)[1]
+            assert counting.calls == sum(log["oracle_evals"].values())
+            calls.append(counting.calls)
+        assert calls == [3 * (1 + 1 + 4 * 16)] * 3
+        assert labelings[0] == len(classifier._memo) < calls[0]
+
+    def test_a_hit_returns_the_prediction_of_a_fresh_miss(self, labelings):
+        volume = memo_samples()[0].volume
+        classifier = replace(MEMO_CFG)
+        first = classifier.predict(volume)
+        # zeroing a modality of weight 0 leaves the foreground as it was
+        data = volume.data.copy()
+        data[0] = 0.0
+        same_foreground = volume.with_data(data)
+        assert classifier.predict(same_foreground) is first
+        assert labelings[0] == 1
+        fresh = replace(MEMO_CFG).predict(same_foreground)
+        assert labelings[0] == 2
+        assert fresh == first
+        assert fresh.probs == predict_shape_rule_reference(MEMO_CFG, same_foreground)
+
+    @pytest.mark.parametrize("change", [{"intensity_threshold": 0.6}, {"softness": 0.3}])
+    def test_classifiers_differing_in_one_setting_share_no_entry(self, change):
+        volume = memo_samples()[0].volume
+        first = replace(MEMO_CFG)
+        other = replace(first, **change)
+        first.predict(volume)
+        assert other._memo is not first._memo and not other._memo
+        assert other.predict(volume).probs == predict_shape_rule_reference(other, volume)
+        assert other.predict(volume) != first.predict(volume)
+        assert first.predict(volume).probs == predict_shape_rule_reference(first, volume)
+
+    def test_equality_hash_and_repr_ignore_the_memo(self):
+        used, fresh = replace(MEMO_CFG), replace(MEMO_CFG)
+        used.predict(memo_samples()[0].volume)
+        assert used._memo and not fresh._memo
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) and "memo" not in repr(used)
+        assert not replace(used)._memo
+
+    def test_key_bytes_stay_within_the_bound(self):
+        classifier = ShapeRuleClassifier((1.0,))
+        memo = classifier._memo
+
+        def predict_dot(dims, index):
+            data = np.zeros((1, *dims), dtype=np.float32)
+            data.reshape(-1)[index] = 1.0
+            classifier.predict(MultiModalVolume(("a",), data))
+            key_bytes = [len(packed) for _, packed in memo]
+            assert memo.key_bytes == sum(key_bytes)
+            assert memo.key_bytes <= oracle.MEMO_KEY_BYTES or len(memo) == 1
+            # the newest entry is the last one
+            assert next(reversed(memo)) == (data.shape[1:], np.packbits(data[0] > 0).tobytes())
+
+        for index in range(300):
+            predict_dot((64, 64), index)
+        assert len(memo) == oracle.MEMO_KEY_BYTES // (64 * 64 // 8)
+        for index in range(500):
+            predict_dot((48, 48), index)
+        assert len(memo) == oracle.MEMO_KEY_BYTES // (48 * 48 // 8)
+        big = (1025, 1024)  # 131200 packed bytes, more than the bound
+        assert big[0] * big[1] // 8 > oracle.MEMO_KEY_BYTES
+        predict_dot(big, 0)
+        assert len(memo) == 1
+        predict_dot((64, 64), 0)
+        assert len(memo) == 1
+        predict_dot((64, 64), 1)
+        assert len(memo) == 2
 
 
 class TestShapeRuleClassifier:

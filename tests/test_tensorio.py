@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,20 @@ def test_volume_data_is_immutable():
     vol = MultiModalVolume(("a",), np.zeros((1, 2, 2)))
     with pytest.raises(ValueError):
         vol.data[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_volume_equals_the_checked_product(dtype):
+    rng = np.random.default_rng(4)
+    vol = MultiModalVolume(("a", "b"), rng.normal(size=(2, 3, 4)).astype(dtype))
+    keep = rng.random((2, 3, 4)) < 0.5
+    masked = MultiModalVolume._masked(vol, keep)
+    checked = MultiModalVolume(vol.modality_names, vol.data * keep)
+    assert type(masked) is MultiModalVolume
+    assert masked.modality_names == checked.modality_names
+    assert masked.data.dtype == checked.data.dtype == dtype
+    assert np.array_equal(masked.data, checked.data)
+    assert masked.data.flags.c_contiguous and not masked.data.flags.writeable
 
 
 def test_payload_length_mismatch(tmp_path):
@@ -295,4 +310,12 @@ def test_manifest_label_must_be_a_json_integer(tmp_path, label):
     write_volume(MultiModalVolume(("a",), np.zeros((1, 2, 2))), tmp_path / "s0.mmv")
     path = _write_manifest(tmp_path, [{"sample_id": "s0", "label": label, "volume": "s0.mmv"}])
     with pytest.raises(ValueError, match=f"s0: label must be a JSON integer, got {label!r}"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("sample_id", [7, 0.5, None, True, ["s0"]])
+def test_manifest_sample_id_must_be_a_json_string(tmp_path, sample_id):
+    write_volume(MultiModalVolume(("a",), np.zeros((1, 2, 2))), tmp_path / "s0.mmv")
+    path = _write_manifest(tmp_path, [{"sample_id": sample_id, "label": 0, "volume": "s0.mmv"}])
+    with pytest.raises(ValueError, match=re.escape(f"sample_id must be a JSON string, got {sample_id!r}")):
         load_manifest(path)
