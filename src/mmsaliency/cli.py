@@ -30,7 +30,7 @@ from .metrics import (
 from .oracle import ExternalCommandOracle, ShapeRuleClassifier, _iter_samples
 from .saliency import MethodConfig, SaliencyMethod, generate_maps, postprocess
 from .synthgen import DEFAULT_MODALITIES, SynthConfig, generate_dataset, generate_probe
-from .tensorio import load_dataset, load_manifest, read_saliency, write_saliency
+from .tensorio import _json_entry, load_dataset, load_manifest, read_saliency, write_saliency
 
 
 def _named_floats(text, names, default, what):
@@ -192,30 +192,40 @@ def cmd_saliency_run(args):
     print(f"wrote {len(files)} {method.value} maps to {out_dir}")
 
 
-def _read_csv(path, header):
-    """The rows of a CSV file whose first row is `header`; every row has its length."""
+def _read_csv(path, header, numbers=()):
+    """The rows under `header`, each of its length, with finite floats in the `numbers` columns."""
     with open(path, encoding="utf-8", newline="") as fp:
         rows = list(csv.reader(fp))
     if not rows:
         raise ValueError(f"{path}: empty file, expected header {header}")
     if rows[0] != header:
         raise ValueError(f"{path}: unexpected header {rows[0]}, expected {header}")
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], 2):
         if len(row) != len(header):
             raise ValueError(f"{path}: row {row} does not have the columns {header}")
+        for i in map(header.index, numbers):
+            try:
+                value = float(row[i])
+            except ValueError:  # not a number: rejected with nan and inf below
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: line {line}: {header[i]!r} must be a finite number, got {row[i]!r}"
+                )
+            row[i] = value
     return rows[1:]
 
 
 def _load_mi_csv(path, modality_names):
     """phi and normalized MI from mi.csv, reordered onto `modality_names`."""
-    rows = _read_csv(path, ["modality", "phi", "normalized", "variant"])
+    rows = _read_csv(path, ["modality", "phi", "normalized", "variant"], ("phi", "normalized"))
     names = [row[0] for row in rows]
     if sorted(names) != sorted(modality_names):
         raise ValueError(
             f"{path}: modalities {names} do not match the volumes' {list(modality_names)}"
         )
     rows = [rows[names.index(name)] for name in modality_names]
-    return np.array([float(r[1]) for r in rows]), np.array([float(r[2]) for r in rows])
+    return np.array([r[1] for r in rows]), np.array([r[2] for r in rows])
 
 
 def _load_runlogs(path):
@@ -228,24 +238,9 @@ def _load_runlogs(path):
     for p in paths:
         with open(p, encoding="utf-8") as fp:
             runlog = json.load(fp)
-        if not isinstance(runlog, dict):
-            raise ValueError(f"{p}: runlog must be a JSON object")
-        for key, kind, name in (("method", str, "string"), ("files", dict, "object"),
-                                ("wall_time", dict, "object")):
-            if key not in runlog:
-                raise ValueError(f"{p}: runlog has no {key!r} entry")
-            if not isinstance(runlog[key], kind):
-                raise ValueError(f"{p}: runlog {key!r} must be a JSON {name}")
-        for sid, fname in runlog["files"].items():
-            if not isinstance(fname, str):
-                raise ValueError(f"{p}: runlog 'files' entry {sid!r} must be a JSON string")
-        for sid, seconds in runlog["wall_time"].items():
-            # not true, "x", null, NaN or Infinity
-            if type(seconds) not in (int, float) or not math.isfinite(seconds):
-                raise ValueError(
-                    f"{p}: runlog 'wall_time' entry {sid!r} must be a finite JSON number"
-                )
-        method = runlog["method"]
+        method = _json_entry(runlog, "method", "string", p)
+        _json_entry(runlog, "files", "object", p, each="string")
+        _json_entry(runlog, "wall_time", "object", p, each="number")
         if method in runlogs:
             raise ValueError(f"{path}: more than one runlog for method {method!r}")
         runlogs[method] = (p.parent, runlog)
@@ -288,11 +283,8 @@ def cmd_metrics(args):
 
 
 def _read_scores(path, metric=None):
-    return [
-        MetricRecord(sid, method, met, float(value))
-        for sid, method, met, value in _read_csv(path, ["sample_id", "method", "metric", "value"])
-        if metric is None or met == metric
-    ]
+    rows = _read_csv(path, ["sample_id", "method", "metric", "value"], ("value",))
+    return [MetricRecord(*row) for row in rows if metric is None or row[2] == metric]
 
 
 def cmd_stats_friedman(args):

@@ -59,6 +59,8 @@ def kendall_tau_b(a, b):
     n = a.size
     if n < 2:
         raise ValueError("need at least two observations")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("tau-b needs finite values")
     i, j = np.triu_indices(n, k=1)
     da = np.sign(a[i] - a[j])
     db = np.sign(b[i] - b[j])

@@ -9,7 +9,9 @@ All containers are immutable after construction.
 from __future__ import annotations
 
 import json
+import math
 import os
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,11 +21,39 @@ MMV_VERSION = 1
 KIND_VOLUME = "volume"
 KIND_MASK = "mask"
 KIND_SALIENCY = "saliency"
-_KINDS = (KIND_VOLUME, KIND_MASK, KIND_SALIENCY)
 
 
 class MMVFormatError(ValueError):
-    """An MMV file failed to parse or violates a format invariant."""
+    """An MMV file, or a JSON entry of a file the CLI reads, is malformed."""
+
+
+# bool is neither a JSON integer nor a number, and numbers are finite
+_JSON_TYPES = {
+    "integer": lambda v: type(v) is int,
+    "number": lambda v: type(v) in (int, float) and math.isfinite(v),
+    "string": lambda v: type(v) is str,
+    "array": lambda v: type(v) is list,
+    "object": lambda v: type(v) is dict,
+}
+
+
+def _json_entry(doc, key, kind, where, each=None):
+    """doc[key] when it has the JSON type `kind` and, given `each`, so does every
+    element or value of it; else an MMVFormatError naming `where` (the file),
+    the key and the bad value."""
+    if type(doc) is not dict or key not in doc:
+        raise MMVFormatError(
+            f"{where}: expected a JSON object with a {key!r} entry, got {reprlib.repr(doc)}"
+        )
+    value = doc[key]
+    if not _JSON_TYPES[kind](value):
+        raise MMVFormatError(f"{where}: {key} must be a JSON {kind}, got {reprlib.repr(value)}")
+    for k, item in (value.items() if kind == "object" else enumerate(value)) if each else ():
+        if not _JSON_TYPES[each](item):
+            raise MMVFormatError(
+                f"{where}: {key} entry {k!r} must be a JSON {each}, got {reprlib.repr(item)}"
+            )
+    return value
 
 
 def _freeze(data, modality_names, *, binary=False):
@@ -161,26 +191,18 @@ def _read_field(cls, path, broadcast_to=None):
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MMVFormatError(f"{path}: malformed header: {exc}") from exc
-    # `type(x) is int` here and below, as JSON true and 1.0 equal 1
-    version = header.get("mmv") if isinstance(header, dict) else None
-    if type(version) is not int or version != MMV_VERSION:
+    if _json_entry(header, "mmv", "integer", path) != MMV_VERSION:
         raise MMVFormatError(f"{path}: not an MMV v{MMV_VERSION} header")
-    kind = header.get("kind")
-    if kind not in _KINDS:
-        raise MMVFormatError(f"{path}: unknown kind {kind!r}")
+    kind = _json_entry(header, "kind", "string", path)
     if kind != cls.KIND:
         raise MMVFormatError(f"{path}: expected kind {cls.KIND!r}, found {kind!r}")
-    if header.get("dtype") != "f32le":
-        raise MMVFormatError(f"{path}: unsupported dtype {header.get('dtype')!r}")
-    modalities = header.get("modalities")
-    dims = header.get("dims")
-    if not isinstance(modalities, list) or not modalities:
+    if _json_entry(header, "dtype", "string", path) != "f32le":
+        raise MMVFormatError(f"{path}: unsupported dtype {header['dtype']!r}")
+    modalities = _json_entry(header, "modalities", "array", path, each="string")
+    dims = _json_entry(header, "dims", "array", path, each="integer")
+    if not modalities:
         raise MMVFormatError(f"{path}: invalid modality list")
-    if (
-        not isinstance(dims, list)
-        or len(dims) not in (2, 3)
-        or any(type(d) is not int or d < 1 for d in dims)
-    ):
+    if len(dims) not in (2, 3) or min(dims) < 1:
         raise MMVFormatError(f"{path}: invalid dims {dims!r}")
     expected = 4 * len(modalities) * int(np.prod(dims))
     if len(payload) != expected:
@@ -295,42 +317,25 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     with open(path, encoding="utf-8") as fp:
         doc = json.load(fp)
-    base = path.parent
 
-    def _resolve(p, sample_id):
-        if p is None:
-            return None
-        full = Path(p)
-        if not full.is_absolute():
-            full = base / full
+    def _path(rec, key, sid):
+        full = path.parent / _json_entry(rec, key, "string", f"{path}: {sid}")
         if not full.exists():
-            raise FileNotFoundError(f"{sample_id}: referenced path {full} does not exist")
+            raise FileNotFoundError(f"{sid}: referenced path {full} does not exist")
         return str(full)
 
-    def _record(rec):
-        sid, label = rec["sample_id"], rec["label"]
-        if type(sid) is not str:  # ids name output files and runlog keys
-            raise ValueError(f"{path}: sample_id must be a JSON string, got {sid!r}")
-        if type(label) is not int:  # not true, 1.0 or "1"
-            raise ValueError(f"{path}: {sid}: label must be a JSON integer, got {label!r}")
+    def _record(i, rec):
+        sid = _json_entry(rec, "sample_id", "string", f"{path}: record {i}")
         return ManifestRecord(
             sample_id=sid,
-            label=label,
-            volume_path=_resolve(rec["volume"], sid),
-            mask_path=_resolve(rec.get("mask"), sid),
+            label=_json_entry(rec, "label", "integer", f"{path}: {sid}"),
+            volume_path=_path(rec, "volume", sid),
+            mask_path=None if rec.get("mask") is None else _path(rec, "mask", sid),
         )
 
-    try:
-        records, class_names = doc["records"], doc["class_names"]
-        if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
-            raise ValueError(f"{path}: manifest 'records' must be a list of objects")
-        if not isinstance(class_names, list):
-            raise ValueError(f"{path}: manifest 'class_names' must be a list")
-        return DatasetManifest(tuple(map(_record, records)), tuple(class_names))
-    except KeyError as exc:
-        raise ValueError(f"{path}: manifest has no {exc.args[0]!r} entry") from None
-    except TypeError as exc:  # an entry of the wrong JSON type, such as "label": null
-        raise ValueError(f"{path}: malformed manifest: {exc}") from None
+    records = _json_entry(doc, "records", "array", path, each="object")
+    class_names = _json_entry(doc, "class_names", "array", path, each="string")
+    return DatasetManifest(tuple(_record(i, r) for i, r in enumerate(records)), tuple(class_names))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import reprlib
 import shutil
 import subprocess
 import sys
@@ -201,30 +203,37 @@ class TestInputChecks:
         ("scores_empty", "stats", "empty file"),
         ("scores_empty", "report", "empty file"),
         ("scores_short_row", "stats", "does not have the columns"),
-        ("runlog_without_files", "metrics", "runlog has no 'files' entry"),
-        ("runlog_without_wall_time", "report", "runlog has no 'wall_time' entry"),
-        ("runlog_not_an_object", "metrics", "runlog must be a JSON object"),
-        ("runlog_not_an_object", "report", "runlog must be a JSON object"),
-        ("runlog_method_not_a_string", "metrics", "runlog 'method' must be a JSON string"),
-        ("runlog_files_not_an_object", "metrics", "runlog 'files' must be a JSON object"),
-        ("runlog_wall_time_not_an_object", "report",
-         "runlog 'wall_time' must be a JSON object"),
+        ("runlog_without_files", "metrics",
+         "expected a JSON object with a 'files' entry, got {'method': 'kernel_shap'"),
+        ("runlog_without_wall_time", "report",
+         "expected a JSON object with a 'wall_time' entry, got {'files': {"),
+        ("runlog_not_an_object", "metrics",
+         "expected a JSON object with a 'method' entry, got [{'files': {"),
+        ("runlog_not_an_object", "report",
+         "expected a JSON object with a 'method' entry, got [{'files': {"),
+        ("runlog_method_not_a_string", "metrics", "method must be a JSON string, got []"),
+        ("runlog_files_not_an_object", "metrics", "files must be a JSON object, got []"),
+        ("runlog_wall_time_not_an_object", "report", "wall_time must be a JSON object, got []"),
         ("runlog_files_entry_int", "metrics",
-         "runlog 'files' entry 's0000' must be a JSON string"),
-        *[(fault, "report", "runlog 'wall_time' entry 's0000' must be a finite JSON number")
-          for fault in BAD_RUNLOG_ENTRIES if fault.startswith("runlog_wall_time")],
-        ("manifest_without_records", "metrics", "manifest has no 'records' entry"),
-        ("manifest_without_records", "mi", "manifest has no 'records' entry"),
-        ("manifest_without_class_names", "mi", "manifest has no 'class_names' entry"),
-        ("manifest_record_without_label", "saliency", "manifest has no 'label' entry"),
+         "files entry 's0000' must be a JSON string, got 5"),
+        *[(fault, "report", f"wall_time entry 's0000' must be a JSON number, got {value!r}")
+          for fault, (key, value) in BAD_RUNLOG_ENTRIES.items() if key == "wall_time"],
+        ("manifest_without_records", "metrics",
+         "expected a JSON object with a 'records' entry, got {'class_names': ["),
+        ("manifest_without_records", "mi",
+         "expected a JSON object with a 'records' entry, got {'class_names': ["),
+        ("manifest_without_class_names", "mi",
+         "expected a JSON object with a 'class_names' entry, got {'records': ["),
+        ("manifest_record_without_label", "saliency",
+         "s0001: expected a JSON object with a 'label' entry, got {'mask': "),
         ("manifest_empty", "mi", "empty dataset"),
         ("manifest_empty", "saliency", "empty dataset"),
         ("manifest_empty", "metrics", "empty dataset"),
-        ("manifest_not_an_object", "mi", "malformed manifest: list indices must be"),
-        ("manifest_records_not_a_list", "mi", "manifest 'records' must be a list of objects"),
-        ("manifest_record_not_an_object", "mi",
-         "manifest 'records' must be a list of objects"),
-        ("manifest_class_names_not_a_list", "mi", "manifest 'class_names' must be a list"),
+        ("manifest_not_an_object", "mi",
+         "expected a JSON object with a 'records' entry, got []"),
+        ("manifest_records_not_a_list", "mi", "records must be a JSON array, got 'abc'"),
+        ("manifest_record_not_an_object", "mi", "records entry 0 must be a JSON object, got 1"),
+        ("manifest_class_names_not_a_list", "mi", "class_names must be a JSON array, got 5"),
         ("manifest_label_null", "mi", "s0001: label must be a JSON integer, got None"),
         ("manifest_label_float", "mi", "s0001: label must be a JSON integer, got 1.7"),
         ("manifest_label_negative_float", "saliency",
@@ -233,8 +242,8 @@ class TestInputChecks:
         ("manifest_label_true", "mi", "s0001: label must be a JSON integer, got True"),
         ("manifest_sample_id_int", "saliency", "sample_id must be a JSON string, got 7"),
         ("manifest_sample_id_int", "mi", "sample_id must be a JSON string, got 7"),
-        ("volume_mmv_true", "mi", "not an MMV v1 header"),
-        ("volume_dims_bool", "mi", "invalid dims [True, 2304]"),
+        ("volume_mmv_true", "mi", "mmv must be a JSON integer, got True"),
+        ("volume_dims_bool", "mi", "dims entry 0 must be a JSON integer, got True"),
     ])
     def test_malformed_file_exits_with_one_line(self, pipeline, tmp_path, fault, command,
                                                 match):
@@ -608,6 +617,177 @@ class TestInputChecks:
             main(argv)
         assert "external oracle exited with 1" in assert_one_error_line(err, argv)
         assert not out.exists()
+
+
+# the values a mutated entry takes, and the JSON type of each
+SUBSTITUTES = [None, True, 1, 1.5, "x", [], {}]
+JSON_TYPE = {type(None): "null", bool: "boolean", int: "integer", float: "number",
+             str: "string", list: "array", dict: "object"}
+
+
+def wrong_values(kind):
+    """The substitutes whose JSON type a `kind` entry does not take; NaN and
+    Infinity too where it takes numbers."""
+    takes = {"number": {"integer", "number"}, "string or null": {"string", "null"}}.get(
+        kind, {kind})
+    wrong = [v for v in SUBSTITUTES if JSON_TYPE[type(v)] not in takes]
+    return wrong + [math.nan, math.inf] * bool(takes & {"integer", "number"})
+
+
+# every entry the CLI reads from a JSON file: the file, the keys leading to
+# the entry (none for the whole document) and its JSON type. "header" is the
+# MMV header of record 1's volume.
+JSON_ENTRIES = [
+    ("manifest", (), "object"),
+    ("manifest", ("class_names",), "array"),
+    ("manifest", ("class_names", 0), "string"),
+    ("manifest", ("records",), "array"),
+    ("manifest", ("records", 1), "object"),
+    ("manifest", ("records", 1, "sample_id"), "string"),
+    ("manifest", ("records", 1, "label"), "integer"),
+    ("manifest", ("records", 1, "volume"), "string"),
+    ("manifest", ("records", 1, "mask"), "string or null"),
+    ("header", (), "object"),
+    ("header", ("mmv",), "integer"),
+    ("header", ("kind",), "string"),
+    ("header", ("modalities",), "array"),
+    ("header", ("modalities", 0), "string"),
+    ("header", ("dims",), "array"),
+    ("header", ("dims", 0), "integer"),
+    ("header", ("dtype",), "string"),
+    ("runlog", (), "object"),
+    ("runlog", ("method",), "string"),
+    ("runlog", ("files",), "object"),
+    ("runlog", ("files", "s0000"), "string"),
+    ("runlog", ("wall_time",), "object"),
+    ("runlog", ("wall_time", "s0000"), "number"),
+]
+# every numeric cell of the pipeline's mi.csv and scores.csv: (file, (row, column))
+CSV_CELLS = [("mi", (row, col)) for row in range(1, 5) for col in (1, 2)] + [
+    ("scores", (row, 3)) for row in range(1, 17)
+]
+MUTATIONS = [
+    pytest.param(file, at, value, id=f"{file}:{'.'.join(map(str, at))}={json.dumps(value)}")
+    for file, at, kind in JSON_ENTRIES for value in wrong_values(kind)
+] + [
+    pytest.param(file, at, text, id=f"{file}:{at[0]}.{at[1]}={text}")
+    for file, at in CSV_CELLS
+    for text in [v if type(v) is str else json.dumps(v) for v in wrong_values("number")]
+]
+# the command that reads each file, with {name} standing for a path from mutated_copy
+READER = {"manifest": "mi", "header": "mi", "runlog": "report", "mi": "mi-corr",
+          "scores": "report"}
+COMMANDS = {
+    "mi": "mi compute --manifest {manifest} --out {out}",
+    "saliency": "saliency run --manifest {manifest} --method feature_ablation --out-dir {out}",
+    "mi-corr": "metrics mi-corr --manifest {manifest} --saliency-dir {sal} --mi {mi} "
+               "--out {out}",
+    "stats": "stats friedman --scores {scores}",
+    "report": "report matrix --scores {scores} --runlog {runlog} --out {out} --csv {out}.csv",
+}
+
+
+def set_entry(doc, at, value):
+    """doc with the entry the keys `at` lead to set to value; value itself for no keys."""
+    if not at:
+        return value
+    parent = doc
+    for key in at[:-1]:
+        parent = parent[key]
+    parent[at[-1]] = value
+    return doc
+
+
+def mutated_copy(pipeline, tmp_path, file, at, value):
+    """Copies of the pipeline's inputs in tmp_path, with `file`'s entry or cell
+    `at` set to value: {name: path}, where "copy" is the mutated file."""
+    paths = {"manifest": tmp_path / "manifest.json", "header": tmp_path / "s0001.mmv",
+             "runlog": tmp_path / "runlog_kernel_shap.json", "mi": tmp_path / "mi.csv",
+             "scores": tmp_path / "scores.csv", "sal": pipeline / "saliency",
+             "out": tmp_path / "out"}
+    edited_manifest(pipeline, paths["manifest"],
+                    lambda doc: doc["records"][1].update(volume=str(paths["header"])))
+    shutil.copy(pipeline / "data" / "s0001.mmv", paths["header"])
+    shutil.copy(pipeline / "saliency" / "runlog_kernel_shap.json", paths["runlog"])
+    shutil.copy(pipeline / "mi.csv", paths["mi"])
+    shutil.copy(pipeline / "scores.csv", paths["scores"])
+    copy = paths["copy"] = paths[file]
+    if file in ("mi", "scores"):
+        write_rows(copy, set_entry(read_rows(copy), at, value))
+    elif file == "header":
+        header, payload = copy.read_bytes().split(b"\n", 1)
+        header = json.dumps(set_entry(json.loads(header), at, value))
+        copy.write_bytes(header.encode() + b"\n" + payload)
+    else:
+        copy.write_text(json.dumps(set_entry(json.loads(copy.read_text()), at, value)))
+    return paths
+
+
+def command(name, paths):
+    return [part.format(**paths) for part in COMMANDS[name].split()]
+
+
+class TestMutationTable:
+    """Each entry of every JSON file the CLI reads, given a value of another
+    JSON type, and each numeric CSV cell, given text that is no finite number."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("file, at, value", MUTATIONS)
+    def test_a_wrong_value_exits_with_one_line(self, pipeline, tmp_path, capsys, file, at,
+                                               value):
+        paths = mutated_copy(pipeline, tmp_path, file, at, value)
+        before = sorted(tmp_path.rglob("*"))
+        argv = command(READER[file], paths)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        line = assert_one_error_line(err, argv)
+        assert capsys.readouterr() == ("", "")
+        assert sorted(tmp_path.rglob("*")) == before  # no new output path
+        # the line names the file, the entry and the bad value
+        assert str(paths["copy"]) in line
+        if file in ("mi", "scores"):
+            header = read_rows(pipeline / f"{file}.csv")[0]
+            assert f"line {at[0] + 1}: {header[at[1]]!r}" in line and repr(value) in line
+        else:
+            keys = [key for key in at if type(key) is str]
+            assert not keys or keys[-1] in line  # the innermost key
+            assert reprlib.repr(value) in line
+
+    @pytest.mark.parametrize("file, at, value", [
+        ("manifest", ("records", 1, "mask"), None),  # no mask
+        ("manifest", ("records", 1, "label"), 0),
+        ("header", ("modalities", 0), "T1"),
+        ("runlog", ("wall_time", "s0000"), 2),  # an integer is a number
+        ("mi", (1, 1), "0"),
+        ("scores", (1, 3), "1"),
+    ])
+    def test_a_value_of_the_right_type_loads(self, pipeline, tmp_path, file, at, value):
+        paths = mutated_copy(pipeline, tmp_path, file, at, value)
+        run_cli(*command(READER[file], paths))
+        assert paths["out"].exists()
+
+    # the four faults reported before the one JSON-type check (a traceback, a
+    # wrong score with exit 0, a line naming no file, a class named "None"):
+    # the command, the mutation and the text its one line holds
+    @pytest.mark.parametrize("name, file, at, value, text", [
+        ("saliency", "manifest", ("records", 1, "volume"), None,
+         "s0001: volume must be a JSON string, got None"),
+        ("mi-corr", "mi", (2, 1), "nan", "line 3: 'phi' must be a finite number, got 'nan'"),
+        ("stats", "scores", (1, 3), "x", "line 2: 'value' must be a finite number, got 'x'"),
+        ("mi", "manifest", ("class_names", 0), None,
+         "class_names entry 0 must be a JSON string, got None"),
+    ])
+    def test_a_reported_fault_exits_1_with_one_line(self, pipeline, tmp_path, name, file, at,
+                                                    value, text):
+        paths = mutated_copy(pipeline, tmp_path, file, at, value)
+        argv = command(name, paths)
+        proc = subprocess.run([sys.executable, "-m", "mmsaliency.cli", *argv],
+                              capture_output=True, text=True, env=src_env())
+        assert (proc.returncode, proc.stdout) == (1, "")
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"mmsaliency {argv[0]} {argv[1]}: error: {paths['copy']}")
+        assert text in line
+        assert not paths["out"].exists()
 
 
 class TestDeterminism:

@@ -82,6 +82,13 @@ class TestKendallTauB:
         with pytest.raises(ValueError):
             kendall_tau_b([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_rejected(self, bad):
+        # a NaN compares as a tie with everything, so [nan, 1, 2] used to score 1.0
+        for a, b in (([bad, 1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, bad, 3.0])):
+            with pytest.raises(ValueError, match="finite"):
+                kendall_tau_b(a, b)
+
 
 class TestMSFI:
     def test_all_mass_inside_masks_scores_one(self):

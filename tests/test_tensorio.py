@@ -13,6 +13,7 @@ from mmsaliency.tensorio import (
     SaliencyMap,
     SegmentationMask,
     _encode_header,
+    _json_entry,
     load_dataset,
     load_manifest,
     read_mask,
@@ -137,10 +138,10 @@ def test_malformed_header(tmp_path):
 
 
 @pytest.mark.parametrize("edit, match", [
-    ({"mmv": True}, "not an MMV v1 header"),
-    ({"mmv": 1.0}, "not an MMV v1 header"),
-    ({"dims": [True, 4]}, r"invalid dims \[True, 4\]"),
-    ({"dims": [1.0, 4]}, r"invalid dims \[1.0, 4\]"),
+    ({"mmv": True}, "mmv must be a JSON integer, got True"),
+    ({"mmv": 1.0}, r"mmv must be a JSON integer, got 1\.0"),
+    ({"dims": [True, 4]}, "dims entry 0 must be a JSON integer, got True"),
+    ({"dims": [1.0, 4]}, r"dims entry 0 must be a JSON integer, got 1\.0"),
 ])
 def test_header_integers_must_be_json_integers(tmp_path, edit, match):
     # the payload fits the dims, so only the entry's type is wrong
@@ -150,6 +151,48 @@ def test_header_integers_must_be_json_integers(tmp_path, edit, match):
     path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 16)
     with pytest.raises(MMVFormatError, match=match):
         read_volume(path)
+
+
+@pytest.mark.parametrize("modalities", [[1], ["a", None], "a", None])
+def test_header_modalities_must_be_json_strings(tmp_path, modalities):
+    header = {"mmv": 1, "kind": "volume", "modalities": modalities, "dims": [1, 4],
+              "dtype": "f32le"}
+    path = tmp_path / "v.mmv"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 16)
+    with pytest.raises(MMVFormatError, match=re.escape(f"{path}: modalities ")):
+        read_volume(path)
+
+
+def test_json_entry_returns_a_value_of_the_type():
+    doc = {"i": 3, "x": 2.5, "s": "a", "a": [1, 2], "o": {"k": "v"}, "e": []}
+    assert _json_entry(doc, "i", "integer", "f.json") == 3
+    assert _json_entry(doc, "i", "number", "f.json") == 3  # an integer is a number
+    assert _json_entry(doc, "x", "number", "f.json") == 2.5
+    assert _json_entry(doc, "s", "string", "f.json") == "a"
+    assert _json_entry(doc, "a", "array", "f.json", each="integer") == [1, 2]
+    assert _json_entry(doc, "o", "object", "f.json", each="string") == {"k": "v"}
+    assert _json_entry(doc, "e", "array", "f.json", each="string") == []
+
+
+@pytest.mark.parametrize("doc, key, kind, each, match", [
+    ({"n": True}, "n", "integer", None, "f.json: n must be a JSON integer, got True"),
+    ({"n": True}, "n", "number", None, "f.json: n must be a JSON number, got True"),
+    ({"n": 1.5}, "n", "integer", None, "f.json: n must be a JSON integer, got 1.5"),
+    ({"n": float("nan")}, "n", "number", None, "f.json: n must be a JSON number, got nan"),
+    ({"n": float("-inf")}, "n", "number", None, "f.json: n must be a JSON number, got -inf"),
+    ({"n": "1"}, "n", "number", None, "f.json: n must be a JSON number, got '1'"),
+    ({"s": None}, "s", "string", None, "f.json: s must be a JSON string, got None"),
+    ({"a": {}}, "a", "array", None, "f.json: a must be a JSON array, got {}"),
+    ({"o": []}, "o", "object", None, "f.json: o must be a JSON object, got []"),
+    ({"a": [1, "2"]}, "a", "array", "integer", "f.json: a entry 1 must be a JSON integer, got '2'"),
+    ({"o": {"k": None}}, "o", "object", "string",
+     "f.json: o entry 'k' must be a JSON string, got None"),
+    ({}, "n", "integer", None, "f.json: expected a JSON object with a 'n' entry, got {}"),
+    ([1], "n", "integer", None, "f.json: expected a JSON object with a 'n' entry, got [1]"),
+])
+def test_json_entry_names_the_file_the_key_and_the_bad_value(doc, key, kind, each, match):
+    with pytest.raises(MMVFormatError, match=re.escape(match)):
+        _json_entry(doc, key, kind, "f.json", each=each)
 
 
 def test_kind_mismatch(tmp_path):
@@ -319,3 +362,37 @@ def test_manifest_sample_id_must_be_a_json_string(tmp_path, sample_id):
     path = _write_manifest(tmp_path, [{"sample_id": sample_id, "label": 0, "volume": "s0.mmv"}])
     with pytest.raises(ValueError, match=re.escape(f"sample_id must be a JSON string, got {sample_id!r}")):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("class_names", [[None, "HGG"], ["LGG", 1], "ab", None])
+def test_manifest_class_names_must_be_json_strings(tmp_path, class_names):
+    # [null, "HGG"] used to load a class named "None"
+    write_volume(MultiModalVolume(("a",), np.zeros((1, 2, 2))), tmp_path / "s0.mmv")
+    path = _write_manifest(tmp_path, [{"sample_id": "s0", "label": 0, "volume": "s0.mmv"}])
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "class_names": class_names}))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: class_names ")):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("entry, match", [
+    ({"volume": None}, "s0: volume must be a JSON string, got None"),
+    ({"volume": 1}, "s0: volume must be a JSON string, got 1"),
+    ({"mask": True}, "s0: mask must be a JSON string, got True"),
+    ({"mask": ["s0.mmv"]}, "s0: mask must be a JSON string, got ['s0.mmv']"),
+])
+def test_manifest_paths_must_be_json_strings(tmp_path, entry, match):
+    # "volume": null used to end in a TypeError from open(None)
+    write_volume(MultiModalVolume(("a",), np.zeros((1, 2, 2))), tmp_path / "s0.mmv")
+    record = {"sample_id": "s0", "label": 0, "volume": "s0.mmv", **entry}
+    with pytest.raises(ValueError, match=re.escape(match)):
+        load_manifest(_write_manifest(tmp_path, [record]))
+
+
+@pytest.mark.parametrize("mask", [{"mask": None}, {}])
+def test_a_null_or_absent_mask_loads_as_none(tmp_path, mask):
+    write_volume(MultiModalVolume(("a",), np.zeros((1, 2, 2))), tmp_path / "s0.mmv")
+    record = {"sample_id": "s0", "label": 0, "volume": "s0.mmv", **mask}
+    [loaded] = load_manifest(_write_manifest(tmp_path, [record])).records
+    assert loaded.mask_path is None
+    assert loaded.volume_path == str(tmp_path / "s0.mmv")
