@@ -141,14 +141,18 @@ def exact_shapley(values, n_players):
             for s in range(n_players)
         ]
     )
-    phi = np.zeros(n_players)
-    for mask in range(1 << n_players):
-        size = int(mask).bit_count()
-        for m in range(n_players):
-            if mask >> m & 1:
-                continue
-            phi[m] += weight[size] * (values[mask | (1 << m)] - values[mask])
-    return phi
+    # without[m]: the 2^(n-1) coalitions that lack player m, in increasing
+    # order: every index with a 0 bit inserted at position m
+    players = np.arange(n_players)[:, None]
+    low = np.arange((1 << n_players) >> 1)
+    without = (low >> players << players + 1) | (low & (1 << players) - 1)
+    # inserting a 0 bit keeps the bit count: without[m][i] has low[i]'s size
+    size = (low[:, None] >> np.arange(n_players) & 1).sum(axis=1)
+    terms = weight[size] * (values[without | 1 << players] - values[without])
+    # summed left to right from 0.0, each player's terms in coalition order:
+    # the order of a loop over the coalitions, so the sums agree bit for bit
+    start = np.zeros((n_players, 1))
+    return np.add.accumulate(np.hstack([start, terms]), axis=1)[:, -1]
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,14 @@ class ClassProbabilities:
             raise ValueError(f"probabilities sum to {sum(p)}, not 1")
         object.__setattr__(self, "probs", p)
 
+    @classmethod
+    def _trusted(cls, probs):
+        """Probabilities made without the checks, from a tuple of floats known
+        to pass them."""
+        trusted = object.__new__(cls)
+        object.__setattr__(trusted, "probs", probs)
+        return trusted
+
     @property
     def argmax(self):
         # ties break toward the lower class index
@@ -258,9 +266,10 @@ class ShapeRuleClassifier:
 
     Each instance remembers the predictions of its recent thresholded fields
     (see MEMO_KEY_BYTES), so a perturbation that leaves the foreground as it
-    was is not labeled again. The memo takes no part in equality, hashing or
-    repr. It is not locked: threads that share an instance must lock around
-    predict.
+    was is not labeled again, and holds its weights as a float64 row and
+    their sum, made once. The memo and the row take no part in equality,
+    hashing or repr. The memo is not locked: threads that share an instance
+    must lock around predict.
     """
 
     modality_weights: tuple
@@ -270,6 +279,8 @@ class ShapeRuleClassifier:
     _memo: _ForegroundMemo = field(
         default_factory=_ForegroundMemo, init=False, repr=False, compare=False
     )
+    _weight_row: np.ndarray = field(init=False, repr=False, compare=False)
+    _weight_sum: np.float64 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.modality_weights)
@@ -284,6 +295,10 @@ class ShapeRuleClassifier:
         if not self.softness > 0:
             raise ValueError("softness must be positive")
         object.__setattr__(self, "modality_weights", w)
+        row = np.asarray(w, dtype=np.float64)[None]
+        row.setflags(write=False)
+        object.__setattr__(self, "_weight_row", row)
+        object.__setattr__(self, "_weight_sum", row.sum())
 
     def predict(self, volume: MultiModalVolume) -> ClassProbabilities:
         return predict_shape_rule(self, volume)
@@ -297,15 +312,15 @@ def predict_shape_rule(cfg: ShapeRuleClassifier, volume: MultiModalVolume):
     the threshold reads only the foreground and cfg, so a foreground met
     before gets its remembered prediction, the very one labeling would give.
     """
-    w = np.asarray(cfg.modality_weights, dtype=np.float64)
-    if len(w) != volume.n_modalities:
+    w = cfg._weight_row
+    if w.shape[1] != volume.n_modalities:
         raise ValueError(
-            f"classifier has {len(w)} weights but volume has "
+            f"classifier has {w.shape[1]} weights but volume has "
             f"{volume.n_modalities} modalities"
         )
-    data = volume.data.astype(np.float64)
+    data = volume.data.astype(np.float64, copy=False)
     # the product tensordot(w, data, axes=(0, 0)) computes, without its set-up
-    combined = np.dot(w[None], data.reshape(len(w), -1)).reshape(data.shape[1:]) / w.sum()
+    combined = np.dot(w, data.reshape(w.shape[1], -1)).reshape(data.shape[1:]) / cfg._weight_sum
     fg = combined > cfg.intensity_threshold
     key = (fg.shape, np.packbits(fg).tobytes())
     probs = cfg._memo.get(key)
@@ -322,14 +337,19 @@ def _shape_rule_probs(cfg, fg):
     padded = _pad(fg)
     runs = _label_runs(padded)
     if runs is None:
-        return ClassProbabilities((0.5, 0.5))
+        return ClassProbabilities._trusted((0.5, 0.5))
     # every foreground axis neighbour of a component pixel is in the component,
     # so its boundary count is its area less its foreground-interior pixels
-    area = runs[3]
-    perim = area - int(np.count_nonzero(_in_component(runs, _interior(padded))))
+    _, roots, best, area = runs
+    interior = _interior(padded)
+    if (roots[1:] == best).all():  # one component: every pixel is in it
+        perim = area - len(interior)
+    else:
+        perim = area - int(np.count_nonzero(_in_component(runs, interior)))
     c = _roundness(area, perim, fg.ndim)
     p_round = float(_sigmoid((c - cfg.circularity_cutoff) / cfg.softness))
-    return ClassProbabilities((p_round, 1.0 - p_round))
+    # a sigmoid and its complement are valid probabilities
+    return ClassProbabilities._trusted((p_round, 1.0 - p_round))
 
 
 def _iter_samples(data):

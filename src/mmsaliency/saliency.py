@@ -51,8 +51,11 @@ class SegmentGrid:
 
     def __post_init__(self):
         ids = np.ascontiguousarray(self.segment_ids, dtype=np.int32)
-        uniq = np.unique(ids)
-        if uniq[0] != 0 or uniq[-1] != len(uniq) - 1:
+        # checked without np.unique, which imports numpy.ma (about 12 ms); the
+        # range check comes first, so that bincount allocates at most ids.size
+        flat = ids.reshape(-1)
+        in_range = flat.size and 0 <= flat.min() and flat.max() < flat.size
+        if not (in_range and np.bincount(flat).all()):
             raise ValueError("segment ids must be dense from 0")
         ids.setflags(write=False)
         object.__setattr__(self, "segment_ids", ids)
@@ -212,18 +215,30 @@ def _segment_plans(volumes, grid, rows, reduce):
     """
     for volume in volumes:
         _check_grid(grid, volume)
-    # where[i]: row i's position among the distinct rows; a dict over the row
-    # bytes is >10x faster here than np.unique(rows, axis=0)
-    position = {}
-    where = np.array([position.setdefault(row.tobytes(), len(position)) for row in rows])
-    distinct = rows[np.unique(where, return_index=True)[1]]  # each position's first row
+    # where[i]: row i's position among the distinct rows; first[j]: the row
+    # that first has position j. A dict over the row bytes is >10x faster
+    # here than np.unique(rows, axis=0), which also imports numpy.ma.
+    position, first = {}, []
+    where = np.empty(len(rows), dtype=np.intp)
+    for i, row in enumerate(rows):
+        j = where[i] = position.setdefault(row.tobytes(), len(first))
+        if j == len(first):
+            first.append(i)
+    distinct = rows[first]
+    # the grid's segment ids in C order as runs: a keep row becomes a mask
+    # of the volume by one np.repeat of its entries over the runs; intp, as
+    # int32 indices would be converted on every call
+    flat = grid.segment_ids.reshape(-1)
+    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+    run_segment = flat[starts].astype(np.intp)
+    run_length = np.diff(starts, append=flat.size)
 
     def kept(volume):
-        # made here, so that a plan waiting its turn does not hold it; np.take
-        # would convert int32 ids on every call
-        ids = grid.segment_ids.astype(np.intp)
-        for row in distinct:
-            yield MultiModalVolume._masked(volume, np.take(row, ids))
+        data = volume.data
+        # 0/1 in the volume's dtype: the product equals the one with a bool mask
+        for row in distinct.astype(data.dtype):
+            keep = np.repeat(row[run_segment], run_length).reshape(data.shape)
+            yield MultiModalVolume._masked(volume, keep)
 
     def reduce_rows(probs):
         return reduce(probs[where])[grid.segment_ids]
@@ -279,6 +294,10 @@ def _percentile_99(values):
     return b - d * (1 - t) if t >= 0.5 else a + d * t
 
 
+# (voxel, window) index pairs per np.add.at call of occlusion's reduction
+_OCCLUSION_CHUNK_VOXELS = 1 << 20
+
+
 def occlusion(volume, oracle, cfg) -> SaliencyMap:
     """Modality-wise sliding-window occlusion with Gaussian replacement.
 
@@ -313,30 +332,47 @@ def _occlusion_plan(volume, cfg):
             pos.append(d - w)
         positions.append(pos)
     stats = [(float(d.mean()), float(d.std())) for d in volume.data]
-
-    def windows():
-        for m in range(volume.n_modalities):
-            for corner in itertools.product(*positions):
-                yield (m,) + tuple(slice(c, c + w) for c, w in zip(corner, window))
+    # flat indices into volume.data: each window's first voxel, in window
+    # order (modality, then corner in C order), and each window voxel's
+    # offset from it, in C order
+    steps = [s // volume.data.itemsize for s in volume.data.strides]
+    starts = offsets = np.zeros(1, dtype=np.intp)
+    for axis_starts, step in zip([range(volume.n_modalities), *positions], steps):
+        starts = np.add.outer(starts, np.multiply(axis_starts, step)).reshape(-1)
+    for w, step in zip(window, steps[1:]):
+        offsets = np.add.outer(offsets, np.arange(w) * step).reshape(-1)
 
     def perturbed():
         yield volume
-        for sl in windows():
-            mu, sd = stats[sl[0]]
+        for start in starts:
+            mu, sd = stats[start // steps[0]]
             data = volume.data.copy()
-            data[sl] = rng.normal(mu, sd, size=window) if sd > 0.0 else mu
-            yield MultiModalVolume(volume.modality_names, data)
+            flat, index = data.reshape(-1), start + offsets  # a view of the copy
+            flat[index] = rng.normal(mu, sd, size=offsets.size) if sd > 0.0 else mu
+            # the rest of data is the validated volume's
+            if not np.isfinite(flat[index]).all():
+                raise ValueError("data contains non-finite values")
+            yield MultiModalVolume._trusted(volume.modality_names, data)
+
+    # windows per voxel: the product of the per-axis counts, alike in every modality
+    cover = np.ones((), dtype=np.int64)
+    for d, w, pos in zip(dims, window, positions):
+        axis_cover = np.bincount(np.add.outer(pos, np.arange(w)).reshape(-1), minlength=d)
+        cover = np.multiply.outer(cover, axis_cover)
+    chunk = max(1, _OCCLUSION_CHUNK_VOXELS // offsets.size)  # windows per np.add.at call
 
     def reduce(probs):
-        accum = np.zeros_like(volume.data, dtype=np.float64)
-        cover = np.zeros_like(volume.data, dtype=np.int64)
-        for sl, p in zip(windows(), probs[1:]):
-            accum[sl] += probs[0] - p
-            cover[sl] += 1
+        drop = probs[0] - probs[1:]
+        accum = np.zeros(volume.data.size)
+        # unbuffered and in window order: each voxel adds its windows' drops
+        # one by one, as a loop over the windows would
+        for lo in range(0, len(starts), chunk):
+            index = np.add.outer(starts[lo:lo + chunk], offsets).reshape(-1)
+            np.add.at(accum, index, np.repeat(drop[lo:lo + chunk], offsets.size))
+        accum = accum.reshape(volume.data.shape)
         return np.divide(accum, cover, out=np.zeros_like(accum), where=cover > 0)
 
-    n_windows = volume.n_modalities * math.prod(map(len, positions))
-    return _Plan(volume, perturbed(), 1 + n_windows, reduce)
+    return _Plan(volume, perturbed(), 1 + len(starts), reduce)
 
 
 def feature_ablation(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
@@ -495,6 +531,8 @@ def _exact_shapley_plans(volumes, grid):
 
 
 def _kernel_shap_weight(k, size):
+    # in Python ints: a numpy int64 size would overflow the product from K = 57
+    size = int(size)
     return (k - 1.0) / (math.comb(k, size) * size * (k - size))
 
 
@@ -525,9 +563,15 @@ def _kernel_shap_plans(volumes, cfg, grid):
         )
     rng = np.random.default_rng(cfg.rng_seed)
     sizes = np.arange(1, k_segments)
-    size_mass = np.array(
-        [math.comb(k_segments, s) * _kernel_shap_weight(k_segments, s) for s in sizes]
-    )
+    try:
+        size_mass = np.array(
+            [math.comb(k_segments, s) * _kernel_shap_weight(k_segments, s) for s in sizes]
+        )
+    except OverflowError:
+        raise ValueError(
+            f"kernel_shap: the coalition-size weights of K = {k_segments} segments "
+            "overflow a float; use a larger block_shape"
+        ) from None
     size_probs = size_mass / size_mass.sum()
     # rows 0 and 1 are the full and empty coalitions, then the sampled ones
     rows = np.zeros((cfg.n_samples + 2, k_segments), dtype=bool)

@@ -169,14 +169,15 @@ def _draw_shape(rng, kind, center, image_size):
 
 def _brain_texture(rng, size):
     """Smooth low-frequency texture inside a brain-like ellipse; cosmetic only."""
-    yy, xx = np.indices((size, size), dtype=np.float64)
+    # each term is separable: an outer product of a row and a column cosine
+    y = x = np.arange(size, dtype=np.float64)
     cy = cx = (size - 1) / 2.0
-    inside = ((yy - cy) / (0.46 * size)) ** 2 + ((xx - cx) / (0.42 * size)) ** 2 <= 1.0
+    inside = np.add.outer(((y - cy) / (0.46 * size)) ** 2, ((x - cx) / (0.42 * size)) ** 2) <= 1.0
     tex = np.zeros((size, size))
     for _ in range(3):
         fy, fx = rng.uniform(0.5, 2.0, size=2) * 2 * np.pi / size
         py, px = rng.uniform(0.0, 2 * np.pi, size=2)
-        tex += np.cos(fy * yy + py) * np.cos(fx * xx + px)
+        tex += np.multiply.outer(np.cos(fy * y + py), np.cos(fx * x + px))
     tex = (tex - tex.min()) / (tex.max() - tex.min() + 1e-12)
     return np.where(inside, 0.08 + 0.10 * tex, 0.0)
 

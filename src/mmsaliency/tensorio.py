@@ -126,15 +126,22 @@ class MultiModalVolume(_Field):
 
     @classmethod
     def _masked(cls, volume, keep):
-        """`volume` times a bool array `keep` of its shape, made without the
-        checks of _freeze: the product of a validated volume and a bool mask
-        keeps its dtype, shape and finiteness."""
-        data = volume.data * keep
+        """`volume` times `keep`, an array of its shape that is bool or holds
+        0 and 1 in the volume's dtype, made without the checks of _freeze:
+        that product of a validated volume keeps its dtype, shape and
+        finiteness."""
+        return cls._trusted(volume.modality_names, volume.data * keep)
+
+    @classmethod
+    def _trusted(cls, modality_names, data):
+        """A volume made without the checks of _freeze, for validated names
+        and C-contiguous float32 or float64 data known to be finite; the data
+        becomes read-only."""
         data.setflags(write=False)
-        masked = object.__new__(cls)
-        object.__setattr__(masked, "modality_names", volume.modality_names)
-        object.__setattr__(masked, "data", data)
-        return masked
+        volume = object.__new__(cls)
+        object.__setattr__(volume, "modality_names", modality_names)
+        object.__setattr__(volume, "data", data)
+        return volume
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,8 +353,12 @@ class LoadedSample:
 
 
 def load_dataset(manifest: DatasetManifest):
-    """Load all volumes (and masks, broadcast if single-modality) into memory."""
-    samples = []
+    """Load all volumes (and masks, broadcast if single-modality) into memory.
+
+    Every volume and mask must list the first volume's modality names, in
+    its order: the channels are read by position.
+    """
+    samples, names = [], None
     for rec in manifest.records:
         try:
             volume = read_volume(rec.volume_path)
@@ -356,6 +367,13 @@ def load_dataset(manifest: DatasetManifest):
                 mask = read_mask(rec.mask_path, broadcast_to=volume.modality_names)
         except (OSError, MMVFormatError) as exc:
             raise type(exc)(f"{rec.sample_id}: {exc}") from exc
+        names = names or volume.modality_names
+        for field, path in ((volume, rec.volume_path), (mask, rec.mask_path)):
+            if field is not None and field.modality_names != names:
+                raise ValueError(
+                    f"{rec.sample_id}: {path} lists modalities {list(field.modality_names)}, "
+                    f"but the first volume lists {list(names)}"
+                )
         if mask is not None and mask.data.shape != volume.data.shape:
             raise ValueError(
                 f"{rec.sample_id}: mask shape {mask.data.shape} does not match "

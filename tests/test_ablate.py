@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,36 @@ class TestExactShapley:
     def test_table_size_checked(self):
         with pytest.raises(ValueError):
             exact_shapley(np.zeros(7), 3)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_bit_for_bit_the_loop_over_coalitions(self, n):
+        rng = np.random.default_rng(100 + n)
+        tables = [
+            rng.random(1 << n),
+            rng.choice([0.0, -0.0, 0.25, 1 / 3, 0.1 + 0.2], size=1 << n),
+            np.full(1 << n, -0.0),  # every marginal is -0.0 - -0.0 = 0.0
+            np.where(rng.random(1 << n) < 0.5, -0.0, 0.0),
+            rng.integers(0, 2, size=1 << n) * rng.normal(size=1 << n) * 1e-300,
+        ]
+        for values in tables:
+            assert exact_shapley(values, n).tobytes() == exact_shapley_loop(values, n).tobytes()
+
+
+def exact_shapley_loop(values, n_players):
+    """Exact Shapley values one marginal at a time: for each coalition in
+    order, each absent player gets its weighted marginal added."""
+    values = np.asarray(values, dtype=np.float64)
+    weight = np.array([
+        math.factorial(s) * math.factorial(n_players - s - 1) / math.factorial(n_players)
+        for s in range(n_players)
+    ])
+    phi = np.zeros(n_players)
+    for mask in range(1 << n_players):
+        size = bin(mask).count("1")
+        for m in range(n_players):
+            if not mask >> m & 1:
+                phi[m] += weight[size] * (values[mask | (1 << m)] - values[mask])
+    return phi
 
 
 class TestNormalizeMI:

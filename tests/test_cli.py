@@ -790,6 +790,60 @@ class TestMutationTable:
         assert not paths["out"].exists()
 
 
+class TestModalityNames:
+    """Every volume and mask of a dataset lists the first volume's modality
+    names in its order; the channels are read by position."""
+
+    @pytest.mark.parametrize("name", ["mi", "saliency"])
+    @pytest.mark.parametrize("file, names", [
+        ("s0001.mmv", ["T1C", "T1", "T2", "FLAIR"]),
+        ("s0001.mmv", ["PET", "T1C", "T2", "FLAIR"]),
+        ("s0001_mask.mmv", ["T1", "T1C", "FLAIR", "T2"]),
+    ])
+    def test_other_names_exit_with_one_line(self, pipeline, tmp_path, name, file, names):
+        copy = edited_volume(pipeline / "data" / file, tmp_path / file, {"modalities": names})
+        key = "mask" if "mask" in file else "volume"
+        paths = {"manifest": tmp_path / "manifest.json", "out": tmp_path / "out"}
+        edited_manifest(pipeline, paths["manifest"],
+                        lambda doc: doc["records"][1].update({key: str(copy)}))
+        before = sorted(tmp_path.rglob("*"))
+        argv = command(name, paths)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        line = assert_one_error_line(err, argv)
+        assert f"s0001: {copy} lists modalities {names}" in line
+        assert "['T1', 'T1C', 'T2', 'FLAIR']" in line
+        assert sorted(tmp_path.rglob("*")) == before  # no new output path
+
+
+@pytest.fixture(scope="module")
+def data_64(tmp_path_factory):
+    """Two 64x64 samples: a shared grid of block 8 has K = 64 segments."""
+    data = tmp_path_factory.mktemp("data64")
+    run_cli("synth", "generate", "--n", "2", "--size", "64", "--seed", "4", "--out", str(data))
+    return data / "manifest.json"
+
+
+class TestKernelShapManySegments:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params", ["block_shape=8,n_samples=100",  # K = 64
+                                        "block_shape=7,n_samples=120"])  # K = 100
+    def test_more_than_56_segments_run(self, data_64, tmp_path, params):
+        run_cli("saliency", "run", "--manifest", str(data_64), "--method", "kernel_shap",
+                "--params", params, "--out-dir", str(tmp_path / "maps"))
+        assert (tmp_path / "maps" / "runlog_kernel_shap.json").exists()
+
+    def test_weights_beyond_a_float_exit_with_one_line(self, data_64, tmp_path):
+        out = tmp_path / "maps"
+        argv = ["saliency", "run", "--manifest", str(data_64), "--method", "kernel_shap",
+                "--params", "block_shape=2,n_samples=1100", "--out-dir", str(out)]  # K = 1024
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        line = assert_one_error_line(err, argv)
+        assert "K = 1024 segments overflow a float" in line
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_synth_rerun_byte_identical(self, tmp_path):
         for d in ("a", "b"):

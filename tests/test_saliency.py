@@ -1,7 +1,9 @@
+import itertools
 import math
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +98,15 @@ class TestSegmentGrid:
         counts = np.bincount(grid.segment_ids.ravel())
         assert counts.sum() == grid.segment_ids.size
         assert (counts > 0).all()
+
+    @pytest.mark.parametrize("ids", [[0, 2], [1, 2], [-1, 0], [0, 2**31 - 1], []])
+    def test_ids_must_be_dense_from_0(self, ids):
+        with pytest.raises(ValueError, match="dense from 0"):
+            SegmentGrid(True, np.array(ids, dtype=np.int64).reshape(1, 1, -1))
+
+    def test_dense_ids_in_any_order_are_accepted(self):
+        grid = SegmentGrid(False, np.array([[[2, 0], [1, 2]]]))
+        assert grid.n_segments == 3 and grid.segment_ids.dtype == np.int32
 
     def test_default_grids_match_method_convention(self):
         for method in SaliencyMethod:
@@ -1035,3 +1046,230 @@ class TestMethodConfig:
             SaliencyMethod.LIME, target_class=0, n_samples=40, kernel_width=math.inf
         )
         assert np.all(np.isfinite(lime(vol, oracle, cfg, grid).data))
+
+
+# the grids of the keep-row masks: (n_modalities, dims, block_shape, per_modality);
+# 64 with block 24 leaves ragged edge blocks
+MASK_GRIDS = [
+    (4, (64, 64), 24, True),
+    (4, (64, 64), 24, False),
+    (4, (64, 64), 8, True),
+    (4, (48, 48), 16, False),
+    (2, (7, 9, 5), (3, 4, 2), True),
+    (2, (7, 9, 5), (3, 4, 2), False),
+]
+
+
+class TestRunLengthMasks:
+    """Keep-row volumes against the gather they replace, np.take(row, ids)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_modalities, dims, block, per_modality", MASK_GRIDS)
+    def test_masked_volumes_equal_the_gathered_product(
+        self, n_modalities, dims, block, per_modality, dtype
+    ):
+        rng = np.random.default_rng(60)
+        grid = build_grid(n_modalities, dims, block, per_modality)
+        # negative voxels: a dropped one is -0.0 under both masks
+        data = rng.uniform(-1.0, 1.0, size=(n_modalities, *dims)).astype(dtype)
+        volumes = [MultiModalVolume(tuple(f"m{i}" for i in range(n_modalities)), data)]
+        rows = rng.random((30, grid.n_segments)) < 0.5
+        rows[10:20] = rows[:10]  # repeats are evaluated once
+        [plan] = saliency._segment_plans(volumes, grid, rows, lambda p: p)
+        distinct = list(dict.fromkeys(map(bytes, rows)))
+        assert plan.n_items == len(distinct)
+        ids = grid.segment_ids.astype(np.intp)
+        built = list(plan.perturbed)
+        assert len(built) == len(distinct)
+        for volume, row in zip(built, distinct):
+            expected = data * np.take(np.frombuffer(row, dtype=bool), ids)
+            assert volume.data.dtype == expected.dtype == dtype
+            assert volume.data.tobytes() == expected.tobytes()
+            assert volume.modality_names == volumes[0].modality_names
+            assert volume.data.flags.c_contiguous and not volume.data.flags.writeable
+
+    def test_segment_ids_in_any_order(self):
+        # runs of a grid that is no block grid: ids scattered at random
+        rng = np.random.default_rng(61)
+        ids = rng.permutation(np.arange(2 * 6 * 5) % 7).reshape(2, 6, 5)
+        grid = SegmentGrid(True, ids)
+        volume = make_volume(rng, 2, (6, 5), low=-1.0)
+        rows = rng.random((12, 7)) < 0.5
+        [plan] = saliency._segment_plans([volume], grid, rows, lambda p: p)
+        for built, row in zip(plan.perturbed, dict.fromkeys(map(bytes, rows))):
+            expected = volume.data * np.take(np.frombuffer(row, dtype=bool), ids)
+            assert built.data.tobytes() == expected.tobytes()
+
+
+def occlusion_windows_reference(volume, cfg):
+    """Occlusion's windows as slices of volume.data, in order."""
+    dims = volume.dims
+    window = saliency._axis_tuple(cfg.window, len(dims), "window")
+    stride = saliency._axis_tuple(cfg.stride, len(dims), "stride")
+    positions = []
+    for d, w, s in zip(dims, window, stride):
+        pos = list(range(0, d - w + 1, s))
+        if pos[-1] != d - w:
+            pos.append(d - w)
+        positions.append(pos)
+    return [
+        (m,) + tuple(slice(c, c + w) for c, w in zip(corner, window))
+        for m in range(volume.n_modalities)
+        for corner in itertools.product(*positions)
+    ]
+
+
+def occlusion_volumes_reference(volume, cfg):
+    """Occlusion's perturbed volumes, each window filled through its slice
+    and the volume made by the checked constructor."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    stats = [(float(d.mean()), float(d.std())) for d in volume.data]
+    for sl in occlusion_windows_reference(volume, cfg):
+        mu, sd = stats[sl[0]]
+        data = volume.data.copy()
+        shape = tuple(s.stop - s.start for s in sl[1:])
+        data[sl] = rng.normal(mu, sd, size=shape) if sd > 0.0 else mu
+        yield MultiModalVolume(volume.modality_names, data)
+
+
+def occlusion_reduce_reference(volume, cfg, probs):
+    """Occlusion's map from its probabilities, one window at a time."""
+    accum = np.zeros_like(volume.data, dtype=np.float64)
+    cover = np.zeros_like(volume.data, dtype=np.int64)
+    for sl, p in zip(occlusion_windows_reference(volume, cfg), probs[1:]):
+        accum[sl] += probs[0] - p
+        cover[sl] += 1
+    return np.divide(accum, cover, out=np.zeros_like(accum), where=cover > 0)
+
+
+class TestOcclusionReduction:
+    @pytest.mark.parametrize("dims, window, stride", [
+        ((6, 6), 2, 2),
+        ((5, 5), (2, 2), (3, 3)),  # uncovered rows and columns
+        ((7, 9), (3, 4), (2, 3)),  # flush-to-edge positions
+        ((64, 64), 8, 4),
+        ((5, 6, 4), (2, 3, 2), (1, 2, 3)),
+        ((4, 4), 4, 7),  # one window per modality
+    ])
+    def test_equals_the_per_window_loop(self, dims, window, stride):
+        rng = np.random.default_rng(62)
+        volume = make_volume(rng, 3, dims)
+        cfg = MethodConfig(SaliencyMethod.OCCLUSION, window=window, stride=stride)
+        plan = saliency._occlusion_plan(volume, cfg)
+        # probabilities with repeats and zero drops, as a classifier gives them
+        probs = rng.choice([0.25, 0.5, 0.1 + 0.2, 1 / 3, 0.9999], size=plan.n_items)
+        expected = occlusion_reduce_reference(volume, cfg, probs)
+        assert plan.reduce(probs).tobytes() == expected.tobytes()
+
+    def test_windows_reduced_over_many_chunks(self, monkeypatch):
+        # 5 windows of 9 voxels per np.add.at call: 17 calls, in window order
+        monkeypatch.setattr(saliency, "_OCCLUSION_CHUNK_VOXELS", 5 * 9)
+        rng = np.random.default_rng(63)
+        volume = make_volume(rng, 2, (9, 8))
+        cfg = MethodConfig(SaliencyMethod.OCCLUSION, window=3, stride=1)
+        plan = saliency._occlusion_plan(volume, cfg)
+        probs = rng.random(plan.n_items)
+        expected = occlusion_reduce_reference(volume, cfg, probs)
+        assert plan.reduce(probs).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dims, window, stride", [
+        ((7, 6), 3, 2), ((5, 6, 4), (2, 3, 2), (1, 2, 3)),
+    ])
+    def test_perturbed_volumes_equal_the_checked_ones(self, dims, window, stride, dtype):
+        rng = np.random.default_rng(64)
+        data = rng.normal(size=(2, *dims)).astype(dtype)
+        data[1] = 0.5  # a constant modality fills its windows with its mean
+        volume = MultiModalVolume(("a", "b"), data)
+        cfg = MethodConfig(SaliencyMethod.OCCLUSION, rng_seed=3, window=window, stride=stride)
+        plan = saliency._occlusion_plan(volume, cfg)
+        built = list(plan.perturbed)
+        expected = list(occlusion_volumes_reference(volume, cfg))
+        assert built[0] is volume and len(built) == plan.n_items == 1 + len(expected)
+        for perturbed, checked in zip(built[1:], expected):
+            assert perturbed.modality_names == checked.modality_names
+            assert perturbed.data.dtype == checked.data.dtype == dtype
+            assert perturbed.data.tobytes() == checked.data.tobytes()
+            assert not perturbed.data.flags.writeable
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_draws_are_rejected(self):
+        # finite voxels whose float32 standard deviation overflows to inf
+        data = np.full((1, 4, 4), 3.0e38, dtype=np.float32)
+        data[0, ::2] *= -1
+        volume = MultiModalVolume(("a",), data)
+        cfg = MethodConfig(SaliencyMethod.OCCLUSION, target_class=0, window=2, stride=2)
+        with pytest.raises(ValueError, match="non-finite"):
+            occlusion(volume, CONSTANT, cfg)
+
+
+def kernel_shap_weight_in_int64(k, size):
+    """The weight as numpy int64 sizes computed it: exact while the product fits."""
+    return (k - 1.0) / (math.comb(k, size) * size * (k - size))
+
+
+class TestKernelShapWeights:
+    def test_equal_to_the_int64_weights_while_those_fit(self):
+        with np.errstate(over="raise"):
+            for k in range(2, 57):
+                for size in np.arange(1, k):
+                    assert (saliency._kernel_shap_weight(k, size)
+                            == kernel_shap_weight_in_int64(k, size)), (k, size)
+
+    def test_64_segments_run_without_a_warning(self):
+        vol = make_volume(np.random.default_rng(65), 2, (8, 8), low=0.2)
+        grid = build_grid(2, (8, 8), 1, per_modality=False)  # K = 64
+        oracle = FunctionOracle(lambda d: float(np.clip(d[0].mean() + d[1, :4].std(), 0, 1)))
+        cfg = MethodConfig(SaliencyMethod.KERNEL_SHAP, target_class=0, rng_seed=1,
+                           n_samples=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = kernel_shap(vol, oracle, cfg, grid).data
+        phi_sum = sum(out[grid.segment_ids == k][0] for k in range(grid.n_segments))
+        p_full = oracle.predict(vol).probs[0]
+        p_empty = oracle.predict(vol.with_data(np.zeros_like(vol.data))).probs[0]
+        assert phi_sum == pytest.approx(p_full - p_empty, abs=1e-6)
+
+    def test_weights_that_overflow_a_float_fail_before_any_oracle_call(self):
+        calls = []
+        vol = make_volume(np.random.default_rng(66), 1, (32, 32))
+        grid = build_grid(1, (32, 32), 1, per_modality=False)  # K = 1024
+        oracle = FunctionOracle(lambda d: calls.append(1) or 0.5)
+        cfg = MethodConfig(SaliencyMethod.KERNEL_SHAP, target_class=0, n_samples=1100)
+        with pytest.raises(ValueError, match="K = 1024 segments overflow a float"):
+            kernel_shap(vol, oracle, cfg, grid)
+        assert calls == []
+
+
+def test_no_method_imports_numpy_ma():
+    """np.unique imports numpy.ma, about 12 ms in each fresh process; no
+    saliency method, grid or plan needs it."""
+    code = textwrap.dedent("""\
+        import sys
+        import numpy as np
+        from mmsaliency.oracle import ShapeRuleClassifier
+        from mmsaliency.saliency import MethodConfig, SaliencyMethod, generate_maps
+        from mmsaliency.synthgen import SynthConfig, render_sample
+        from mmsaliency.tensorio import LoadedSample, ManifestRecord
+
+        print("numpy.ma" in sys.modules)
+        samples = [
+            LoadedSample(ManifestRecord(f"s{i}", i % 2, "unused"),
+                         render_sample(SynthConfig(image_size=32, seed=2), i, i % 2)[0], None)
+            for i in range(2)
+        ]
+        oracle = ShapeRuleClassifier((0.0, 1.0, 0.0, 1.0), intensity_threshold=0.35)
+        for method in SaliencyMethod:
+            for exhaustive in (False, True):
+                cfg = MethodConfig(method, block_shape=32 if exhaustive else 16,
+                                   n_samples=20, exhaustive=exhaustive)
+                generate_maps(samples, oracle, cfg)
+        print("numpy.ma" in sys.modules)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    at_import, after = proc.stdout.split()
+    if at_import == "True":
+        pytest.skip("numpy before 2.0 imports numpy.ma with numpy itself")
+    assert after == "False"

@@ -8,6 +8,7 @@ from mmsaliency.synthgen import (
     ROUND,
     ShapeSpec,
     SynthConfig,
+    _brain_texture,
     _draw_labels,
     _draw_shape,
     generate_dataset,
@@ -210,3 +211,27 @@ class TestConfigValidation:
             SynthConfig(n_samples=0)
         with pytest.raises(ValueError):
             SynthConfig(background="stars")
+
+
+def brain_texture_2d(rng, size):
+    """The background texture from full 2-D index grids, one cosine product per term."""
+    yy, xx = np.indices((size, size), dtype=np.float64)
+    cy = cx = (size - 1) / 2.0
+    inside = ((yy - cy) / (0.46 * size)) ** 2 + ((xx - cx) / (0.42 * size)) ** 2 <= 1.0
+    tex = np.zeros((size, size))
+    for _ in range(3):
+        fy, fx = rng.uniform(0.5, 2.0, size=2) * 2 * np.pi / size
+        py, px = rng.uniform(0.0, 2 * np.pi, size=2)
+        tex += np.cos(fy * yy + py) * np.cos(fx * xx + px)
+    tex = (tex - tex.min()) / (tex.max() - tex.min() + 1e-12)
+    return np.where(inside, 0.08 + 0.10 * tex, 0.0)
+
+
+@pytest.mark.parametrize("size", [32, 33, 47, 48, 64, 97, 128])
+def test_separable_texture_equals_the_2d_one(size):
+    for seed in range(40):
+        rngs = np.random.default_rng([seed, size]), np.random.default_rng([seed, size])
+        expected = brain_texture_2d(rngs[0], size)
+        assert _brain_texture(rngs[1], size).tobytes() == expected.tobytes()
+        # both drew the same numbers
+        assert rngs[0].random() == rngs[1].random()

@@ -105,6 +105,17 @@ def test_masked_volume_equals_the_checked_product(dtype):
     assert masked.data.flags.c_contiguous and not masked.data.flags.writeable
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_volume_takes_a_mask_of_its_dtype(dtype):
+    rng = np.random.default_rng(5)
+    vol = MultiModalVolume(("a", "b"), rng.normal(size=(2, 3, 4)).astype(dtype))
+    keep = rng.random((2, 3, 4)) < 0.5
+    masked = MultiModalVolume._masked(vol, keep.astype(dtype))
+    assert masked.data.dtype == dtype
+    # a negative voxel dropped is -0.0 either way
+    assert masked.data.tobytes() == MultiModalVolume._masked(vol, keep).data.tobytes()
+
+
 def test_payload_length_mismatch(tmp_path):
     path = tmp_path / "bad.mmv"
     header = _encode_header("volume", ("a",), (2, 2))
