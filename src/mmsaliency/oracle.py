@@ -55,14 +55,6 @@ class ClassProbabilities:
             raise ValueError(f"probabilities sum to {sum(p)}, not 1")
         object.__setattr__(self, "probs", p)
 
-    @classmethod
-    def _trusted(cls, probs):
-        """Probabilities made without the checks, from a tuple of floats known
-        to pass them."""
-        trusted = object.__new__(cls)
-        object.__setattr__(trusted, "probs", probs)
-        return trusted
-
     @property
     def argmax(self):
         # ties break toward the lower class index
@@ -337,19 +329,14 @@ def _shape_rule_probs(cfg, fg):
     padded = _pad(fg)
     runs = _label_runs(padded)
     if runs is None:
-        return ClassProbabilities._trusted((0.5, 0.5))
+        return ClassProbabilities((0.5, 0.5))
     # every foreground axis neighbour of a component pixel is in the component,
     # so its boundary count is its area less its foreground-interior pixels
-    _, roots, best, area = runs
-    interior = _interior(padded)
-    if (roots[1:] == best).all():  # one component: every pixel is in it
-        perim = area - len(interior)
-    else:
-        perim = area - int(np.count_nonzero(_in_component(runs, interior)))
+    area = runs[3]
+    perim = area - int(np.count_nonzero(_in_component(runs, _interior(padded))))
     c = _roundness(area, perim, fg.ndim)
     p_round = float(_sigmoid((c - cfg.circularity_cutoff) / cfg.softness))
-    # a sigmoid and its complement are valid probabilities
-    return ClassProbabilities._trusted((p_round, 1.0 - p_round))
+    return ClassProbabilities((p_round, 1.0 - p_round))
 
 
 def _iter_samples(data):

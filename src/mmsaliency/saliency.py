@@ -294,10 +294,6 @@ def _percentile_99(values):
     return b - d * (1 - t) if t >= 0.5 else a + d * t
 
 
-# (voxel, window) index pairs per np.add.at call of occlusion's reduction
-_OCCLUSION_CHUNK_VOXELS = 1 << 20
-
-
 def occlusion(volume, oracle, cfg) -> SaliencyMap:
     """Modality-wise sliding-window occlusion with Gaussian replacement.
 
@@ -332,47 +328,30 @@ def _occlusion_plan(volume, cfg):
             pos.append(d - w)
         positions.append(pos)
     stats = [(float(d.mean()), float(d.std())) for d in volume.data]
-    # flat indices into volume.data: each window's first voxel, in window
-    # order (modality, then corner in C order), and each window voxel's
-    # offset from it, in C order
-    steps = [s // volume.data.itemsize for s in volume.data.strides]
-    starts = offsets = np.zeros(1, dtype=np.intp)
-    for axis_starts, step in zip([range(volume.n_modalities), *positions], steps):
-        starts = np.add.outer(starts, np.multiply(axis_starts, step)).reshape(-1)
-    for w, step in zip(window, steps[1:]):
-        offsets = np.add.outer(offsets, np.arange(w) * step).reshape(-1)
+
+    def windows():
+        for m in range(volume.n_modalities):
+            for corner in itertools.product(*positions):
+                yield (m,) + tuple(slice(c, c + w) for c, w in zip(corner, window))
 
     def perturbed():
         yield volume
-        for start in starts:
-            mu, sd = stats[start // steps[0]]
+        for sl in windows():
+            mu, sd = stats[sl[0]]
             data = volume.data.copy()
-            flat, index = data.reshape(-1), start + offsets  # a view of the copy
-            flat[index] = rng.normal(mu, sd, size=offsets.size) if sd > 0.0 else mu
-            # the rest of data is the validated volume's
-            if not np.isfinite(flat[index]).all():
-                raise ValueError("data contains non-finite values")
-            yield MultiModalVolume._trusted(volume.modality_names, data)
-
-    # windows per voxel: the product of the per-axis counts, alike in every modality
-    cover = np.ones((), dtype=np.int64)
-    for d, w, pos in zip(dims, window, positions):
-        axis_cover = np.bincount(np.add.outer(pos, np.arange(w)).reshape(-1), minlength=d)
-        cover = np.multiply.outer(cover, axis_cover)
-    chunk = max(1, _OCCLUSION_CHUNK_VOXELS // offsets.size)  # windows per np.add.at call
+            data[sl] = rng.normal(mu, sd, size=window) if sd > 0.0 else mu
+            yield MultiModalVolume(volume.modality_names, data)
 
     def reduce(probs):
-        drop = probs[0] - probs[1:]
-        accum = np.zeros(volume.data.size)
-        # unbuffered and in window order: each voxel adds its windows' drops
-        # one by one, as a loop over the windows would
-        for lo in range(0, len(starts), chunk):
-            index = np.add.outer(starts[lo:lo + chunk], offsets).reshape(-1)
-            np.add.at(accum, index, np.repeat(drop[lo:lo + chunk], offsets.size))
-        accum = accum.reshape(volume.data.shape)
+        accum = np.zeros_like(volume.data, dtype=np.float64)
+        cover = np.zeros_like(volume.data, dtype=np.int64)
+        for sl, p in zip(windows(), probs[1:]):
+            accum[sl] += probs[0] - p
+            cover[sl] += 1
         return np.divide(accum, cover, out=np.zeros_like(accum), where=cover > 0)
 
-    return _Plan(volume, perturbed(), 1 + len(starts), reduce)
+    n_windows = volume.n_modalities * math.prod(map(len, positions))
+    return _Plan(volume, perturbed(), 1 + n_windows, reduce)
 
 
 def feature_ablation(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:

@@ -468,22 +468,8 @@ class TestForegroundMemo:
         assert len(memo) == 2
 
 
-def shape_rule_probs_by_lookup(cfg, fg):
-    """The shape rule's probabilities, every interior pixel looked up among the runs."""
-    padded = oracle._pad(fg)
-    runs = oracle._label_runs(padded)
-    if runs is None:
-        return (0.5, 0.5)
-    area = runs[3]
-    perim = area - int(np.count_nonzero(oracle._in_component(runs, oracle._interior(padded))))
-    c = oracle._roundness(area, perim, fg.ndim)
-    p_round = float(oracle._sigmoid((c - cfg.circularity_cutoff) / cfg.softness))
-    return (p_round, 1.0 - p_round)
-
-
 class TestSetUpOnce:
-    """The classifier's weight row, its trusted probabilities and its
-    one-component count, against what they replace."""
+    """The classifier's weight row, made once, against the weights it holds."""
 
     def test_weights_are_held_as_a_read_only_float64_row(self):
         classifier = ShapeRuleClassifier((1, 2, 0))
@@ -507,41 +493,6 @@ class TestSetUpOnce:
                                     circularity_cutoff=0.7, softness=0.08)
         assert other.predict(volume) == fresh.predict(volume)
         assert other.predict(volume).probs == predict_shape_rule_reference(other, volume)
-
-    def test_trusted_probabilities_equal_checked_ones(self):
-        for p in [0.0, 1e-300, 0.1, 0.1 + 0.2, 1 / 3, 0.5, 0.7, 1 - 1e-16, 1.0]:
-            trusted = ClassProbabilities._trusted((p, 1.0 - p))
-            checked = ClassProbabilities((p, 1.0 - p))
-            assert trusted == checked and trusted.probs == checked.probs
-            assert [type(v) for v in trusted.probs] == [float, float]
-            assert trusted.argmax == checked.argmax
-
-    def test_predictions_pass_the_checks(self):
-        rng = np.random.default_rng(70)
-        for sample in memo_samples():
-            for block in (4, 8, 16):
-                volume = block_dropped(rng, sample.volume, block)
-                probs = replace(MEMO_CFG).predict(volume)
-                assert ClassProbabilities(probs.probs) == probs
-                assert [type(v) for v in probs.probs] == [float, float]
-
-    def test_one_component_count_equals_the_run_lookup(self):
-        rng = np.random.default_rng(71)
-        fields = []
-        for _ in range(30):
-            c = rng.uniform(10, 22, size=2)
-            yy, xx = np.indices((32, 32))
-            disk = (yy - c[0]) ** 2 + (xx - c[1]) ** 2 <= rng.uniform(9, 60)
-            stray = disk.copy()
-            stray[rng.integers(0, 32, size=(2, 4))] = True  # more components, mostly
-            fields += [disk, stray, np.stack([disk, disk, disk[::-1]])]
-        kinds = set()
-        for fg in fields:
-            runs = oracle._label_runs(oracle._pad(fg))
-            kinds.add(bool((runs[1][1:] == runs[2]).all()))
-            assert oracle._shape_rule_probs(MEMO_CFG, fg).probs == \
-                shape_rule_probs_by_lookup(MEMO_CFG, fg)
-        assert kinds == {True, False}  # both paths ran
 
 
 class TestShapeRuleClassifier:

@@ -1,4 +1,3 @@
-import itertools
 import math
 import subprocess
 import sys
@@ -1099,108 +1098,6 @@ class TestRunLengthMasks:
         for built, row in zip(plan.perturbed, dict.fromkeys(map(bytes, rows))):
             expected = volume.data * np.take(np.frombuffer(row, dtype=bool), ids)
             assert built.data.tobytes() == expected.tobytes()
-
-
-def occlusion_windows_reference(volume, cfg):
-    """Occlusion's windows as slices of volume.data, in order."""
-    dims = volume.dims
-    window = saliency._axis_tuple(cfg.window, len(dims), "window")
-    stride = saliency._axis_tuple(cfg.stride, len(dims), "stride")
-    positions = []
-    for d, w, s in zip(dims, window, stride):
-        pos = list(range(0, d - w + 1, s))
-        if pos[-1] != d - w:
-            pos.append(d - w)
-        positions.append(pos)
-    return [
-        (m,) + tuple(slice(c, c + w) for c, w in zip(corner, window))
-        for m in range(volume.n_modalities)
-        for corner in itertools.product(*positions)
-    ]
-
-
-def occlusion_volumes_reference(volume, cfg):
-    """Occlusion's perturbed volumes, each window filled through its slice
-    and the volume made by the checked constructor."""
-    rng = np.random.default_rng(cfg.rng_seed)
-    stats = [(float(d.mean()), float(d.std())) for d in volume.data]
-    for sl in occlusion_windows_reference(volume, cfg):
-        mu, sd = stats[sl[0]]
-        data = volume.data.copy()
-        shape = tuple(s.stop - s.start for s in sl[1:])
-        data[sl] = rng.normal(mu, sd, size=shape) if sd > 0.0 else mu
-        yield MultiModalVolume(volume.modality_names, data)
-
-
-def occlusion_reduce_reference(volume, cfg, probs):
-    """Occlusion's map from its probabilities, one window at a time."""
-    accum = np.zeros_like(volume.data, dtype=np.float64)
-    cover = np.zeros_like(volume.data, dtype=np.int64)
-    for sl, p in zip(occlusion_windows_reference(volume, cfg), probs[1:]):
-        accum[sl] += probs[0] - p
-        cover[sl] += 1
-    return np.divide(accum, cover, out=np.zeros_like(accum), where=cover > 0)
-
-
-class TestOcclusionReduction:
-    @pytest.mark.parametrize("dims, window, stride", [
-        ((6, 6), 2, 2),
-        ((5, 5), (2, 2), (3, 3)),  # uncovered rows and columns
-        ((7, 9), (3, 4), (2, 3)),  # flush-to-edge positions
-        ((64, 64), 8, 4),
-        ((5, 6, 4), (2, 3, 2), (1, 2, 3)),
-        ((4, 4), 4, 7),  # one window per modality
-    ])
-    def test_equals_the_per_window_loop(self, dims, window, stride):
-        rng = np.random.default_rng(62)
-        volume = make_volume(rng, 3, dims)
-        cfg = MethodConfig(SaliencyMethod.OCCLUSION, window=window, stride=stride)
-        plan = saliency._occlusion_plan(volume, cfg)
-        # probabilities with repeats and zero drops, as a classifier gives them
-        probs = rng.choice([0.25, 0.5, 0.1 + 0.2, 1 / 3, 0.9999], size=plan.n_items)
-        expected = occlusion_reduce_reference(volume, cfg, probs)
-        assert plan.reduce(probs).tobytes() == expected.tobytes()
-
-    def test_windows_reduced_over_many_chunks(self, monkeypatch):
-        # 5 windows of 9 voxels per np.add.at call: 17 calls, in window order
-        monkeypatch.setattr(saliency, "_OCCLUSION_CHUNK_VOXELS", 5 * 9)
-        rng = np.random.default_rng(63)
-        volume = make_volume(rng, 2, (9, 8))
-        cfg = MethodConfig(SaliencyMethod.OCCLUSION, window=3, stride=1)
-        plan = saliency._occlusion_plan(volume, cfg)
-        probs = rng.random(plan.n_items)
-        expected = occlusion_reduce_reference(volume, cfg, probs)
-        assert plan.reduce(probs).tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("dims, window, stride", [
-        ((7, 6), 3, 2), ((5, 6, 4), (2, 3, 2), (1, 2, 3)),
-    ])
-    def test_perturbed_volumes_equal_the_checked_ones(self, dims, window, stride, dtype):
-        rng = np.random.default_rng(64)
-        data = rng.normal(size=(2, *dims)).astype(dtype)
-        data[1] = 0.5  # a constant modality fills its windows with its mean
-        volume = MultiModalVolume(("a", "b"), data)
-        cfg = MethodConfig(SaliencyMethod.OCCLUSION, rng_seed=3, window=window, stride=stride)
-        plan = saliency._occlusion_plan(volume, cfg)
-        built = list(plan.perturbed)
-        expected = list(occlusion_volumes_reference(volume, cfg))
-        assert built[0] is volume and len(built) == plan.n_items == 1 + len(expected)
-        for perturbed, checked in zip(built[1:], expected):
-            assert perturbed.modality_names == checked.modality_names
-            assert perturbed.data.dtype == checked.data.dtype == dtype
-            assert perturbed.data.tobytes() == checked.data.tobytes()
-            assert not perturbed.data.flags.writeable
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_draws_are_rejected(self):
-        # finite voxels whose float32 standard deviation overflows to inf
-        data = np.full((1, 4, 4), 3.0e38, dtype=np.float32)
-        data[0, ::2] *= -1
-        volume = MultiModalVolume(("a",), data)
-        cfg = MethodConfig(SaliencyMethod.OCCLUSION, target_class=0, window=2, stride=2)
-        with pytest.raises(ValueError, match="non-finite"):
-            occlusion(volume, CONSTANT, cfg)
 
 
 def kernel_shap_weight_in_int64(k, size):
