@@ -42,9 +42,13 @@ def _named_floats(text, names, default, what):
             continue
         try:
             name, value = part.split(":")
-            by_name[name.strip().upper()] = float(value)
+            value = float(value)
         except ValueError:
             raise ValueError(f"cannot parse {what} entry {part!r} (want name:value)")
+        name = name.strip().upper()
+        if name in by_name:
+            raise ValueError(f"{what} names {name!r} more than once")
+        by_name[name] = value
     upper = [n.upper() for n in names]
     missing = [n for n in by_name if n not in upper]
     if missing:
@@ -158,6 +162,8 @@ def _parse_params(text):
         key = key.strip()
         if key not in casts:
             raise ValueError(f"unknown method param {key!r}")
+        if key in params:
+            raise ValueError(f"method param {key!r} given more than once")
         try:
             params[key] = casts[key](value.strip())
         except ValueError as exc:
@@ -251,8 +257,6 @@ def cmd_metrics(args):
     _, samples = _load_samples(args.manifest)
     phi = norm = None
     if args.metric in ("msfi", "mi-corr"):
-        if not args.mi:
-            raise ValueError(f"--mi is required for {args.metric}")
         phi, norm = _load_mi_csv(args.mi, samples[0].volume.modality_names)
     rows = [["sample_id", "method", "metric", "value"]]
     for method, (directory, runlog) in _load_runlogs(args.saliency_dir).items():
@@ -284,6 +288,12 @@ def cmd_metrics(args):
 
 def _read_scores(path, metric=None):
     rows = _read_csv(path, ["sample_id", "method", "metric", "value"], ("value",))
+    seen = set()
+    for line, row in enumerate(rows, 2):
+        key = tuple(row[:3])
+        if key in seen:
+            raise ValueError(f"{path}: line {line}: repeats the score {key}")
+        seen.add(key)
     return [MetricRecord(*row) for row in rows if metric is None or row[2] == metric]
 
 
@@ -381,8 +391,10 @@ def build_parser():
         p = met_sub.add_parser(name)
         p.add_argument("--manifest", required=True)
         p.add_argument("--saliency-dir", required=True)
-        p.add_argument("--mi", default=None, help="mi.csv from `mi compute`")
-        p.add_argument("--iou-threshold", type=float, default=0.5)
+        if name == "iou":
+            p.add_argument("--iou-threshold", type=float, default=0.5)
+        else:
+            p.add_argument("--mi", required=True, help="mi.csv from `mi compute`")
         p.add_argument("--out", required=True)
         p.set_defaults(func=cmd_metrics, metric=name)
 

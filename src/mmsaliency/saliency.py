@@ -335,7 +335,6 @@ def _occlusion_plan(volume, cfg):
                 yield (m,) + tuple(slice(c, c + w) for c, w in zip(corner, window))
 
     def perturbed():
-        yield volume
         for sl in windows():
             mu, sd = stats[sl[0]]
             data = volume.data.copy()
@@ -351,7 +350,7 @@ def _occlusion_plan(volume, cfg):
         return np.divide(accum, cover, out=np.zeros_like(accum), where=cover > 0)
 
     n_windows = volume.n_modalities * math.prod(map(len, positions))
-    return _Plan(volume, perturbed(), 1 + n_windows, reduce)
+    return _Plan(volume, perturbed(), n_windows, reduce, baseline=True)
 
 
 def feature_ablation(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:

@@ -21,9 +21,10 @@ from mmsaliency.saliency import (
 from mmsaliency.tensorio import MultiModalVolume
 
 INNER = FunctionOracle(lambda d: float(np.clip(d.mean() + d.std(), 0, 1)))
-# feature_permutation's reduction reads each sample's unperturbed prediction,
-# so its originals are sent even when target_class is set
-BASELINE_METHODS = (SaliencyMethod.FEATURE_PERMUTATION,)
+# occlusion's and feature_permutation's reductions read each sample's
+# unperturbed prediction, so their originals are sent even when target_class
+# is set
+BASELINE_METHODS = (SaliencyMethod.OCCLUSION, SaliencyMethod.FEATURE_PERMUTATION)
 HEADLESS_METHODS = [m for m in SaliencyMethod if m not in BASELINE_METHODS]
 
 
@@ -66,7 +67,7 @@ def _assert_same_maps(a, b):
 def _stream_length(method):
     """The evaluations of one sample after the unperturbed head, for _cfg(method)."""
     if method is SaliencyMethod.OCCLUSION:
-        return 1 + 2 * 3 * 3  # the original, then 2 modalities x 3 x 3 windows
+        return 2 * 3 * 3  # 2 modalities x 3 x 3 windows
     k = default_grid_for(method, 2, (8, 8), 4).n_segments
     if method is SaliencyMethod.FEATURE_ABLATION:
         return k + 1  # keep everything, then drop each segment
@@ -120,11 +121,21 @@ def test_a_set_target_sends_no_head(method):
 def test_a_set_target_still_sends_the_originals_a_reduction_reads(method):
     stub = BatchStub(INNER)
     cfg = replace(_cfg(method), target_class=1)
-    batched, runlog = generate_maps(_samples(), stub, cfg)
-    # per sample its original, then its shuffled copies, as with no target set
+    samples = _samples()
+    batched, runlog = generate_maps(samples, stub, cfg)
+    # per sample its original, then its perturbations, as with no target set
     assert stub.calls == [3 * (1 + _stream_length(method))]
     assert set(runlog["oracle_evals"].values()) == {1 + _stream_length(method)}
-    _assert_same_maps(batched, generate_maps(_samples(), INNER, cfg)[0])
+    predicted = []
+
+    class Recording:
+        def predict(self, volume):
+            predicted.append(volume)
+            return INNER.predict(volume)
+
+    _assert_same_maps(batched, generate_maps(samples, Recording(), cfg)[0])
+    # the original itself, exactly once
+    assert [sum(v is s.volume for v in predicted) for s in samples] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("target_class", [None, 1])
@@ -175,11 +186,9 @@ def test_per_item_path_builds_each_volume_after_the_last_is_predicted(
     built = iter([volume for event, volume in events if event == "built"])
     expected = []
     for s in samples:
-        # the sample's own volume heads its share of the stream unbuilt, and
-        # occlusion sends it once more as its first item
-        unbuilt = 2 if method is SaliencyMethod.OCCLUSION else 1
-        expected += [("predicted", s.volume)] * unbuilt
-        for _ in range(_stream_length(method) + 1 - unbuilt):
+        # the sample's own volume heads its share of the stream unbuilt
+        expected.append(("predicted", s.volume))
+        for _ in range(_stream_length(method)):
             volume = next(built)
             expected += [("built", volume), ("predicted", volume)]
     assert next(built, None) is None

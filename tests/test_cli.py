@@ -326,6 +326,10 @@ class TestInputChecks:
                         "cannot parse --align entry 't1' (want name:value)"),
         "align_name": ("synth generate --align pet:0.5 --out {out}",
                        "--align names ['PET'] not in modalities"),
+        "align_repeated": ("synth generate --align t1:0.2,T1:0.9 --out {out}",
+                           "--align names 'T1' more than once"),
+        "weights_repeated": ("mi compute --manifest {manifest} --weights flair:1,Flair:0 "
+                             "--out {out}", "--weights names 'FLAIR' more than once"),
         "oracle_spec": ("mi compute --manifest {manifest} --oracle onnx --out {out}",
                         "--oracle must be 'builtin' or 'cmd:<template>'"),
         "params_entry": ("saliency run --manifest {manifest} --method lime --params window "
@@ -334,8 +338,9 @@ class TestInputChecks:
                        "--out-dir {out}", "unknown method param 'depth'"),
         "params_value": ("saliency run --manifest {manifest} --method lime --params "
                          "window=x --out-dir {out}", "bad value for method param 'window'"),
-        "mi_required": ("metrics mi-corr --manifest {manifest} --saliency-dir {sal} "
-                        "--out {out}", "--mi is required for mi-corr"),
+        "params_repeated": ("saliency run --manifest {manifest} --method lime --params "
+                            "block_shape=8,block_shape=16 --out-dir {out}",
+                            "method param 'block_shape' given more than once"),
         "no_saliency_file": ("metrics iou --manifest {manifest} --saliency-dir "
                              "{runlog_short} --out {out}",
                              "kernel_shap: no saliency file for s0000"),
@@ -345,6 +350,12 @@ class TestInputChecks:
                            "no 'iou' rows in"),
         "missing_cell": ("stats friedman --scores {scores_missing}",
                          "score matrix incomplete: missing cell ('s0007', 'kernel_shap')"),
+        "friedman_repeated_score": ("stats friedman --scores {scores_repeated}",
+                                    "line 18: repeats the score ('s0000', "
+                                    "'feature_ablation', 'msfi')"),
+        "matrix_repeated_score": ("report matrix --scores {scores_repeated} --out {out}",
+                                  "line 18: repeats the score ('s0000', "
+                                  "'feature_ablation', 'msfi')"),
         "one_method": ("stats friedman --scores {scores_one_method}",
                        "need at least 2 samples and 2 methods, got (8, 1)"),
     }
@@ -362,6 +373,8 @@ class TestInputChecks:
         paths["scores_missing"] = tmp_path / "scores_missing.csv"
         write_rows(paths["scores_missing"],
                    [r for r in scores if r[:2] != ["s0007", "kernel_shap"]])
+        paths["scores_repeated"] = tmp_path / "scores_repeated.csv"
+        write_rows(paths["scores_repeated"], scores + [scores[1]])
         paths["scores_one_method"] = tmp_path / "scores_one_method.csv"
         write_rows(paths["scores_one_method"],
                    [r for r in scores if r[1] != "feature_ablation"])
@@ -462,6 +475,27 @@ class TestInputChecks:
         assert err.value.code == 2
         assert "invalid choice: 'gradcam'" in capsys.readouterr().err
         assert not out.exists()
+
+    # each metrics subcommand takes only the flags it reads
+    @pytest.mark.parametrize("args, match", [
+        ("metrics mi-corr --manifest {manifest} --saliency-dir {sal} --out {out}",
+         "the following arguments are required: --mi"),
+        ("metrics iou --manifest {manifest} --saliency-dir {sal} --mi {mi} --out {out}",
+         "unrecognized arguments: --mi"),
+        ("metrics msfi --manifest {manifest} --saliency-dir {sal} --mi {mi} "
+         "--iou-threshold 0.5 --out {out}", "unrecognized arguments: --iou-threshold 0.5"),
+    ], ids=["mi_required", "iou_with_mi", "msfi_with_iou_threshold"])
+    def test_a_flag_the_metric_does_not_take_is_a_usage_error(
+        self, pipeline, tmp_path, capsys, args, match
+    ):
+        paths = {"manifest": pipeline / "data" / "manifest.json",
+                 "sal": pipeline / "saliency", "mi": pipeline / "mi.csv",
+                 "out": tmp_path / "out.csv"}
+        with pytest.raises(SystemExit) as err:
+            main([part.format(**paths) for part in args.split()])
+        assert err.value.code == 2
+        assert match in capsys.readouterr().err
+        assert not paths["out"].exists()
 
     def _msfi_and_micorr(self, pipeline, mi, out):
         manifest = pipeline / "data" / "manifest.json"
@@ -979,10 +1013,10 @@ class TestExternalOracleCli:
         assert outputs[command] == outputs["builtin"]
         # 2^4 coalitions x 2 samples in one spawn
         assert mi_spawns == [[32, ["LGG", "HGG"]]]
-        # per sample, the unperturbed head that fixes the target, then the
-        # original and 4 modalities x 4 windows; both samples' 36 evaluations
-        # are one stream, which fits in one spawn
-        assert spawns() == [[36, ["LGG", "HGG"]]]
+        # per sample, the unperturbed head that fixes the target and that the
+        # reduction reads, then 4 modalities x 4 windows; both samples' 34
+        # evaluations are one stream, which fits in one spawn
+        assert spawns() == [[34, ["LGG", "HGG"]]]
 
 
 # What an installer's console-script wrapper does: resolve the entry point,
@@ -1012,7 +1046,7 @@ def test_console_script_installed(tmp_path):
     Both run from a directory outside the checkout with only `src/` added to
     PYTHONPATH, so neither needs the package installed or on PATH.
     """
-    tomllib = pytest.importorskip("tomllib")
+    tomllib = pytest.importorskip("tomllib", exc_type=ImportError)
     with open(REPO / "pyproject.toml", "rb") as fp:
         scripts = tomllib.load(fp)["project"].get("scripts", {})
     assert "mmsaliency" in scripts

@@ -41,7 +41,7 @@ def test_layout_names_are_module_attributes(module, names):
 
 
 def test_ci_runs_the_tier1_command():
-    yaml = pytest.importorskip("yaml")
+    yaml = pytest.importorskip("yaml", exc_type=ImportError)
     roadmap = (REPO / "ROADMAP.md").read_text(encoding="utf-8")
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1)
     with open(REPO / ".github" / "workflows" / "tests.yml", encoding="utf-8") as fp:
@@ -52,7 +52,7 @@ def test_ci_runs_the_tier1_command():
 
 
 def test_ci_installs_the_dependencies_pyproject_lists():
-    yaml = pytest.importorskip("yaml")
+    yaml = pytest.importorskip("yaml", exc_type=ImportError)
     with open(REPO / ".github" / "workflows" / "tests.yml", encoding="utf-8") as fp:
         workflow = yaml.safe_load(fp)
     [job] = workflow["jobs"].values()

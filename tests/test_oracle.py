@@ -126,7 +126,7 @@ class TestCircularity:
 
 def ndimage_largest(field):
     """Largest face-connected component by `scipy.ndimage.label`; None if empty."""
-    ndimage = pytest.importorskip("scipy.ndimage")
+    ndimage = pytest.importorskip("scipy.ndimage", exc_type=ImportError)
     labels, n = ndimage.label(field)
     if n == 0:
         return None
