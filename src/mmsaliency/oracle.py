@@ -32,9 +32,11 @@ PROB_TOL = 1e-6
 # Volume bytes per predict_batch call; one BraTS volume (4 x 240 x 240 x 155
 # float32) is about 143 MB.
 BATCH_BYTES = 512 << 20
-# Packed foreground bytes a classifier remembers predictions for: 256 fields
-# of 64x64, 455 of 48x48; a field larger than this is remembered alone.
-MEMO_KEY_BYTES = 128 << 10
+# Bytes of memory a classifier's foreground memo may hold, each entry counted
+# as its packed key plus MEMO_ENTRY_BYTES (435-476 by tracemalloc): 2202 fields
+# of 64x64, 2880 of 48x48, 4681 of 8x8; a field larger than this is kept alone.
+MEMO_BYTES = 2 << 20
+MEMO_ENTRY_BYTES = 440
 
 
 @dataclass(frozen=True)
@@ -235,17 +237,18 @@ def circularity(component):
 
 class _ForegroundMemo(OrderedDict):
     """Predictions by (shape, packed bits) of a thresholded field, least
-    recently used first, holding at most MEMO_KEY_BYTES of keys besides the
-    newest entry."""
+    recently used first. Each entry counts as its packed key plus
+    MEMO_ENTRY_BYTES, and the entries besides the newest count at most
+    MEMO_BYTES in all."""
 
-    key_bytes = 0
+    nbytes = 0
 
     def add(self, key, probs):
         self[key] = probs
-        self.key_bytes += len(key[1])
-        while self.key_bytes > MEMO_KEY_BYTES and len(self) > 1:
+        self.nbytes += len(key[1]) + MEMO_ENTRY_BYTES
+        while self.nbytes > MEMO_BYTES and len(self) > 1:
             old, _ = self.popitem(last=False)
-            self.key_bytes -= len(old[1])
+            self.nbytes -= len(old[1]) + MEMO_ENTRY_BYTES
 
 
 @dataclass(frozen=True)
@@ -257,11 +260,11 @@ class ShapeRuleClassifier:
     the given cutoff and temperature. Class 0 is the round class.
 
     Each instance remembers the predictions of its recent thresholded fields
-    (see MEMO_KEY_BYTES), so a perturbation that leaves the foreground as it
-    was is not labeled again, and holds its weights as a float64 row and
-    their sum, made once. The memo and the row take no part in equality,
-    hashing or repr. The memo is not locked: threads that share an instance
-    must lock around predict.
+    in about MEMO_BYTES of memory, so a perturbation that leaves the
+    foreground as it was is not labeled again, and holds its weights as a
+    float64 row and their sum, made once. The memo and the row take no part
+    in equality, hashing or repr. The memo is not locked: threads that share
+    an instance must lock around predict.
     """
 
     modality_weights: tuple

@@ -396,13 +396,23 @@ def _feature_permutation_plans(volumes, cfg, grid):
     rng = np.random.default_rng(cfg.rng_seed)
     # perms[k][j]: the sample whose segment k sample j gets
     perms = [_derangement_preferring(rng, len(volumes)) for _ in range(grid.n_segments)]
+    # segment k's flat voxel indices are order[bounds[k]:bounds[k + 1]], in
+    # ascending order: one stable sort of the ids, one index per voxel
+    flat = grid.segment_ids.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(flat))))
 
     def shuffled(j, volume):
         for k, perm in enumerate(perms):
-            sel = grid.segment_ids == k
+            voxels = order[bounds[k]:bounds[k + 1]]
+            donor = volumes[int(perm[j])].data
             data = volume.data.copy()
-            data[sel] = volumes[int(perm[j])].data[sel]
-            yield MultiModalVolume(names, data)
+            # the assignment casts as a masked one does
+            data.reshape(-1)[voxels] = donor.reshape(-1)[voxels]
+            if donor.dtype == data.dtype:
+                yield MultiModalVolume._trusted(names, data)
+            else:  # float64 values may overflow float32
+                yield MultiModalVolume(names, data)
 
     def reduce(probs):
         # the unperturbed probability, then one per shuffled segment

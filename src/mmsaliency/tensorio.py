@@ -130,12 +130,19 @@ class MultiModalVolume(_Field):
         0 and 1 in the volume's dtype, made without the checks of _freeze:
         that product of a validated volume keeps its dtype, shape and
         finiteness."""
-        data = volume.data * keep
+        return cls._trusted(volume.modality_names, volume.data * keep)
+
+    @classmethod
+    def _trusted(cls, modality_names, data):
+        """A volume of `data`, a new C-contiguous array in the dtype and shape
+        of a validated volume with these modality names, whose every value is
+        that of a validated volume of that dtype; made without the checks of
+        _freeze, which it would pass."""
         data.setflags(write=False)
-        masked = object.__new__(cls)
-        object.__setattr__(masked, "modality_names", volume.modality_names)
-        object.__setattr__(masked, "data", data)
-        return masked
+        volume = object.__new__(cls)
+        object.__setattr__(volume, "modality_names", modality_names)
+        object.__setattr__(volume, "data", data)
+        return volume
 
 
 @dataclass(frozen=True, eq=False)

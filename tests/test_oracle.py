@@ -25,9 +25,15 @@ from mmsaliency.oracle import (
     largest_component,
     predict_shape_rule,
 )
-from mmsaliency.saliency import MethodConfig, SaliencyMethod, generate_maps
-from mmsaliency.synthgen import ShapeSpec, SynthConfig, rasterize_shape, render_sample
-from mmsaliency.tensorio import MultiModalVolume
+from mmsaliency.saliency import MethodConfig, SaliencyMethod, build_grid, generate_maps
+from mmsaliency.synthgen import (
+    ShapeSpec,
+    SynthConfig,
+    generate_dataset,
+    rasterize_shape,
+    render_sample,
+)
+from mmsaliency.tensorio import MultiModalVolume, load_dataset, load_manifest
 
 
 def disk_volume(radius, size=64, weighted_modality=0, n_modalities=2):
@@ -438,7 +444,11 @@ class TestForegroundMemo:
         assert repr(used) == repr(fresh) and "memo" not in repr(used)
         assert not replace(used)._memo
 
-    def test_key_bytes_stay_within_the_bound(self):
+    def test_counted_bytes_stay_within_the_bound(self, monkeypatch):
+        # a bound of 128 KiB keeps the fields below few and one 1025x1024
+        # field larger than it
+        monkeypatch.setattr(oracle, "MEMO_BYTES", 128 << 10)
+        entry = oracle.MEMO_ENTRY_BYTES
         classifier = ShapeRuleClassifier((1.0,))
         memo = classifier._memo
 
@@ -446,26 +456,68 @@ class TestForegroundMemo:
             data = np.zeros((1, *dims), dtype=np.float32)
             data.reshape(-1)[index] = 1.0
             classifier.predict(MultiModalVolume(("a",), data))
-            key_bytes = [len(packed) for _, packed in memo]
-            assert memo.key_bytes == sum(key_bytes)
-            assert memo.key_bytes <= oracle.MEMO_KEY_BYTES or len(memo) == 1
+            counted = [len(packed) + entry for _, packed in memo]
+            assert memo.nbytes == sum(counted)
+            assert memo.nbytes <= oracle.MEMO_BYTES or len(memo) == 1
             # the newest entry is the last one
             assert next(reversed(memo)) == (data.shape[1:], np.packbits(data[0] > 0).tobytes())
 
         for index in range(300):
             predict_dot((64, 64), index)
-        assert len(memo) == oracle.MEMO_KEY_BYTES // (64 * 64 // 8)
+        assert len(memo) == oracle.MEMO_BYTES // (64 * 64 // 8 + entry) < 300
         for index in range(500):
             predict_dot((48, 48), index)
-        assert len(memo) == oracle.MEMO_KEY_BYTES // (48 * 48 // 8)
+        assert len(memo) == oracle.MEMO_BYTES // (48 * 48 // 8 + entry) < 500
         big = (1025, 1024)  # 131200 packed bytes, more than the bound
-        assert big[0] * big[1] // 8 > oracle.MEMO_KEY_BYTES
+        assert big[0] * big[1] // 8 + entry > oracle.MEMO_BYTES
         predict_dot(big, 0)
         assert len(memo) == 1
         predict_dot((64, 64), 0)
         assert len(memo) == 1
         predict_dot((64, 64), 1)
         assert len(memo) == 2
+
+    @pytest.mark.parametrize("side", [8, 64])
+    def test_small_fields_are_counted_at_their_memory(self, side):
+        # an entry costs more than its key, so tiny fields may not fill the
+        # memo with many times the entries that large fields do
+        classifier = ShapeRuleClassifier((1.0,))
+        per_entry = side * side // 8 + oracle.MEMO_ENTRY_BYTES
+        most = oracle.MEMO_BYTES // per_entry
+        rng = np.random.default_rng(side)
+        fields = set()
+        while len(fields) <= most + 100:
+            data = (rng.random((1, side, side)) < 0.5).astype(np.float32)
+            fields.add(data.tobytes())
+            classifier.predict(MultiModalVolume(("a",), data))
+        assert len(classifier._memo) == most
+        assert classifier._memo.nbytes == most * per_entry <= oracle.MEMO_BYTES
+
+    def test_a_second_pass_labels_nothing(self, labelings, tmp_path):
+        # the shapley-accuracy workload's set-up and passes: 12 samples at
+        # 48x48, one K = 9 grid for all modalities, exhaustive kernel_shap,
+        # then both estimators at 128 evaluations per sample
+        generate_dataset(SynthConfig(n_samples=12, image_size=48, seed=1), tmp_path)
+        samples = load_dataset(load_manifest(tmp_path / "manifest.json"))
+        grid = build_grid(4, (48, 48), 16, per_modality=False)
+        assert grid.n_segments == 9
+        configs = [
+            MethodConfig(SaliencyMethod.KERNEL_SHAP, exhaustive=True),
+            MethodConfig(SaliencyMethod.SHAPLEY_SAMPLING, rng_seed=1, n_samples=126 // 9),
+            MethodConfig(SaliencyMethod.KERNEL_SHAP, rng_seed=1, n_samples=125),
+        ]
+        expected = [generate_maps(samples, replace(MEMO_CFG), cfg, grid)[0] for cfg in configs]
+        classifier = replace(MEMO_CFG)
+        before = labelings[0]
+        for i, cfg in enumerate(configs + configs):
+            got = generate_maps(samples, classifier, cfg, grid)[0]
+            if i == 0:
+                labeled = labelings[0]
+                assert labeled - before == len(classifier._memo)
+            assert labelings[0] == labeled
+            want = expected[i % len(configs)]
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[sid].data, want[sid].data) for sid in got)
 
 
 class TestSetUpOnce:

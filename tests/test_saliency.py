@@ -411,6 +411,39 @@ class TestFeaturePermutation:
         for smap in maps.values():
             assert np.array_equal(smap.data[0], smap.data[1])
 
+    def test_each_shuffled_volume_takes_one_segment_from_a_donor(self):
+        # a float32 sample takes float64 donors' values rounded as a masked
+        # assignment rounds them, and keeps its dtype
+        rng = np.random.default_rng(16)
+        arrays = [rng.random((2, 4, 6)).astype(np.float32), rng.random((2, 4, 6)),
+                  rng.random((2, 4, 6))]
+        samples = self._samples(arrays)
+        grid = build_grid(2, (4, 6), (2, 3), per_modality=False)
+        seen = []
+        oracle = FunctionOracle(lambda d: seen.append(d) or 0.5)
+        cfg = MethodConfig(SaliencyMethod.FEATURE_PERMUTATION, target_class=0, rng_seed=4)
+        feature_permutation(samples, oracle, cfg, grid)
+        K = grid.n_segments
+        assert len(seen) == len(arrays) * (1 + K)
+        for j, own in enumerate(s.volume.data for s in samples):
+            head, *shuffled = seen[j * (1 + K):(j + 1) * (1 + K)]
+            assert np.array_equal(head, own)
+            for k, got in enumerate(shuffled):
+                sel = grid.segment_ids == k
+                assert got.dtype == own.dtype and not got.flags.writeable
+                assert np.array_equal(got[~sel], own[~sel])
+                donors = [i for i, a in enumerate(arrays)
+                          if np.array_equal(got[sel], a[sel].astype(own.dtype))]
+                assert len(donors) == 1 and donors != [j]
+
+    def test_a_donor_value_beyond_float32_is_rejected(self):
+        big = np.full((2, 2, 2), 1e39)
+        samples = self._samples([np.zeros((2, 2, 2), dtype=np.float32), big])
+        grid = build_grid(2, (2, 2), 1, per_modality=False)
+        cfg = MethodConfig(SaliencyMethod.FEATURE_PERMUTATION, target_class=0)
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+            feature_permutation(samples, CONSTANT, cfg, grid)
+
     def test_single_sample_rejected(self):
         samples = self._samples([np.zeros((2, 2, 2))])
         grid = build_grid(2, (2, 2), 2, per_modality=False)
