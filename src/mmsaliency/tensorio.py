@@ -134,10 +134,9 @@ class MultiModalVolume(_Field):
 
     @classmethod
     def _trusted(cls, modality_names, data):
-        """A volume of `data`, a new C-contiguous array in the dtype and shape
-        of a validated volume with these modality names, whose every value is
-        that of a validated volume of that dtype; made without the checks of
-        _freeze, which it would pass."""
+        """A volume holding `data` as is, made without the checks of _freeze:
+        `data` must be a new C-contiguous array whose dtype, shape and values
+        all come from validated volumes with these modality names."""
         data.setflags(write=False)
         volume = object.__new__(cls)
         object.__setattr__(volume, "modality_names", modality_names)
