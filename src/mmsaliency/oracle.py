@@ -235,19 +235,35 @@ def circularity(component):
     return _roundness(area, boundary_count(component), component.ndim)
 
 
-class _ForegroundMemo(OrderedDict):
+class _ForegroundMemo:
     """Predictions by (shape, packed bits) of a thresholded field, least
     recently used first. Each entry counts as its packed key plus
     MEMO_ENTRY_BYTES, and the entries besides the newest count at most
-    MEMO_BYTES in all."""
+    MEMO_BYTES in all. Only get and add change the entries, so the count
+    stays true."""
 
-    nbytes = 0
+    def __init__(self):
+        self._entries = OrderedDict()
+        self.nbytes = 0
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def get(self, key):
+        """The remembered prediction, now the most recent, or None."""
+        probs = self._entries.get(key)
+        if probs is not None:
+            self._entries.move_to_end(key)
+        return probs
 
     def add(self, key, probs):
-        self[key] = probs
+        self._entries[key] = probs
         self.nbytes += len(key[1]) + MEMO_ENTRY_BYTES
-        while self.nbytes > MEMO_BYTES and len(self) > 1:
-            old, _ = self.popitem(last=False)
+        while self.nbytes > MEMO_BYTES and len(self._entries) > 1:
+            old, _ = self._entries.popitem(last=False)
             self.nbytes -= len(old[1]) + MEMO_ENTRY_BYTES
 
 
@@ -322,8 +338,6 @@ def predict_shape_rule(cfg: ShapeRuleClassifier, volume: MultiModalVolume):
     if probs is None:
         probs = _shape_rule_probs(cfg, fg)
         cfg._memo.add(key, probs)
-    else:
-        cfg._memo.move_to_end(key)
     return probs
 
 

@@ -409,10 +409,7 @@ def _feature_permutation_plans(volumes, cfg, grid):
             data = volume.data.copy()
             # the assignment casts as a masked one does
             data.reshape(-1)[voxels] = donor.reshape(-1)[voxels]
-            if donor.dtype == data.dtype:
-                yield MultiModalVolume._trusted(names, data)
-            else:  # float64 values may overflow float32
-                yield MultiModalVolume(names, data)
+            yield MultiModalVolume(names, data)
 
     def reduce(probs):
         # the unperturbed probability, then one per shuffled segment

@@ -130,18 +130,12 @@ class MultiModalVolume(_Field):
         0 and 1 in the volume's dtype, made without the checks of _freeze:
         that product of a validated volume keeps its dtype, shape and
         finiteness."""
-        return cls._trusted(volume.modality_names, volume.data * keep)
-
-    @classmethod
-    def _trusted(cls, modality_names, data):
-        """A volume holding `data` as is, made without the checks of _freeze:
-        `data` must be a new C-contiguous array whose dtype, shape and values
-        all come from validated volumes with these modality names."""
+        data = volume.data * keep
         data.setflags(write=False)
-        volume = object.__new__(cls)
-        object.__setattr__(volume, "modality_names", modality_names)
-        object.__setattr__(volume, "data", data)
-        return volume
+        masked = object.__new__(cls)
+        object.__setattr__(masked, "modality_names", volume.modality_names)
+        object.__setattr__(masked, "data", data)
+        return masked
 
 
 @dataclass(frozen=True, eq=False)

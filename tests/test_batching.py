@@ -169,11 +169,11 @@ def test_per_item_path_builds_each_volume_after_the_last_is_predicted(
             events.append(("built", self))
 
         @classmethod
-        def _trusted(cls, modality_names, data):
-            # keep-row and shuffled volumes are made without __post_init__
-            volume = super()._trusted(modality_names, data)
-            events.append(("built", volume))
-            return volume
+        def _masked(cls, volume, keep):
+            # keep-row volumes are made without __post_init__
+            masked = super()._masked(volume, keep)
+            events.append(("built", masked))
+            return masked
 
     class Recording:
         def predict(self, volume):

@@ -460,7 +460,7 @@ class TestForegroundMemo:
             assert memo.nbytes == sum(counted)
             assert memo.nbytes <= oracle.MEMO_BYTES or len(memo) == 1
             # the newest entry is the last one
-            assert next(reversed(memo)) == (data.shape[1:], np.packbits(data[0] > 0).tobytes())
+            assert list(memo)[-1] == (data.shape[1:], np.packbits(data[0] > 0).tobytes())
 
         for index in range(300):
             predict_dot((64, 64), index)
@@ -476,6 +476,25 @@ class TestForegroundMemo:
         assert len(memo) == 1
         predict_dot((64, 64), 1)
         assert len(memo) == 2
+
+    def test_a_hit_makes_its_entry_the_newest(self, monkeypatch):
+        # room for three 8x8 entries: after a hit on the oldest, the next
+        # new field evicts the second oldest instead
+        per_entry = 8 * 8 // 8 + oracle.MEMO_ENTRY_BYTES
+        monkeypatch.setattr(oracle, "MEMO_BYTES", 3 * per_entry)
+        classifier = ShapeRuleClassifier((1.0,))
+        volumes, keys = [], []
+        for index in range(4):
+            data = np.zeros((1, 8, 8), dtype=np.float32)
+            data.reshape(-1)[index] = 1.0
+            volumes.append(MultiModalVolume(("a",), data))
+            keys.append(((8, 8), np.packbits(data[0] > 0).tobytes()))
+        for volume in volumes[:3] + volumes[:1]:
+            classifier.predict(volume)
+        assert list(classifier._memo) == [keys[1], keys[2], keys[0]]
+        classifier.predict(volumes[3])
+        assert list(classifier._memo) == [keys[2], keys[0], keys[3]]
+        assert classifier._memo.nbytes == 3 * per_entry
 
     @pytest.mark.parametrize("side", [8, 64])
     def test_small_fields_are_counted_at_their_memory(self, side):
