@@ -269,14 +269,11 @@ def cmd_metrics(args):
             smap = read_saliency(directory / fname)
             if args.metric == "msfi":
                 value = msfi(postprocess(smap), s.mask, norm)
-                metric = "msfi"
             elif args.metric == "mi-corr":
                 value = kendall_tau_b(estimated_mi(smap), phi)
-                metric = "mi_corr"
             else:
                 value = iou(postprocess(smap), s.mask, threshold=args.iou_threshold)
-                metric = "iou"
-            rows.append([s.record.sample_id, method, metric, repr(value)])
+            rows.append([s.record.sample_id, method, args.metric.replace("-", "_"), repr(value)])
     _write_csv(args.out, rows)
     if args.metric == "mi-corr":
         meta = {"metric": "mi_corr", "estimated_mi_source": "raw_positive_part"}

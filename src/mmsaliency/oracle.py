@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import shlex
+import string
 import subprocess
 import tempfile
 from collections import OrderedDict
@@ -426,18 +427,23 @@ class ExternalCommandOracle:
     per class). The batch's sample ids are its positions, "0".."n-1". The
     batch manifest carries `class_names`, which should be the dataset
     manifest's; every record's label in it is 0, a placeholder the scorer
-    must not read.
+    must not read. The template has no other field; `{{` and `}}` are braces.
     """
 
     def __init__(self, command_template, class_names=("class0", "class1")):
-        if "{input_dir}" not in command_template or "{output_csv}" not in command_template:
+        parts = shlex.split(command_template)
+        # the fields str.format fills in each part; None stands for trailing text
+        fields = {f for part in parts for _, f, _, _ in string.Formatter().parse(part)} - {None}
+        if fields != {"input_dir", "output_csv"}:
+            named = " ".join(f"{{{f}}}" for f in sorted(fields)) or "none"
             raise ValueError(
-                "command template must contain {input_dir} and {output_csv}"
+                f"command template fields: {named}; it must have {{input_dir}} and "
+                "{output_csv} and no other (write {{ and }} for a literal brace)"
             )
         self.class_names = tuple(str(c) for c in class_names)
         if len(self.class_names) < 2:
             raise ValueError(f"need at least two class names, got {self.class_names}")
-        self.command_template = command_template
+        self.command = parts
 
     def predict(self, volume: MultiModalVolume) -> ClassProbabilities:
         return self.predict_batch([volume])[0]
@@ -455,11 +461,8 @@ class ExternalCommandOracle:
             for record, volume in zip(records, volumes):
                 write_volume(volume, record.volume_path)
             save_manifest(manifest, input_dir / "manifest.json")
-            output_csv = tmp / "predictions.csv"
-            cmd = [
-                part.format(input_dir=str(input_dir), output_csv=str(output_csv))
-                for part in shlex.split(self.command_template)
-            ]
+            output_csv = str(tmp / "predictions.csv")
+            cmd = [p.format(input_dir=str(input_dir), output_csv=output_csv) for p in self.command]
             proc = subprocess.run(cmd, capture_output=True, text=True)
             if proc.returncode != 0:
                 raise RuntimeError(
@@ -500,4 +503,7 @@ def _parse_prediction_csv(path, expected_ids, class_names):
     missing = [sid for sid in expected_ids if sid not in rows]
     if missing:
         raise RuntimeError(f"{path}: missing predictions for {missing}")
+    unexpected = sorted(rows.keys() - set(expected_ids))
+    if unexpected:
+        raise RuntimeError(f"{path}: predictions for samples not in the batch: {unexpected}")
     return [rows[sid] for sid in expected_ids]

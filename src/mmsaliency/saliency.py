@@ -8,11 +8,12 @@ shared grids broadcast one map across all modalities.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass, fields
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -139,18 +140,19 @@ def _axis_tuple(value, ndim, name):
 
 
 class _Plan(NamedTuple):
-    """One sample's share of a method's oracle stream.
+    """One sample's share of a method's oracle stream, as data.
 
-    `perturbed` lazily builds the sample's n_items perturbed volumes;
-    `reduce` turns their target probabilities, in order, into the map data.
-    `baseline` means "reduce reads the unperturbed prediction": the sample's
-    volume is evaluated even when cfg.target_class is set, and its
-    probability comes first.
+    `items` has one entry per perturbed evaluation (a distinct keep row, an
+    occlusion window or a (voxels, donor data) pair); `build(volume, item)`
+    makes its volume, once per item and in item order. `reduce` turns the
+    items' target probabilities, in order, into the map data. `baseline`
+    means "reduce reads the unperturbed prediction": the sample's volume is
+    evaluated even when cfg.target_class is set, and its probability first.
     """
 
     volume: MultiModalVolume
-    perturbed: Iterator[MultiModalVolume]
-    n_items: int
+    items: Sequence
+    build: Callable[[MultiModalVolume, object], MultiModalVolume]
     reduce: Callable[[np.ndarray], np.ndarray]
     baseline: bool = False
 
@@ -161,23 +163,25 @@ def _explain(plans, oracle, cfg):
     A plan's target is cfg.target_class, or else the predicted class of its
     volume. The volume heads the plan's share of the stream when the target
     is unset or the plan is a baseline plan, and is evaluated apart from any
-    equal perturbed volume. One stream serves the whole list, so a batch
-    oracle gets chunks that may span samples; the per-item path builds each
-    volume only after the one before it is predicted, and yields a plan's
-    map before it builds the next plan's volumes.
+    equal perturbed volume; each item's volume follows, built here and
+    nowhere else. One stream serves the whole list, so a batch oracle gets
+    chunks that may span samples; the per-item path builds each volume only
+    after the one before it is predicted, and yields a plan's map before it
+    builds the next plan's volumes.
     """
 
     def stream():
         for plan in plans:
             if _heads(plan, cfg):
                 yield plan.volume
-            yield from plan.perturbed
+            for item in plan.items:
+                yield plan.build(plan.volume, item)
 
     preds = predict_volumes(oracle, stream())
     for plan in plans:
         head = next(preds) if _heads(plan, cfg) else None
         target = head.argmax if cfg.target_class is None else cfg.target_class
-        mine = itertools.islice(preds, plan.n_items)
+        mine = itertools.islice(preds, len(plan.items))
         if plan.baseline:
             mine = itertools.chain([head], mine)
         probs = [_class_prob(p, target) for p in mine]
@@ -215,16 +219,13 @@ def _segment_plans(volumes, grid, rows, reduce):
     """
     for volume in volumes:
         _check_grid(grid, volume)
-    # where[i]: row i's position among the distinct rows; first[j]: the row
-    # that first has position j. A dict over the row bytes is >10x faster
+    # seen[row bytes]: the row's position among the distinct rows and the
+    # first row with those bytes. A dict over the row bytes is >10x faster
     # here than np.unique(rows, axis=0), which also imports numpy.ma.
-    position, first = {}, []
-    where = np.empty(len(rows), dtype=np.intp)
-    for i, row in enumerate(rows):
-        j = where[i] = position.setdefault(row.tobytes(), len(first))
-        if j == len(first):
-            first.append(i)
-    distinct = rows[first]
+    seen = {}
+    positions = [seen.setdefault(r.tobytes(), (len(seen), i))[0] for i, r in enumerate(rows)]
+    where = np.array(positions, dtype=np.intp)
+    distinct = rows[[i for _, i in seen.values()]]
     # the grid's segment ids in C order as runs: a keep row becomes a mask
     # of the volume by one np.repeat of its entries over the runs; intp, as
     # int32 indices would be converted on every call
@@ -233,17 +234,15 @@ def _segment_plans(volumes, grid, rows, reduce):
     run_segment = flat[starts].astype(np.intp)
     run_length = np.diff(starts, append=flat.size)
 
-    def kept(volume):
-        data = volume.data
+    def kept(volume, row):
         # 0/1 in the volume's dtype: the product equals the one with a bool mask
-        for row in distinct.astype(data.dtype):
-            keep = np.repeat(row[run_segment], run_length).reshape(data.shape)
-            yield MultiModalVolume._masked(volume, keep)
+        keep = np.repeat(row.astype(volume.data.dtype)[run_segment], run_length)
+        return MultiModalVolume._masked(volume, keep.reshape(volume.data.shape))
 
     def reduce_rows(probs):
         return reduce(probs[where])[grid.segment_ids]
 
-    return [_Plan(volume, kept(volume), len(distinct), reduce_rows) for volume in volumes]
+    return [_Plan(volume, distinct, kept, reduce_rows) for volume in volumes]
 
 
 def _solve(gram, rhs, what):
@@ -308,49 +307,49 @@ def occlusion(volume, oracle, cfg) -> SaliencyMap:
 
 
 def _occlusion_plans(volumes, cfg, grid):
-    """One plan per volume, each with its own noise stream; the grid is unused."""
-    return [_occlusion_plan(volume, cfg) for volume in volumes]
+    """One plan per volume, each with its own noise; the grid is unused."""
+    # the plans of one volume shape share one list of windows
+    windows = functools.cache(lambda shape: _occlusion_windows(shape, cfg))
+    return [_occlusion_plan(v, windows(v.data.shape), cfg) for v in volumes]
 
 
-def _occlusion_plan(volume, cfg):
-    dims = volume.dims
+def _occlusion_windows(shape, cfg):
+    """Every (modality, slice...) window of a volume of `shape`: modality-major,
+    then the corners in C order."""
+    n_modalities, dims = shape[0], shape[1:]
     window = _axis_tuple(8 if cfg.window is None else cfg.window, len(dims), "window")
     stride = _axis_tuple(4 if cfg.stride is None else cfg.stride, len(dims), "stride")
     if any(w < 1 or w > d for w, d in zip(window, dims)):
         raise ValueError(f"window {window} must fit inside dims {dims}")
     if any(s < 1 for s in stride):
         raise ValueError(f"stride {stride} must be positive")
+    # each axis's corners step by the stride, plus the one flush to its edge
+    axes = [
+        [slice(c, c + w) for c in sorted({*range(0, d - w + 1, s), d - w})]
+        for d, w, s in zip(dims, window, stride)
+    ]
+    return [(m, *sl) for m in range(n_modalities) for sl in itertools.product(*axes)]
+
+
+def _occlusion_plan(volume, windows, cfg):
     rng = np.random.default_rng(cfg.rng_seed)
-    positions = []
-    for d, w, s in zip(dims, window, stride):
-        pos = list(range(0, d - w + 1, s))
-        if pos[-1] != d - w:
-            pos.append(d - w)
-        positions.append(pos)
     stats = [(float(d.mean()), float(d.std())) for d in volume.data]
 
-    def windows():
-        for m in range(volume.n_modalities):
-            for corner in itertools.product(*positions):
-                yield (m,) + tuple(slice(c, c + w) for c, w in zip(corner, window))
-
-    def perturbed():
-        for sl in windows():
-            mu, sd = stats[sl[0]]
-            data = volume.data.copy()
-            data[sl] = rng.normal(mu, sd, size=window) if sd > 0.0 else mu
-            yield MultiModalVolume(volume.modality_names, data)
+    def replaced(volume, sl):
+        mu, sd = stats[sl[0]]
+        data = volume.data.copy()
+        data[sl] = rng.normal(mu, sd, size=data[sl].shape) if sd > 0.0 else mu
+        return MultiModalVolume(volume.modality_names, data)
 
     def reduce(probs):
         accum = np.zeros_like(volume.data, dtype=np.float64)
         cover = np.zeros_like(volume.data, dtype=np.int64)
-        for sl, p in zip(windows(), probs[1:]):
+        for sl, p in zip(windows, probs[1:]):
             accum[sl] += probs[0] - p
             cover[sl] += 1
         return np.divide(accum, cover, out=np.zeros_like(accum), where=cover > 0)
 
-    n_windows = volume.n_modalities * math.prod(map(len, positions))
-    return _Plan(volume, perturbed(), n_windows, reduce, baseline=True)
+    return _Plan(volume, windows, replaced, reduce, baseline=True)
 
 
 def feature_ablation(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
@@ -377,11 +376,8 @@ def feature_permutation(data, oracle, cfg, grid: SegmentGrid):
     to a random full cycle), is seeded, and swaps the segment's content in all
     modalities at once. Returns {sample_id: SaliencyMap}.
     """
-    samples = _iter_samples(data)
-    plans = _feature_permutation_plans([s.volume for s in samples], cfg, grid)
-    return {
-        s.record.sample_id: smap for s, smap in zip(samples, _explain(plans, oracle, cfg))
-    }
+    cfg = replace(cfg, method=SaliencyMethod.FEATURE_PERMUTATION)
+    return generate_maps(data, oracle, cfg, grid)[0]
 
 
 def _feature_permutation_plans(volumes, cfg, grid):
@@ -396,29 +392,30 @@ def _feature_permutation_plans(volumes, cfg, grid):
     rng = np.random.default_rng(cfg.rng_seed)
     # perms[k][j]: the sample whose segment k sample j gets
     perms = [_derangement_preferring(rng, len(volumes)) for _ in range(grid.n_segments)]
-    # segment k's flat voxel indices are order[bounds[k]:bounds[k + 1]], in
-    # ascending order: one stable sort of the ids, one index per voxel
+    # segments[k]: segment k's flat voxel indices, ascending: one stable sort
+    # of the ids, split at each segment's end
     flat = grid.segment_ids.reshape(-1)
-    order = np.argsort(flat, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(flat))))
-
-    def shuffled(j, volume):
-        for k, perm in enumerate(perms):
-            voxels = order[bounds[k]:bounds[k + 1]]
-            donor = volumes[int(perm[j])].data
-            data = volume.data.copy()
-            # the assignment casts as a masked one does
-            data.reshape(-1)[voxels] = donor.reshape(-1)[voxels]
-            yield MultiModalVolume(names, data)
+    segments = np.split(np.argsort(flat, kind="stable"), np.cumsum(np.bincount(flat))[:-1])
 
     def reduce(probs):
         # the unperturbed probability, then one per shuffled segment
         return (probs[0] - probs[1:])[grid.segment_ids]
 
+    # sample j's items: per segment, its voxels and the data of its donor
     return [
-        _Plan(volume, shuffled(j, volume), grid.n_segments, reduce, baseline=True)
-        for j, volume in enumerate(volumes)
+        _Plan(v, [(voxels, volumes[int(p[j])].data) for voxels, p in zip(segments, perms)],
+              _shuffled, reduce, baseline=True)
+        for j, v in enumerate(volumes)
     ]
+
+
+def _shuffled(volume, item):
+    """`volume` with one segment's voxels taken from a donor's data."""
+    voxels, donor = item
+    data = volume.data.copy()
+    # the assignment casts as a masked one does
+    data.reshape(-1)[voxels] = donor.reshape(-1)[voxels]
+    return MultiModalVolume(volume.modality_names, data)
 
 
 def _derangement_preferring(rng, n):
@@ -635,7 +632,7 @@ def generate_maps(data, oracle, cfg: MethodConfig, grid=None):
         t1 = time.perf_counter()
         wall[sid] = t1 - t0
         t0 = t1
-        evals[sid] = int(_heads(plan, cfg)) + plan.n_items
+        evals[sid] = int(_heads(plan, cfg)) + len(plan.items)
     runlog = {
         "method": method.value,
         "params": {f.name: getattr(cfg, f.name) for f in MethodConfig.param_fields()},

@@ -91,6 +91,40 @@ def sequential_shapley_sampling(volume, oracle, grid, target, n_orderings, seed)
     return marginals / n_orderings
 
 
+def sequential_occlusion(volume, oracle, window, stride, seed, target=None):
+    """Occlusion one window at a time. The windows come modality-major, then
+    corner by corner in C order, each axis's corners stepping by the stride
+    plus the flush-to-edge one. Each window's noise is drawn in that order
+    from default_rng(seed); its probability drop and its coverage are added
+    window by window. target None explains the volume's predicted class.
+    """
+    rng = np.random.default_rng(seed)
+    data = volume.data
+    head = oracle.predict(volume)
+    target = head.argmax if target is None else target
+    corners = []
+    for d, w, s in zip(data.shape[1:], window, stride):
+        axis = list(range(0, d - w + 1, s))
+        if axis[-1] != d - w:
+            axis.append(d - w)
+        corners.append(axis)
+    total = np.zeros(data.shape)
+    cover = np.zeros(data.shape, dtype=np.int64)
+    for m in range(len(data)):
+        mu, sd = float(data[m].mean()), float(data[m].std())
+        for corner in itertools.product(*corners):
+            where = (m, *(slice(c, c + w) for c, w in zip(corner, window)))
+            noisy = data.copy()
+            noisy[where] = rng.normal(mu, sd, size=window) if sd > 0.0 else mu
+            p = oracle.predict(MultiModalVolume(volume.modality_names, noisy)).probs[target]
+            total[where] += head.probs[target] - p
+            cover[where] += 1
+    out = np.zeros(data.shape)
+    covered = cover > 0
+    out[covered] = total[covered] / cover[covered]
+    return out
+
+
 def sampled_keep_rows(method, k, n_samples, seed):
     """The keep rows a sampling estimator draws, repeats included, in row
     order, each a tuple of K bools: its seeded draws replayed one at a time.

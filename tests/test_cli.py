@@ -955,6 +955,25 @@ class TestExternalOracleCli:
         assert all(float(r[1]) == 0.0 for r in rows[1:])
 
 
+    @pytest.mark.parametrize("argv, field", [
+        (["mi", "compute", "--policy", "zero"], "{x}"),
+        (["mi", "compute", "--policy", "zero"], "{}"),
+        (["saliency", "run", "--method", "feature_ablation"], "{x}"),
+    ])
+    def test_a_stray_template_field_exits_1_with_one_line(self, pipeline, tmp_path, argv,
+                                                          field):
+        out = tmp_path / "out"
+        oracle = f"cmd:{sys.executable} s.py {{input_dir}} {{output_csv}} {field}"
+        argv = [*argv, "--manifest", str(pipeline / "data" / "manifest.json"),
+                "--oracle", oracle, "--out" if argv[0] == "mi" else "--out-dir", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "mmsaliency.cli", *argv],
+                              capture_output=True, text=True, env=src_env())
+        assert (proc.returncode, proc.stdout) == (1, "")
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"mmsaliency {argv[0]} {argv[1]}: error: command template")
+        assert field in line and "no other" in line
+        assert not out.exists()
+
     def test_command_oracle_spawns_once_per_chunk(self, tmp_path):
         """MI and occlusion through a logging `cmd:` scorer equal `--oracle builtin`.
 

@@ -1,3 +1,4 @@
+import re
 import sys
 import tempfile
 import textwrap
@@ -765,6 +766,22 @@ class TestExternalOracle:
         with pytest.raises(RuntimeError, match="duplicate predictions for 1"):
             self._predict(cmd)
 
+    def test_rows_for_samples_not_in_the_batch_rejected(self, tmp_path):
+        cmd = _write_stub(
+            tmp_path,
+            """\
+            with open(output_csv, "w", newline="") as fp:
+                w = csv.writer(fp, lineterminator="\\n")
+                w.writerow(["sample_id", "p0", "p1"])
+                for sid in ids + ["7", "not-a-sample"]:
+                    w.writerow([sid, 0.25, 0.75])
+            """,
+        )
+        with pytest.raises(
+            RuntimeError, match=re.escape("not in the batch: ['7', 'not-a-sample']")
+        ):
+            self._predict(cmd, n=2)
+
     def test_batch_manifest_carries_the_class_names(self, tmp_path):
         cmd = _write_stub(
             tmp_path,
@@ -814,3 +831,30 @@ class TestExternalOracle:
     def test_template_placeholders_required(self):
         with pytest.raises(ValueError, match="placeholder|input_dir"):
             ExternalCommandOracle("scorer --fast")
+
+    @pytest.mark.parametrize("template, text", [
+        ("s.py {input_dir} {output_csv} {x}", "fields: {input_dir} {output_csv} {x};"),
+        ("s.py {input_dir} {output_csv} {}", "fields: {} {input_dir} {output_csv};"),
+        ("s.py {input_dir} {output_csv} {0}", "fields: {0} {input_dir} {output_csv};"),
+        ("s.py {input_dir} {output_csv}.{input_dir.name}",
+         "fields: {input_dir} {input_dir.name} {output_csv};"),
+        ("s.py {{input_dir}} {output_csv}", "fields: {output_csv};"),
+        ("s.py {input_dir} {input_dir}", "fields: {input_dir};"),
+        ("s.py", "fields: none;"),
+    ])
+    def test_template_fields_checked_when_built(self, template, text):
+        with pytest.raises(ValueError, match=re.escape(f"command template {text}")):
+            ExternalCommandOracle(template)
+
+    @pytest.mark.parametrize("template, text", [
+        ("s.py } {input_dir} {output_csv}", "Single '}' encountered"),
+        ("s.py '{input_dir} {output_csv}", "No closing quotation"),
+    ])
+    def test_malformed_template_rejected_when_built(self, template, text):
+        with pytest.raises(ValueError, match=re.escape(text)):
+            ExternalCommandOracle(template)
+
+    def test_doubled_braces_are_literal(self, tmp_path):
+        check = 'assert sys.argv[3:] == ["{x}", "a{}b"], sys.argv\n'
+        cmd = _write_stub(tmp_path, check + GOOD_BODY) + " {{x}} a{{}}b"
+        assert [p.probs for p in self._predict(cmd)] == [(0.25, 0.75)] * 3

@@ -14,6 +14,7 @@ from helpers import (
     make_volume,
     percentile_clamp_reference,
     sampled_keep_rows,
+    sequential_occlusion,
     sequential_shapley_sampling,
     src_env,
     subset_shapley,
@@ -309,6 +310,64 @@ class TestOcclusion:
         a = occlusion(vol, oracle, cfg).data
         b = occlusion(vol, oracle, cfg).data
         assert np.array_equal(a, b)
+
+    def test_plans_of_one_shape_share_one_window_list(self):
+        rng = np.random.default_rng(10)
+        volumes = [make_volume(rng, 2, dims) for dims in [(8, 8), (8, 8), (6, 8), (8, 8)]]
+        cfg = MethodConfig(SaliencyMethod.OCCLUSION, window=4, stride=2)
+        plans = saliency._occlusion_plans(volumes, cfg, None)
+        assert plans[0].items is plans[1].items is plans[3].items
+        assert plans[2].items is not plans[0].items
+        # 2 modalities x corners (0, 2) x (0, 2, 4), and x (0, 2, 4) twice
+        assert (len(plans[2].items), len(plans[0].items)) == (2 * 2 * 3, 2 * 3 * 3)
+
+
+def _typed(volume, dtype):
+    return MultiModalVolume(volume.modality_names, volume.data.astype(dtype))
+
+
+class TestOcclusionReference:
+    """generate_maps's occlusion maps against sequential_occlusion, byte for byte."""
+
+    ORACLE = FunctionOracle(lambda d: 0.5 + float((d[0] * d[-1]).mean()) - 0.3 * float(d.std()))
+
+    def _assert_equal_to_reference(self, samples, window, stride, target_class):
+        cfg = MethodConfig(
+            SaliencyMethod.OCCLUSION, target_class=target_class, rng_seed=13,
+            window=window, stride=stride,
+        )
+        maps, _ = generate_maps(samples, self.ORACLE, cfg)
+        for s in samples:
+            expected = sequential_occlusion(
+                s.volume, self.ORACLE, window, stride, 13, target_class
+            )
+            assert maps[s.record.sample_id].data.dtype == expected.dtype
+            assert maps[s.record.sample_id].data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("target_class", [None, 1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dims, window, stride", [
+        ((9, 7), (3, 2), (2, 3)),
+        ((6, 5, 4), (2, 3, 2), (2, 1, 3)),
+        ((8, 8), (2, 2), (3, 3)),  # stride > window: some voxels stay uncovered
+    ])
+    def test_maps_equal_the_sequential_reference(
+        self, dims, window, stride, dtype, target_class
+    ):
+        rng = np.random.default_rng(11)
+        samples = [
+            make_sample(f"s{i}", _typed(make_volume(rng, 2, dims), dtype)) for i in range(3)
+        ]
+        self._assert_equal_to_reference(samples, window, stride, target_class)
+
+    @pytest.mark.parametrize("target_class", [None, 1])
+    def test_samples_of_two_shapes(self, target_class):
+        rng = np.random.default_rng(12)
+        samples = [
+            make_sample(f"s{i}", make_volume(rng, 2, dims))
+            for i, dims in enumerate([(8, 8), (6, 7), (8, 8), (6, 7)])
+        ]
+        self._assert_equal_to_reference(samples, (3, 3), (2, 2), target_class)
 
 
 class TestFeatureAblation:
@@ -1003,14 +1062,11 @@ class TestDistinctRows:
 
         def every_row(volumes, grid, rows, reduce):
             # plans that stream every row, repeats included
-            def kept(volume):
-                for row in rows:
-                    yield volume.with_data(volume.data * row[grid.segment_ids])
+            def kept(volume, row):
+                return volume.with_data(volume.data * row[grid.segment_ids])
 
             return [
-                saliency._Plan(
-                    volume, kept(volume), len(rows), lambda p: reduce(p)[grid.segment_ids]
-                )
+                saliency._Plan(volume, rows, kept, lambda p: reduce(p)[grid.segment_ids])
                 for volume in volumes
             ]
 
@@ -1109,9 +1165,10 @@ class TestRunLengthMasks:
         rows[10:20] = rows[:10]  # repeats are evaluated once
         [plan] = saliency._segment_plans(volumes, grid, rows, lambda p: p)
         distinct = list(dict.fromkeys(map(bytes, rows)))
-        assert plan.n_items == len(distinct)
+        assert len(plan.items) == len(distinct)
+        assert plan.items.dtype == bool and list(map(bytes, plan.items)) == distinct
         ids = grid.segment_ids.astype(np.intp)
-        built = list(plan.perturbed)
+        built = [plan.build(plan.volume, row) for row in plan.items]
         assert len(built) == len(distinct)
         for volume, row in zip(built, distinct):
             expected = data * np.take(np.frombuffer(row, dtype=bool), ids)
@@ -1128,7 +1185,8 @@ class TestRunLengthMasks:
         volume = make_volume(rng, 2, (6, 5), low=-1.0)
         rows = rng.random((12, 7)) < 0.5
         [plan] = saliency._segment_plans([volume], grid, rows, lambda p: p)
-        for built, row in zip(plan.perturbed, dict.fromkeys(map(bytes, rows))):
+        for item, row in zip(plan.items, dict.fromkeys(map(bytes, rows))):
+            built = plan.build(volume, item)
             expected = volume.data * np.take(np.frombuffer(row, dtype=bool), ids)
             assert built.data.tobytes() == expected.tobytes()
 
