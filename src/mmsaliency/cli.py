@@ -27,7 +27,7 @@ from .metrics import (
     msfi,
     nemenyi,
 )
-from .oracle import ExternalCommandOracle, ShapeRuleClassifier, _iter_samples
+from .oracle import ExternalCommandOracle, ShapeRuleClassifier, _command_parts, _iter_samples
 from .saliency import MethodConfig, SaliencyMethod, generate_maps, postprocess
 from .synthgen import DEFAULT_MODALITIES, SynthConfig, generate_dataset, generate_probe
 from .tensorio import _json_entry, load_dataset, load_manifest, read_saliency, write_saliency
@@ -56,12 +56,23 @@ def _named_floats(text, names, default, what):
     return tuple(by_name.get(n, d) for n, d in zip(upper, default))
 
 
+def _check_oracle(args):
+    """Reject a bad --oracle before any file is read."""
+    spec = args.oracle
+    if spec.startswith("cmd:"):
+        try:
+            _command_parts(spec[4:])
+        except ValueError as exc:
+            raise ValueError(f"{exc}, in --oracle {spec!r}") from None
+    elif spec != "builtin":
+        raise ValueError("--oracle must be 'builtin' or 'cmd:<template>'")
+
+
 def _build_oracle(args, modality_names, class_names):
+    """The --oracle oracle, once _check_oracle has passed it."""
     spec = args.oracle
     if spec.startswith("cmd:"):
         return ExternalCommandOracle(spec[4:], class_names)
-    if spec != "builtin":
-        raise ValueError("--oracle must be 'builtin' or 'cmd:<template>'")
     weights = _named_floats(args.weights, modality_names, [0.0] * len(modality_names),
                             "--weights")
     return ShapeRuleClassifier(
@@ -120,6 +131,7 @@ def cmd_synth_probe(args):
 
 
 def cmd_mi_compute(args):
+    _check_oracle(args)
     manifest, samples = _load_samples(args.manifest)
     names = samples[0].volume.modality_names
     oracle = _build_oracle(args, names, manifest.class_names)
@@ -172,6 +184,7 @@ def _parse_params(text):
 
 
 def cmd_saliency_run(args):
+    _check_oracle(args)
     manifest, samples = _load_samples(args.manifest)
     names = samples[0].volume.modality_names
     method = SaliencyMethod(args.method)

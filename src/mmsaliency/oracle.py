@@ -12,6 +12,7 @@ import csv
 import math
 import shlex
 import string
+import struct
 import subprocess
 import tempfile
 from collections import OrderedDict
@@ -279,7 +280,8 @@ class ShapeRuleClassifier:
     Each instance remembers the predictions of its recent thresholded fields
     in about MEMO_BYTES of memory, so a perturbation that leaves the
     foreground as it was is not labeled again, and holds its weights as a
-    float64 row and their sum, made once. The memo and the row take no part
+    float64 row and the threshold's cut on their weighted sum (see
+    _threshold_cut), made once. The memo, the row and the cut take no part
     in equality, hashing or repr. The memo is not locked: threads that share
     an instance must lock around predict.
     """
@@ -292,7 +294,7 @@ class ShapeRuleClassifier:
         default_factory=_ForegroundMemo, init=False, repr=False, compare=False
     )
     _weight_row: np.ndarray = field(init=False, repr=False, compare=False)
-    _weight_sum: np.float64 = field(init=False, repr=False, compare=False)
+    _cut: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.modality_weights)
@@ -310,7 +312,7 @@ class ShapeRuleClassifier:
         row = np.asarray(w, dtype=np.float64)[None]
         row.setflags(write=False)
         object.__setattr__(self, "_weight_row", row)
-        object.__setattr__(self, "_weight_sum", row.sum())
+        object.__setattr__(self, "_cut", _threshold_cut(self.intensity_threshold, float(row.sum())))
 
     def predict(self, volume: MultiModalVolume) -> ClassProbabilities:
         return predict_shape_rule(self, volume)
@@ -331,15 +333,41 @@ def predict_shape_rule(cfg: ShapeRuleClassifier, volume: MultiModalVolume):
             f"{volume.n_modalities} modalities"
         )
     data = volume.data.astype(np.float64, copy=False)
-    # the product tensordot(w, data, axes=(0, 0)) computes, without its set-up
-    combined = np.dot(w, data.reshape(w.shape[1], -1)).reshape(data.shape[1:]) / cfg._weight_sum
-    fg = combined > cfg.intensity_threshold
-    key = (fg.shape, np.packbits(fg).tobytes())
+    # the product tensordot(w, data, axes=(0, 0)) computes, without its set-up;
+    # above the cut exactly where its quotient by the weight sum is above the
+    # threshold. fg is one flat row, its bits in C order as the field's.
+    fg = np.dot(w, data.reshape(w.shape[1], -1)) > cfg._cut
+    key = (data.shape[1:], np.packbits(fg).tobytes())
     probs = cfg._memo.get(key)
     if probs is None:
-        probs = _shape_rule_probs(cfg, fg)
+        probs = _shape_rule_probs(cfg, fg.reshape(data.shape[1:]))
         cfg._memo.add(key, probs)
     return probs
+
+
+def _threshold_cut(threshold, weight_sum):
+    """The largest float64 x for which `x / weight_sum > threshold` is false.
+
+    Correctly rounded division is monotone in x, so for every float64 x,
+    NaN and infinities too, `x / weight_sum > threshold` holds exactly when
+    `x > cut`. The cut lies in [0, inf], since 0 / weight_sum is 0. It is
+    found by bisection over the bit patterns of the nonnegative float64s,
+    which as integers are in the floats' order: 63 steps, where a walk by
+    `math.nextafter` from threshold * weight_sum can take billions (5e11 at
+    threshold 5e-324 and weight sum 1e12).
+    """
+
+    def value(bits):
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    lo, hi = 0, 0x7FF0000000000001  # the bits of 0.0, and one past those of inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if value(mid) / weight_sum > threshold:
+            hi = mid
+        else:
+            lo = mid
+    return value(lo)
 
 
 def _shape_rule_probs(cfg, fg):
@@ -431,15 +459,7 @@ class ExternalCommandOracle:
     """
 
     def __init__(self, command_template, class_names=("class0", "class1")):
-        parts = shlex.split(command_template)
-        # the fields str.format fills in each part; None stands for trailing text
-        fields = {f for part in parts for _, f, _, _ in string.Formatter().parse(part)} - {None}
-        if fields != {"input_dir", "output_csv"}:
-            named = " ".join(f"{{{f}}}" for f in sorted(fields)) or "none"
-            raise ValueError(
-                f"command template fields: {named}; it must have {{input_dir}} and "
-                "{output_csv} and no other (write {{ and }} for a literal brace)"
-            )
+        parts = _command_parts(command_template)
         self.class_names = tuple(str(c) for c in class_names)
         if len(self.class_names) < 2:
             raise ValueError(f"need at least two class names, got {self.class_names}")
@@ -470,6 +490,34 @@ class ExternalCommandOracle:
                     f"{proc.stderr.strip() or proc.stdout.strip()}"
                 )
             return _parse_prediction_csv(output_csv, ids, self.class_names)
+
+
+def _command_parts(template):
+    """The template split as a shell would, each part to be filled by
+    str.format; a template whose fields are not {input_dir} and {output_csv},
+    bare, or that does not split or parse, is a ValueError."""
+    try:
+        parts = shlex.split(template)
+        # (field, format spec, conversion) of each field; None stands for trailing text
+        fields = [(f, spec, conv) for part in parts
+                  for _, f, spec, conv in string.Formatter().parse(part) if f is not None]
+    except ValueError as exc:
+        raise ValueError(f"command template: {exc}") from None
+    names = {f for f, _, _ in fields}
+    if names != {"input_dir", "output_csv"}:
+        named = " ".join(f"{{{f}}}" for f in sorted(names)) or "none"
+        raise ValueError(
+            f"command template fields: {named}; it must have {{input_dir}} and "
+            "{output_csv} and no other (write {{ and }} for a literal brace)"
+        )
+    for f, spec, conv in fields:
+        if spec or conv:
+            written = f"{{{f}{'!' + conv if conv else ''}{':' + spec if spec else ''}}}"
+            raise ValueError(
+                f"command template field {written} has a conversion or format spec; "
+                f"write {{{f}}}"
+            )
+    return parts
 
 
 def _parse_prediction_csv(path, expected_ids, class_names):

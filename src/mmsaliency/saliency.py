@@ -227,17 +227,23 @@ def _segment_plans(volumes, grid, rows, reduce):
     where = np.array(positions, dtype=np.intp)
     distinct = rows[[i for _, i in seen.values()]]
     # the grid's segment ids in C order as runs: a keep row becomes a mask
-    # of the volume by one np.repeat of its entries over the runs; intp, as
-    # int32 indices would be converted on every call
-    flat = grid.segment_ids.reshape(-1)
+    # of the volume by one repeat of its entries over the runs (the method:
+    # np.repeat's dispatch costs as much again); intp, as int32 indices
+    # would be converted on every call. When every modality has the first
+    # one's ids, the runs and the mask cover one modality's voxels and
+    # _masked broadcasts the mask over the modalities.
+    ids = grid.segment_ids
+    if (ids == ids[0]).all():
+        ids = ids[0]
+    flat = ids.reshape(-1)
     starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
     run_segment = flat[starts].astype(np.intp)
     run_length = np.diff(starts, append=flat.size)
 
     def kept(volume, row):
         # 0/1 in the volume's dtype: the product equals the one with a bool mask
-        keep = np.repeat(row.astype(volume.data.dtype)[run_segment], run_length)
-        return MultiModalVolume._masked(volume, keep.reshape(volume.data.shape))
+        keep = row.astype(volume.data.dtype)[run_segment].repeat(run_length)
+        return MultiModalVolume._masked(volume, keep.reshape(ids.shape))
 
     def reduce_rows(probs):
         return reduce(probs[where])[grid.segment_ids]

@@ -126,10 +126,10 @@ class MultiModalVolume(_Field):
 
     @classmethod
     def _masked(cls, volume, keep):
-        """`volume` times `keep`, an array of its shape that is bool or holds
-        0 and 1 in the volume's dtype, made without the checks of _freeze:
-        that product of a validated volume keeps its dtype, shape and
-        finiteness."""
+        """`volume` times `keep`, an array of its shape, or of its dims to be
+        broadcast over the modalities, that is bool or holds 0 and 1 in the
+        volume's dtype, made without the checks of _freeze: that product of a
+        validated volume keeps its dtype, shape and finiteness."""
         data = volume.data * keep
         data.setflags(write=False)
         masked = object.__new__(cls)

@@ -823,6 +823,30 @@ class TestMutationTable:
         assert text in line
         assert not paths["out"].exists()
 
+    # a `cmd:` template that is checked only by its field names builds, then
+    # fails at the first call (a conversion or a format spec) or with text
+    # that names neither the template nor --oracle (a lone brace, a quote)
+    @pytest.mark.parametrize("name", ["mi", "saliency"])
+    @pytest.mark.parametrize("template, text", [
+        ("s.py {input_dir!r} {output_csv}", "field {input_dir!r} has a conversion"),
+        ("s.py {input_dir:d} {output_csv}", "field {input_dir:d} has a conversion or format spec"),
+        ("s.py } {input_dir} {output_csv}", "command template: Single '}' encountered"),
+        ("s.py '{input_dir} {output_csv}", "command template: No closing quotation"),
+    ])
+    def test_a_bad_command_template_exits_1_with_one_line_before_any_read(
+        self, tmp_path, capsys, name, template, text
+    ):
+        paths = {"manifest": tmp_path / "absent.json", "out": tmp_path / "out"}
+        spec = f"cmd:{template}"
+        argv = [*command(name, paths), "--oracle", spec]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        line = assert_one_error_line(err, argv)
+        assert capsys.readouterr() == ("", "")
+        # the template's fault, although the manifest does not exist
+        assert text in line and line.endswith(f", in --oracle {spec!r}")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestModalityNames:
     """Every volume and mask of a dataset lists the first volume's modality

@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 import tempfile
@@ -548,23 +549,97 @@ class TestSetUpOnce:
         assert classifier._weight_row.dtype == np.float64
         assert classifier._weight_row.tolist() == [[1.0, 2.0, 0.0]]
         assert not classifier._weight_row.flags.writeable
-        assert classifier._weight_sum == 3.0
+        assert classifier._cut == oracle._threshold_cut(0.5, 3.0)
 
     def test_equality_hash_and_repr_ignore_the_row(self):
         a, b = ShapeRuleClassifier((1, 2)), ShapeRuleClassifier((1.0, 2.0))
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-        assert "_weight_row" not in repr(a) and "_weight_sum" not in repr(a)
+        assert "_weight_row" not in repr(a) and "_cut=" not in repr(a)
         assert a != ShapeRuleClassifier((2.0, 1.0))
+
+    def test_equality_hash_and_repr_ignore_the_cut(self):
+        a, b = ShapeRuleClassifier((1.0, 2.0)), ShapeRuleClassifier((1.0, 2.0))
+        object.__setattr__(b, "_cut", math.nextafter(a._cut, math.inf))
+        assert a._cut != b._cut
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
     def test_replace_makes_the_row_anew(self):
         volume = memo_samples()[0].volume
         other = replace(MEMO_CFG, modality_weights=(1.0, 0.5, 0.0, 2.0))
         assert other._weight_row.tolist() == [[1.0, 0.5, 0.0, 2.0]]
-        assert other._weight_sum == 3.5
+        assert other._cut == oracle._threshold_cut(0.35, 3.5)
         fresh = ShapeRuleClassifier((1.0, 0.5, 0.0, 2.0), intensity_threshold=0.35,
                                     circularity_cutoff=0.7, softness=0.08)
         assert other.predict(volume) == fresh.predict(volume)
         assert other.predict(volume).probs == predict_shape_rule_reference(other, volume)
+
+
+def random_classifiers(seed, n):
+    """n classifiers of 1-5 random weights (some zero) over six decades, and
+    random thresholds with a subnormal one and the largest below 1 among them."""
+    rng = np.random.default_rng(seed)
+    specials = [1e-310, 5e-324, 1.0 - 2.0**-53, 0.5]
+    out = []
+    for i in range(n):
+        w = rng.uniform(0.0, 1.0, rng.integers(1, 6)) * 10.0 ** rng.uniform(-3, 3)
+        w[rng.random(w.size) < 0.2] = 0.0
+        w[0] = max(w[0], 1e-3)  # not all zero
+        t = specials[i % len(specials)] if i % 3 == 0 else float(rng.uniform(0.0, 1.0))
+        out.append(ShapeRuleClassifier(tuple(w), intensity_threshold=t))
+    return out
+
+
+def division_form(cfg, data):
+    """The thresholded field as the quotient by the weight sum gives it."""
+    w = cfg._weight_row
+    d = data.astype(np.float64)
+    combined = np.dot(w, d.reshape(w.shape[1], -1)).reshape(d.shape[1:]) / w.sum()
+    return combined > cfg.intensity_threshold
+
+
+class TestThresholdCut:
+    """The classifier thresholds the weighted sum against a cut made once,
+    in place of dividing it by the weight sum."""
+
+    def test_the_cut_and_the_float_above_it_fall_on_the_two_sides(self):
+        for cfg in random_classifiers(70, 400):
+            s, t, cut = float(cfg._weight_row.sum()), cfg.intensity_threshold, cfg._cut
+            assert 0.0 <= cut < math.inf
+            assert not cut / s > t, (cfg, cut)
+            assert math.nextafter(cut, math.inf) / s > t, (cfg, cut)
+
+    def test_an_infinite_weight_sum_puts_the_cut_at_infinity(self):
+        # every quotient by inf is 0 or NaN, never above the threshold
+        with np.errstate(over="ignore"):
+            cfg = ShapeRuleClassifier((1e308, 1e308))
+        assert cfg._cut == math.inf
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dims", [(6, 7), (3, 4, 5)])
+    def test_fields_at_the_cut_equal_the_division_form(self, dims, dtype):
+        rng = np.random.default_rng(71)
+        for cfg in random_classifiers(72, 60):
+            m = len(cfg.modality_weights)
+            w = np.asarray(cfg.modality_weights)
+            cfg = replace(cfg, modality_weights=(1.0, *w[1:]))
+            # the floats of the volume's dtype nearest the cut, three each side
+            near = [dtype(cfg._cut)]
+            for _ in range(3):
+                near = [np.nextafter(near[0], dtype(-np.inf)), *near,
+                        np.nextafter(near[-1], dtype(np.inf))]
+            # the first modality holds them; the others are zero where they
+            # have a weight, so the weighted sum is the first modality times
+            # its weight, 1, and random where they have none
+            data = np.zeros((m, *dims), dtype=dtype)
+            data[0] = rng.choice(np.array(near, dtype=dtype), size=dims)
+            data[1:][w[1:] == 0] = rng.uniform(-1.0, 2.0, size=dims)
+            volume = MultiModalVolume(tuple(f"m{i}" for i in range(m)), data)
+            expected = division_form(cfg, data)
+            probs = predict_shape_rule(cfg, volume)
+            assert list(cfg._memo)[-1] == (dims, np.packbits(expected).tobytes())
+            assert probs == oracle._shape_rule_probs(cfg, expected)
+            if dtype is np.float64:
+                assert expected.any() and not expected.all()  # the cut lies inside
 
 
 class TestShapeRuleClassifier:

@@ -1190,6 +1190,44 @@ class TestRunLengthMasks:
             expected = volume.data * np.take(np.frombuffer(row, dtype=bool), ids)
             assert built.data.tobytes() == expected.tobytes()
 
+    # a hand-made grid with per_modality=False is not checked to share its
+    # ids: whether the mask covers one modality is read from the ids
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ids_shared", [True, False])
+    def test_a_mask_of_the_dims_only_where_the_modalities_share_their_ids(
+        self, monkeypatch, ids_shared, dtype
+    ):
+        rng = np.random.default_rng(62)
+        spatial = rng.permutation(np.arange(6 * 5) % 5).reshape(6, 5)
+        ids = np.stack([spatial, spatial if ids_shared else spatial.T[::-1].reshape(6, 5),
+                        spatial])
+        grid = SegmentGrid(False, ids)
+        data = rng.uniform(-1.0, 1.0, size=(3, 6, 5)).astype(dtype)
+        names = ("a", "b", "c")
+        samples = [make_sample(f"s{i}", MultiModalVolume(names, d))
+                   for i, d in enumerate([data, data[::-1]])]
+        keeps = []
+
+        class Recorded(MultiModalVolume):
+            @classmethod
+            def _masked(cls, volume, keep):
+                keeps.append(keep.shape)
+                return super()._masked(volume, keep)
+
+        monkeypatch.setattr(saliency, "MultiModalVolume", Recorded)
+        oracle = FunctionOracle(lambda d: 0.5 + 0.1 * np.tanh(d[0].sum() - 0.5 * d[1].sum()))
+        cfg = MethodConfig(SaliencyMethod.KERNEL_SHAP, target_class=0, exhaustive=True)
+        maps = generate_maps(samples, oracle, cfg, grid)[0]
+        assert set(keeps) == {(6, 5) if ids_shared else (3, 6, 5)}
+        # exact Shapley over the gathered products of every coalition
+        rows = saliency.coalition_table(5, "segments")
+        for s in samples:
+            volume = s.volume
+            values = np.array([oracle.predict(volume.with_data(
+                volume.data * np.take(row, ids))).probs[0] for row in rows])
+            expected = exact_shapley(values, 5)[grid.segment_ids]
+            assert maps[s.record.sample_id].data.tobytes() == expected.tobytes()
+
 
 def kernel_shap_weight_in_int64(k, size):
     """The weight as numpy int64 sizes computed it: exact while the product fits."""

@@ -106,6 +106,20 @@ def test_masked_volume_equals_the_checked_product(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_volume_broadcasts_a_mask_of_its_dims(dtype):
+    rng = np.random.default_rng(6)
+    vol = MultiModalVolume(("a", "b", "c"), rng.normal(size=(3, 3, 4)).astype(dtype))
+    keep = rng.random((3, 4)) < 0.5
+    for mask in (keep, keep.astype(dtype)):
+        masked = MultiModalVolume._masked(vol, mask)
+        checked = MultiModalVolume(vol.modality_names, vol.data * keep[None])
+        assert masked.data.shape == checked.data.shape == (3, 3, 4)
+        assert masked.data.dtype == checked.data.dtype == dtype
+        assert masked.data.tobytes() == checked.data.tobytes()
+        assert masked.data.flags.c_contiguous and not masked.data.flags.writeable
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_masked_volume_takes_a_mask_of_its_dtype(dtype):
     rng = np.random.default_rng(5)
     vol = MultiModalVolume(("a", "b"), rng.normal(size=(2, 3, 4)).astype(dtype))
