@@ -84,7 +84,9 @@ def apply_ablation(volume, keep, policy: AblationPolicy, mask=None):
     if keep.all():
         return volume
     data = volume.data.copy()
-    rng = np.random.default_rng(policy.rng_seed)
+    # made only where it draws: numpy.random is not imported for the zero policies
+    if policy.variant is AblationVariant.NONLESION_SAMPLE_WHOLE_MODALITY:
+        rng = np.random.default_rng(policy.rng_seed)
     for m in np.flatnonzero(~keep):
         if policy.variant is AblationVariant.ZERO_WHOLE_MODALITY:
             data[m] = 0.0

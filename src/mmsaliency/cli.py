@@ -8,10 +8,15 @@ JSON files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -196,19 +201,47 @@ def cmd_saliency_run(args):
             f"classes {list(manifest.class_names)}"
         )
     oracle = _build_oracle(args, names, manifest.class_names)
-    maps, runlog = generate_maps(samples, oracle, cfg)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = {}
-    for s in samples:
-        path = out_dir / f"{s.record.sample_id}_{method.value}.mmv"
-        write_saliency(maps[s.record.sample_id], path)
-        files[s.record.sample_id] = path.name
-    runlog["files"] = files
-    with open(out_dir / f"runlog_{method.value}.json", "w", encoding="utf-8") as fp:
-        json.dump(runlog, fp, indent=2, sort_keys=True)
-        fp.write("\n")
+    # the masks were loaded and checked with the volumes; no method reads them
+    samples = [replace(s, mask=None) for s in samples]
+    out_dir, files = Path(args.out_dir), {}
+    with _staged(out_dir) as stage:
+
+        def write(sample_id, smap):
+            files[sample_id] = f"{sample_id}_{method.value}.mmv"
+            write_saliency(smap, stage / files[sample_id])
+
+        _, runlog = generate_maps(samples, oracle, cfg, on_map=write)
+        runlog["files"] = files
+        with open(stage / f"runlog_{method.value}.json", "w", encoding="utf-8") as fp:
+            json.dump(runlog, fp, indent=2, sort_keys=True)
+            fp.write("\n")
     print(f"wrote {len(files)} {method.value} maps to {out_dir}")
+
+
+@contextlib.contextmanager
+def _staged(out_dir):
+    """Yield a fresh directory inside `out_dir` for the files of one run.
+
+    `out_dir` and its missing parents are made first. When the block ends
+    normally, each staged file replaces its namesake in `out_dir`; when it
+    raises, the staged files and every directory made here are removed, and
+    no file that was in `out_dir` before is touched.
+    """
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        stage = Path(tempfile.mkdtemp(prefix=".staged-", dir=out_dir))
+        try:
+            yield stage
+            for path in sorted(stage.iterdir()):
+                os.replace(path, out_dir / path.name)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
+    except BaseException:
+        for d in made:  # deepest first; one that is not empty stays
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
 
 
 def _read_csv(path, header, numbers=()):

@@ -310,9 +310,13 @@ class ShapeRuleClassifier:
             raise ValueError("softness must be positive")
         object.__setattr__(self, "modality_weights", w)
         row = np.asarray(w, dtype=np.float64)[None]
+        with np.errstate(over="ignore"):
+            weight_sum = float(row.sum())
+        if not math.isfinite(weight_sum):
+            raise ValueError(f"weights must have a finite sum: {w}")
         row.setflags(write=False)
         object.__setattr__(self, "_weight_row", row)
-        object.__setattr__(self, "_cut", _threshold_cut(self.intensity_threshold, float(row.sum())))
+        object.__setattr__(self, "_cut", _threshold_cut(self.intensity_threshold, weight_sum))
 
     def predict(self, volume: MultiModalVolume) -> ClassProbabilities:
         return predict_shape_rule(self, volume)

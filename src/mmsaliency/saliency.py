@@ -614,15 +614,19 @@ _PLANS = {
 }
 
 
-def generate_maps(data, oracle, cfg: MethodConfig, grid=None):
+def generate_maps(data, oracle, cfg: MethodConfig, grid=None, on_map=None):
     """Run one method over a dataset; returns ({sample_id: map}, runlog dict).
 
     The method's plan builder checks its input, draws its rows and builds
     every sample's plan before any oracle call; then all samples' volumes go
-    through one oracle stream (see _explain). The runlog records method,
-    params, seed, and per sample its oracle evaluations and its wall time:
-    the time from the previous sample's map, or from the start of the call,
-    to its own. Wall times are measurement, not a deterministic output.
+    through one oracle stream (see _explain). Given `on_map`, each sample's
+    map goes to `on_map(sample_id, map)` as soon as it is made, in sample
+    order, and is not kept: the returned dict is empty, and the call holds
+    one finished map at a time. The runlog records method, params, seed,
+    and per sample its oracle evaluations and its wall time: the time from
+    the previous sample's map, or from the start of the call, to its own,
+    without the time spent in `on_map`. Wall times are measurement, not a
+    deterministic output.
     """
     t0 = time.perf_counter()
     samples = _iter_samples(data)
@@ -632,13 +636,18 @@ def generate_maps(data, oracle, cfg: MethodConfig, grid=None):
         grid = default_grid_for(method, first.n_modalities, first.dims, cfg.block_shape)
     plans = _PLANS[method]([s.volume for s in samples], cfg, grid)
     maps, wall, evals = {}, {}, {}
-    for s, plan, smap in zip(samples, plans, _explain(plans, oracle, cfg)):
+    smaps = _explain(plans, oracle, cfg)
+    for s, plan in zip(samples, plans):
         sid = s.record.sample_id
-        maps[sid] = smap
-        t1 = time.perf_counter()
-        wall[sid] = t1 - t0
-        t0 = t1
+        smap = next(smaps)
+        wall[sid] = time.perf_counter() - t0
         evals[sid] = int(_heads(plan, cfg)) + len(plan.items)
+        if on_map is None:
+            maps[sid] = smap
+        else:
+            on_map(sid, smap)
+        del smap  # not held while the next map is made
+        t0 = time.perf_counter()
     runlog = {
         "method": method.value,
         "params": {f.name: getattr(cfg, f.name) for f in MethodConfig.param_fields()},

@@ -1,9 +1,12 @@
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from helpers import FixedOracle, make_sample, make_volume, permutation_shapley
+from helpers import FixedOracle, make_sample, make_volume, permutation_shapley, src_env
 from mmsaliency.ablate import (
     AblationPolicy,
     AblationVariant,
@@ -81,6 +84,18 @@ class TestApplyAblation:
         # seeded and pure: same arguments, same draw
         again = apply_ablation(vol, KEEP_0, NONLESION, mask)
         assert np.array_equal(out.data, again.data)
+
+    def test_nonlesion_draws_are_one_stream_over_the_ablated_modalities(self):
+        vol = make_volume(np.random.default_rng(1), 3, (4, 4), low=0.1)
+        mask_data = np.zeros((3, 4, 4))
+        mask_data[:, :2] = 1.0  # each modality's pool is its bottom two rows
+        mask = SegmentationMask(vol.modality_names, mask_data)
+        out = apply_ablation(vol, np.array([False, True, False]), NONLESION, mask)
+        rng = np.random.default_rng(NONLESION.rng_seed)
+        for m in (0, 2):
+            pool = vol.data[m][2:].reshape(-1)
+            assert np.array_equal(out.data[m], pool[rng.integers(0, pool.size, size=(4, 4))])
+        assert np.array_equal(out.data[1], vol.data[1])
 
     def test_nonlesion_empty_pool_is_error(self):
         vol = self._volume()
@@ -340,3 +355,36 @@ class TestMsfiInvarianceToMiScale:
             assert msfi(smap, mask, clamped) == pytest.approx(
                 msfi(smap, mask, normalized), abs=1e-12
             )
+
+
+def test_zero_policies_do_not_import_numpy_random():
+    """Only the nonlesion policy draws; the others never make a generator,
+    so numpy.random (about 5 MB) stays unloaded in an `mi compute` process."""
+    code = textwrap.dedent("""\
+        import sys
+        import numpy as np
+        from mmsaliency.ablate import AblationPolicy, AblationVariant, shapley_mi
+        from mmsaliency.oracle import ShapeRuleClassifier
+        from mmsaliency.tensorio import (LoadedSample, ManifestRecord, MultiModalVolume,
+                                         SegmentationMask)
+
+        names = ("t1", "t1c", "t2", "flair")
+        data = np.linspace(0.0, 1.0, 4 * 16 * 16).reshape(4, 16, 16)
+        mask = np.zeros_like(data)
+        mask[:, 4:12, 4:12] = 1.0
+        samples = [LoadedSample(ManifestRecord(f"s{i}", i, "unused"),
+                                MultiModalVolume(names, data[:, :, ::1 - 2 * i]),
+                                SegmentationMask(names, mask)) for i in range(2)]
+        oracle = ShapeRuleClassifier((0.0, 1.0, 0.0, 1.0), intensity_threshold=0.35)
+        print("numpy.random" in sys.modules)
+        for variant in ("zero", "feature", "nonlesion"):
+            shapley_mi(samples, oracle, AblationPolicy(AblationVariant(variant)))
+            print("numpy.random" in sys.modules)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    at_import, *after = proc.stdout.split()
+    if at_import == "True":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert after == ["False", "False", "True"]

@@ -13,6 +13,7 @@ import pytest
 
 from helpers import REPO, src_env
 from mmsaliency import cli
+from mmsaliency import oracle as oracle_mod
 from mmsaliency.cli import _parse_params, main
 from mmsaliency.oracle import ClassProbabilities
 from mmsaliency.saliency import MethodConfig
@@ -330,6 +331,9 @@ class TestInputChecks:
                            "--align names 'T1' more than once"),
         "weights_repeated": ("mi compute --manifest {manifest} --weights flair:1,Flair:0 "
                              "--out {out}", "--weights names 'FLAIR' more than once"),
+        "weights_sum_overflows": ("mi compute --manifest {manifest} --weights "
+                                  "t1:1e308,t1c:1e308 --out {out}",
+                                  "weights must have a finite sum: (1e+308, 1e+308, 0.0, 0.0)"),
         "oracle_spec": ("mi compute --manifest {manifest} --oracle onnx --out {out}",
                         "--oracle must be 'builtin' or 'cmd:<template>'"),
         "params_entry": ("saliency run --manifest {manifest} --method lime --params window "
@@ -651,6 +655,103 @@ class TestInputChecks:
             main(argv)
         assert "external oracle exited with 1" in assert_one_error_line(err, argv)
         assert not out.exists()
+
+
+class TestStagedOutputs:
+    """`saliency run` writes its files under temporary names in --out-dir and
+    gives them their names only once the run succeeds."""
+
+    # occlusion at 32x32 with 16x16 windows: per sample, the head and 16
+    # windows of one 16 KiB volume each; a chunk this size is one sample's
+    CHUNK_BYTES = 17 * 4 * 32 * 32 * 4
+
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        run_cli("synth", "generate", "--n", "3", "--size", "32", "--seed", "1",
+                "--out", str(tmp_path / "data"))
+        return tmp_path / "data" / "manifest.json"
+
+    @staticmethod
+    def contents(directory):
+        return {p.relative_to(directory): p.read_bytes() if p.is_file() else None
+                for p in directory.rglob("*")}
+
+    @staticmethod
+    def occlusion(manifest, out, *extra, seed="1"):
+        return ["saliency", "run", "--manifest", str(manifest), "--method", "occlusion",
+                "--params", "window=16,stride=16", "--seed", seed, "--out-dir", str(out),
+                *extra]
+
+    @pytest.mark.parametrize("earlier_run", [True, False])
+    def test_a_run_that_fails_mid_stream_leaves_no_file(self, manifest, tmp_path,
+                                                        monkeypatch, earlier_run):
+        out = tmp_path / ("maps" if earlier_run else "new/maps")
+        if earlier_run:
+            run_cli(*self.occlusion(manifest, out))
+            (out / "notes.txt").write_text("not the run's\n")
+            before = self.contents(out)
+        # answers its first spawn, logging the maps staged so far, and fails the second
+        log = tmp_path / "spawns.log"
+        script = tmp_path / "scorer.py"
+        script.write_text(textwrap.dedent(
+            f"""\
+            import csv, json, sys
+            from pathlib import Path
+
+            log = Path({str(log)!r})
+            spawn = len(log.read_text().splitlines()) if log.exists() else 0
+            staged = sorted(p.name for p in Path({str(out)!r}).glob(".*/*.mmv"))
+            with open(log, "a") as fp:
+                fp.write(json.dumps(staged) + "\\n")
+            if spawn:
+                sys.exit(1)
+            manifest = json.loads((Path(sys.argv[1]) / "manifest.json").read_text())
+            with open(sys.argv[2], "w", newline="") as fp:
+                w = csv.writer(fp, lineterminator="\\n")
+                w.writerow(["sample_id", "p0", "p1"])
+                for rec in manifest["records"]:
+                    w.writerow([rec["sample_id"], 0.9, 0.1])
+            """
+        ))
+        monkeypatch.setattr(oracle_mod, "BATCH_BYTES", self.CHUNK_BYTES)
+        argv = self.occlusion(manifest, out, "--oracle",
+                              f"cmd:{sys.executable} {script} {{input_dir}} {{output_csv}}",
+                              seed="2")
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert "external oracle exited with 1" in assert_one_error_line(err, argv)
+        # the first sample's map was written before the second spawn failed
+        assert [json.loads(line) for line in log.read_text().splitlines()] == [
+            [], ["s0000_occlusion.mmv"]]
+        if earlier_run:
+            assert self.contents(out) == before
+        else:
+            assert not (tmp_path / "new").exists()
+
+    def test_the_masks_are_not_handed_on(self, manifest, tmp_path, monkeypatch):
+        handed = []
+
+        def generate_maps(samples, *args, **kwargs):
+            handed.extend(s.mask for s in samples)
+            return real(samples, *args, **kwargs)
+
+        real = cli.generate_maps
+        monkeypatch.setattr(cli, "generate_maps", generate_maps)
+        run_cli(*self.occlusion(manifest, tmp_path / "maps"))
+        assert handed == [None] * 3
+
+    def test_a_run_replaces_only_its_own_files(self, manifest, tmp_path):
+        out = tmp_path / "maps"
+        run_cli(*self.occlusion(manifest, out))
+        (out / "notes.txt").write_text("not the run's\n")
+        first = self.contents(out)
+        run_cli(*self.occlusion(manifest, out, seed="2"))
+        second = self.contents(out)
+        assert set(second) == set(first)  # nothing staged is left behind
+        assert second[Path("notes.txt")] == first[Path("notes.txt")]
+        changed = {name for name in first if first[name] != second[name]}
+        assert changed == {Path(f"s000{i}_occlusion.mmv") for i in range(3)} | {
+            Path("runlog_occlusion.json")}
 
 
 # the values a mutated entry takes, and the JSON type of each

@@ -610,9 +610,15 @@ class TestThresholdCut:
 
     def test_an_infinite_weight_sum_puts_the_cut_at_infinity(self):
         # every quotient by inf is 0 or NaN, never above the threshold
-        with np.errstate(over="ignore"):
-            cfg = ShapeRuleClassifier((1e308, 1e308))
-        assert cfg._cut == math.inf
+        assert oracle._threshold_cut(0.35, math.inf) == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weights", [(1e308, 1e308), (1.7e308, 0.0, 1.7e308, 1.0)])
+    def test_weights_whose_sum_overflows_are_rejected(self, weights):
+        # such a classifier would give every volume (0.5, 0.5)
+        with pytest.raises(ValueError, match=r"weights must have a finite sum: \(1(\.7)?e\+308"):
+            ShapeRuleClassifier(weights)
+        assert ShapeRuleClassifier((1.7e308, 0.0)).modality_weights == (1.7e308, 0.0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dims", [(6, 7), (3, 4, 5)])

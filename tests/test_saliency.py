@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -980,6 +981,45 @@ class TestGenerateMaps:
         monkeypatch.setattr(np.random, "default_rng", default_rng)
         generate_maps(samples, FunctionOracle(lambda d: d.mean()), cfg)
         assert made == [(5,)]
+
+
+class TestStreamedMaps:
+    """generate_maps(..., on_map=f) hands each map to f as it is made and keeps none."""
+
+    @staticmethod
+    def _samples(dims):
+        rng = np.random.default_rng(34)
+        # ids out of sorted order: the calls follow the samples
+        return [make_sample(sid, make_volume(rng, 2, dims, low=0.1)) for sid in ("c", "a", "b")]
+
+    @pytest.mark.parametrize("target_class", [None, 1])
+    @pytest.mark.parametrize("dims", [(8, 8), (4, 4, 4)])
+    @pytest.mark.parametrize("method", list(SaliencyMethod))
+    def test_each_map_once_in_sample_order_equal_to_the_dict(self, method, dims,
+                                                             target_class):
+        calls, held = [], []
+
+        def fn(data):
+            # the maps handed over are freed before the next one is made
+            held.append(sum(ref() is not None for _, _, ref in calls))
+            return float(np.sqrt(data.mean()) + data.flat[0] / 4)
+
+        def on_map(sid, smap):
+            calls.append((sid, smap.data.tobytes(), weakref.ref(smap)))
+
+        samples, oracle = self._samples(dims), FunctionOracle(fn)
+        cfg = MethodConfig(method, target_class=target_class, rng_seed=6, window=2,
+                           stride=2, block_shape=2 if len(dims) == 3 else 4, n_samples=40)
+        maps, runlog = generate_maps(samples, oracle, cfg)
+        held.clear()
+        kept, streamed = generate_maps(samples, oracle, cfg, on_map=on_map)
+        assert kept == {}
+        assert [sid for sid, _, _ in calls] == ["c", "a", "b"]
+        assert held and not any(held)
+        for sid, data, _ in calls:
+            assert data == maps[sid].data.tobytes()
+        assert streamed["oracle_evals"] == runlog["oracle_evals"]
+        assert list(streamed["wall_time"]) == ["c", "a", "b"]
 
 
 class TestDistinctRows:
