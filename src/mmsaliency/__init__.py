@@ -59,6 +59,7 @@ from .synthgen import (
 )
 from .tensorio import (
     DatasetManifest,
+    DatasetView,
     ManifestRecord,
     MultiModalVolume,
     SaliencyMap,

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .oracle import _iter_samples, predict_volumes
+from .oracle import _iter_samples, _layouts, predict_volumes
 from .tensorio import MultiModalVolume
 
 # players of an exact 2^n coalition table: modalities or saliency segments
@@ -111,16 +111,23 @@ def coalition_performance(data, oracle, keep, policy):
 
 
 def _coalition_accuracies(samples, oracle, rows, policy):
-    """Accuracy per keep row; every ablated volume goes through one stream."""
-    ablated = (
-        apply_ablation(s.volume, keep, policy, s.mask) for keep in rows for s in samples
-    )
-    preds = predict_volumes(oracle, ablated)
-    accuracies = []
-    for _ in rows:
-        hits = sum(next(preds).argmax == s.record.label for s in samples)
-        accuracies.append(hits / len(samples))
-    return accuracies
+    """Accuracy per keep row. Every ablated volume goes through one stream,
+    sample by sample: each sample's ablations, one per row, in row order.
+    The samples are iterated once, and a sample is let go before the next
+    is taken."""
+    labels = []
+
+    def ablated():
+        for s in samples:
+            labels.append(s.record.label)
+            for keep in rows:
+                yield apply_ablation(s.volume, keep, policy, s.mask)
+            del s
+
+    hits = [0] * len(rows)
+    for i, pred in enumerate(predict_volumes(oracle, ablated())):
+        hits[i % len(rows)] += pred.argmax == labels[i // len(rows)]
+    return [h / len(samples) for h in hits]
 
 
 def exact_shapley(values, n_players):
@@ -189,12 +196,11 @@ def shapley_mi(data, oracle, policy) -> ModalityImportance:
 
     Every coalition value is computed once and shared across all modalities'
     marginal contributions; all 2^M x N ablated volumes are evaluated as one
-    stream.
+    stream, sample by sample. `data` is a list of loaded samples or a
+    DatasetView, which reads each sample from disk as the stream reaches it.
     """
     samples = _iter_samples(data)
-    n = samples[0].volume.n_modalities
-    rows = coalition_table(n, "modalities")
-    phi = exact_shapley(_coalition_accuracies(samples, oracle, rows, policy), n)
-    return ModalityImportance.from_phi(
-        phi, policy.mi_variant, samples[0].volume.modality_names
-    )
+    names, _ = _layouts(samples)[0]
+    rows = coalition_table(len(names), "modalities")
+    phi = exact_shapley(_coalition_accuracies(samples, oracle, rows, policy), len(names))
+    return ModalityImportance.from_phi(phi, policy.mi_variant, names)

@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import os
 import shutil
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .metrics import (
 from .oracle import ExternalCommandOracle, ShapeRuleClassifier, _command_parts, _iter_samples
 from .saliency import MethodConfig, SaliencyMethod, generate_maps, postprocess
 from .synthgen import DEFAULT_MODALITIES, SynthConfig, generate_dataset, generate_probe
-from .tensorio import _json_entry, load_dataset, load_manifest, read_saliency, write_saliency
+from .tensorio import DatasetView, _json_entry, load_manifest, read_saliency, write_saliency
 
 
 def _named_floats(text, names, default, what):
@@ -109,10 +109,12 @@ def _write_csv(path, rows):
         csv.writer(fp, lineterminator="\n").writerows(rows)
 
 
-def _load_samples(manifest_path):
-    """The manifest and its loaded samples; an empty manifest is an error."""
+def _load_samples(manifest_path, keep_masks=True):
+    """The manifest and a DatasetView of its samples, whose headers are
+    checked and whose payloads are read as a run reaches them; an empty
+    manifest is an error."""
     manifest = load_manifest(manifest_path)
-    return manifest, _iter_samples(load_dataset(manifest))
+    return manifest, _iter_samples(DatasetView(manifest, keep_masks))
 
 
 def cmd_synth_generate(args):
@@ -138,7 +140,7 @@ def cmd_synth_probe(args):
 def cmd_mi_compute(args):
     _check_oracle(args)
     manifest, samples = _load_samples(args.manifest)
-    names = samples[0].volume.modality_names
+    names = samples.modality_names
     oracle = _build_oracle(args, names, manifest.class_names)
     policy = AblationPolicy(AblationVariant(args.policy), rng_seed=args.seed)
     mi = shapley_mi(samples, oracle, policy)
@@ -190,8 +192,9 @@ def _parse_params(text):
 
 def cmd_saliency_run(args):
     _check_oracle(args)
-    manifest, samples = _load_samples(args.manifest)
-    names = samples[0].volume.modality_names
+    # every mask is read and checked as its sample is reached, then dropped:
+    # no method reads the masks
+    manifest, samples = _load_samples(args.manifest, keep_masks=False)
     method = SaliencyMethod(args.method)
     cfg = MethodConfig(method=method, rng_seed=args.seed, **_parse_params(args.params))
     n_classes = len(manifest.class_names)
@@ -200,9 +203,7 @@ def cmd_saliency_run(args):
             f"target_class={cfg.target_class}, but the manifest has {n_classes} "
             f"classes {list(manifest.class_names)}"
         )
-    oracle = _build_oracle(args, names, manifest.class_names)
-    # the masks were loaded and checked with the volumes; no method reads them
-    samples = [replace(s, mask=None) for s in samples]
+    oracle = _build_oracle(args, samples.modality_names, manifest.class_names)
     out_dir, files = Path(args.out_dir), {}
     with _staged(out_dir) as stage:
 
@@ -303,23 +304,30 @@ def cmd_metrics(args):
     _, samples = _load_samples(args.manifest)
     phi = norm = None
     if args.metric in ("msfi", "mi-corr"):
-        phi, norm = _load_mi_csv(args.mi, samples[0].volume.modality_names)
-    rows = [["sample_id", "method", "metric", "value"]]
-    for method, (directory, runlog) in _load_runlogs(args.saliency_dir).items():
-        for s in samples:
-            fname = runlog["files"].get(s.record.sample_id)
-            if fname is None:
-                raise ValueError(f"{method}: no saliency file for {s.record.sample_id}")
-            if args.metric in ("msfi", "iou") and s.mask is None:
-                raise ValueError(f"{s.record.sample_id}: {args.metric} needs a mask")
-            smap = read_saliency(directory / fname)
+        phi, norm = _load_mi_csv(args.mi, samples.modality_names)
+    runlogs = _load_runlogs(args.saliency_dir)
+    for method, (_, runlog) in runlogs.items():
+        for rec in samples.records:
+            if rec.sample_id not in runlog["files"]:
+                raise ValueError(f"{method}: no saliency file for {rec.sample_id}")
+            if args.metric in ("msfi", "iou") and rec.mask_path is None:
+                raise ValueError(f"{rec.sample_id}: {args.metric} needs a mask")
+    # every method's map of a sample is scored while the sample is loaded;
+    # the rows go out method by method, each method's in sample order
+    scores = {method: [] for method in runlogs}
+    for s in samples:
+        sid = s.record.sample_id
+        for method, (directory, runlog) in runlogs.items():
+            smap = read_saliency(directory / runlog["files"][sid])
             if args.metric == "msfi":
                 value = msfi(postprocess(smap), s.mask, norm)
             elif args.metric == "mi-corr":
                 value = kendall_tau_b(estimated_mi(smap), phi)
             else:
                 value = iou(postprocess(smap), s.mask, threshold=args.iou_threshold)
-            rows.append([s.record.sample_id, method, args.metric.replace("-", "_"), repr(value)])
+            scores[method].append([sid, method, args.metric.replace("-", "_"), repr(value)])
+        del s, smap  # not held while the next sample is read
+    rows = [["sample_id", "method", "metric", "value"], *itertools.chain(*scores.values())]
     _write_csv(args.out, rows)
     if args.metric == "mi-corr":
         meta = {"metric": "mi_corr", "estimated_mi_source": "raw_positive_part"}

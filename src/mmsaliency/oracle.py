@@ -8,13 +8,8 @@ without any trained model. Real models plug in through the batch protocol.
 
 from __future__ import annotations
 
-import csv
 import math
-import shlex
-import string
 import struct
-import subprocess
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +19,7 @@ import numpy as np
 
 from .tensorio import (
     DatasetManifest,
+    DatasetView,
     ManifestRecord,
     MultiModalVolume,
     save_manifest,
@@ -390,11 +386,22 @@ def _shape_rule_probs(cfg, fg):
 
 
 def _iter_samples(data):
-    """The loaded samples as a list; an empty dataset is a ValueError."""
-    samples = list(data)
-    if not samples:
+    """The samples of a dataset: a DatasetView as it is, which reads each
+    sample as iteration reaches it, anything else as a list. An empty
+    dataset is a ValueError."""
+    samples = data if isinstance(data, DatasetView) else list(data)
+    if not len(samples):
         raise ValueError("empty dataset")
     return samples
+
+
+def _layouts(samples):
+    """The distinct (modality names, data shape) pairs of the samples'
+    volumes, the first volume's first: a DatasetView's one pair, from its
+    headers."""
+    if isinstance(samples, DatasetView):
+        return [(samples.modality_names, samples.shape)]
+    return list(dict.fromkeys((s.volume.modality_names, s.volume.data.shape) for s in samples))
 
 
 def accuracy(data, oracle) -> float:
@@ -403,17 +410,27 @@ def accuracy(data, oracle) -> float:
     Argmax ties break toward the lower class index.
     """
     samples = _iter_samples(data)
-    preds = predict_all(samples, oracle)
-    hits = sum(
-        1 for s in samples if preds[s.record.sample_id].argmax == s.record.label
-    )
+    records = []
+    preds = predict_volumes(oracle, _volumes(samples, records))
+    hits = sum(p.argmax == records[i].label for i, p in enumerate(preds))
     return hits / len(samples)
 
 
 def predict_all(samples, oracle):
     """Predict every sample: {sample_id: ClassProbabilities}."""
-    preds = predict_volumes(oracle, (s.volume for s in samples))
-    return {s.record.sample_id: p for s, p in zip(samples, preds)}
+    records = []
+    preds = predict_volumes(oracle, _volumes(samples, records))
+    return {records[i].sample_id: p for i, p in enumerate(preds)}
+
+
+def _volumes(samples, records):
+    """Each sample's volume, its record appended to `records` first: the
+    samples are iterated once, and a sample is let go before the next is
+    taken."""
+    for s in samples:
+        records.append(s.record)
+        yield s.volume
+        del s
 
 
 def predict_volumes(oracle, volumes):
@@ -473,6 +490,10 @@ class ExternalCommandOracle:
         return self.predict_batch([volume])[0]
 
     def predict_batch(self, volumes):
+        # imported here, as the built-in oracle never spawns a process
+        import subprocess
+        import tempfile
+
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             input_dir = tmp / "input"
@@ -500,6 +521,9 @@ def _command_parts(template):
     """The template split as a shell would, each part to be filled by
     str.format; a template whose fields are not {input_dir} and {output_csv},
     bare, or that does not split or parse, is a ValueError."""
+    import shlex
+    import string
+
     try:
         parts = shlex.split(template)
         # (field, format spec, conversion) of each field; None stands for trailing text
@@ -525,6 +549,8 @@ def _command_parts(template):
 
 
 def _parse_prediction_csv(path, expected_ids, class_names):
+    import csv
+
     try:
         fp = open(path, encoding="utf-8", newline="")
     except OSError as exc:

@@ -8,6 +8,7 @@ shared grids broadcast one map across all modalities.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -20,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ablate import coalition_table, exact_shapley
-from .oracle import _iter_samples, predict_volumes
+from .oracle import _iter_samples, _layouts, _volumes, predict_volumes
 from .tensorio import MultiModalVolume, SaliencyMap
 
 
@@ -158,34 +159,43 @@ class _Plan(NamedTuple):
 
 
 def _explain(plans, oracle, cfg):
-    """Evaluate every plan's volumes as one stream; yield each plan's map, in order.
+    """Evaluate every plan's volumes as one stream; yield each plan's map and
+    its number of oracle evaluations, in order.
 
     A plan's target is cfg.target_class, or else the predicted class of its
     volume. The volume heads the plan's share of the stream when the target
     is unset or the plan is a baseline plan, and is evaluated apart from any
     equal perturbed volume; each item's volume follows, built here and
-    nowhere else. One stream serves the whole list, so a batch oracle gets
-    chunks that may span samples; the per-item path builds each volume only
-    after the one before it is predicted, and yields a plan's map before it
-    builds the next plan's volumes.
+    nowhere else. Every plan has at least one evaluation. One stream serves
+    all plans, so a batch oracle gets chunks that may span samples. `plans`
+    is iterated once, as the stream reaches each plan, and no plan is held
+    once its map is made: a lazy iterable of plans has only the plans alive
+    that the current chunk spans, and on the per-item path one plan, whose
+    volumes are each built only after the one before it is predicted.
     """
+    started = collections.deque()  # plans the stream has reached, whose maps are not made
 
     def stream():
         for plan in plans:
+            started.append(plan)
             if _heads(plan, cfg):
                 yield plan.volume
             for item in plan.items:
                 yield plan.build(plan.volume, item)
+            del plan  # not held while the next plan is made
 
     preds = predict_volumes(oracle, stream())
-    for plan in plans:
-        head = next(preds) if _heads(plan, cfg) else None
+    for first in preds:
+        plan = started.popleft()
+        n_evals = _heads(plan, cfg) + len(plan.items)
+        mine = itertools.chain([first], itertools.islice(preds, n_evals - 1))
+        head = next(mine) if _heads(plan, cfg) else None
         target = head.argmax if cfg.target_class is None else cfg.target_class
-        mine = itertools.islice(preds, len(plan.items))
         if plan.baseline:
             mine = itertools.chain([head], mine)
         probs = [_class_prob(p, target) for p in mine]
-        yield SaliencyMap(plan.volume.modality_names, plan.reduce(np.array(probs)))
+        yield SaliencyMap(plan.volume.modality_names, plan.reduce(np.array(probs))), n_evals
+        del plan
 
 
 def _heads(plan, cfg):
@@ -193,8 +203,11 @@ def _heads(plan, cfg):
     return cfg.target_class is None or plan.baseline
 
 
-def _explain_one(plans, oracle, cfg):
-    [smap] = _explain(plans, oracle, cfg)
+def _explain_one(make_plans, volume, oracle, cfg, grid=None):
+    """The map of one volume from the plan builder `make_plans`."""
+    plans = make_plans([volume], cfg, grid)
+    _check_grid(grid, volume.data.shape)
+    [(smap, _)] = _explain(plans, oracle, cfg)
     return smap
 
 
@@ -208,8 +221,8 @@ def _class_prob(pred, target):
 
 
 def _segment_plans(volumes, grid, rows, reduce):
-    """One plan per volume from keep rows: each row is a boolean keep mask over
-    the grid's segments.
+    """One plan per volume, made as it is taken from the iterator returned,
+    from keep rows: each row is a boolean keep mask over the grid's segments.
 
     A row's volume has its dropped segments zeroed; `reduce` turns the rows'
     target probabilities into one value per segment, broadcast over the grid.
@@ -217,8 +230,6 @@ def _segment_plans(volumes, grid, rows, reduce):
     evaluated once per volume, in order of first occurrence, and its
     probability is passed to `reduce` for every row equal to it.
     """
-    for volume in volumes:
-        _check_grid(grid, volume)
     # seen[row bytes]: the row's position among the distinct rows and the
     # first row with those bytes. A dict over the row bytes is >10x faster
     # here than np.unique(rows, axis=0), which also imports numpy.ma.
@@ -248,7 +259,7 @@ def _segment_plans(volumes, grid, rows, reduce):
     def reduce_rows(probs):
         return reduce(probs[where])[grid.segment_ids]
 
-    return [_Plan(volume, distinct, kept, reduce_rows) for volume in volumes]
+    return map(lambda volume: _Plan(volume, distinct, kept, reduce_rows), volumes)
 
 
 def _solve(gram, rhs, what):
@@ -309,14 +320,15 @@ def occlusion(volume, oracle, cfg) -> SaliencyMap:
     positions step by `stride` plus a final flush-to-edge position; voxels a
     stride > window leaves uncovered keep attribution 0.
     """
-    return _explain_one(_occlusion_plans([volume], cfg, None), oracle, cfg)
+    return _explain_one(_occlusion_plans, volume, oracle, cfg)
 
 
 def _occlusion_plans(volumes, cfg, grid):
-    """One plan per volume, each with its own noise; the grid is unused."""
+    """One plan per volume, made as it is taken from the iterator returned,
+    each with its own noise; the grid is unused."""
     # the plans of one volume shape share one list of windows
     windows = functools.cache(lambda shape: _occlusion_windows(shape, cfg))
-    return [_occlusion_plan(v, windows(v.data.shape), cfg) for v in volumes]
+    return map(lambda v: _occlusion_plan(v, windows(v.data.shape), cfg), volumes)
 
 
 def _occlusion_windows(shape, cfg):
@@ -363,7 +375,7 @@ def feature_ablation(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
 
     Requires a per-modality grid so the maps are modality-specific.
     """
-    return _explain_one(_feature_ablation_plans([volume], cfg, grid), oracle, cfg)
+    return _explain_one(_feature_ablation_plans, volume, oracle, cfg, grid)
 
 
 def _feature_ablation_plans(volumes, cfg, grid):
@@ -387,6 +399,9 @@ def feature_permutation(data, oracle, cfg, grid: SegmentGrid):
 
 
 def _feature_permutation_plans(volumes, cfg, grid):
+    """One plan per volume, all made at once: each sample's donors are the
+    whole dataset's volumes."""
+    volumes = list(volumes)
     if grid.per_modality:
         raise ValueError("feature_permutation requires a shared segment grid")
     if len(volumes) < 2:
@@ -394,7 +409,6 @@ def _feature_permutation_plans(volumes, cfg, grid):
     names, shape = volumes[0].modality_names, volumes[0].data.shape
     if any(v.modality_names != names or v.data.shape != shape for v in volumes):
         raise ValueError("all samples in the batch must share modalities and dims")
-    _check_grid(grid, volumes[0])
     rng = np.random.default_rng(cfg.rng_seed)
     # perms[k][j]: the sample whose segment k sample j gets
     perms = [_derangement_preferring(rng, len(volumes)) for _ in range(grid.n_segments)]
@@ -444,7 +458,7 @@ def lime(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     intercept; each segment's voxels receive its coefficient. n_samples
     masks are drawn; each distinct one is evaluated once.
     """
-    return _explain_one(_lime_plans([volume], cfg, grid), oracle, cfg)
+    return _explain_one(_lime_plans, volume, oracle, cfg, grid)
 
 
 def _lime_plans(volumes, cfg, grid):
@@ -483,7 +497,7 @@ def shapley_sampling(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     mean over all K! orderings) from the 2^K coalition table; see
     _exact_shapley_plans.
     """
-    return _explain_one(_shapley_sampling_plans([volume], cfg, grid), oracle, cfg)
+    return _explain_one(_shapley_sampling_plans, volume, oracle, cfg, grid)
 
 
 def _shapley_sampling_plans(volumes, cfg, grid):
@@ -535,7 +549,7 @@ def kernel_shap(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     K = 1 grid, return exact Shapley values from the 2^K coalition table
     (exhaustive KernelSHAP is exact Shapley); see _exact_shapley_plans.
     """
-    return _explain_one(_kernel_shap_plans([volume], cfg, grid), oracle, cfg)
+    return _explain_one(_kernel_shap_plans, volume, oracle, cfg, grid)
 
 
 def _kernel_shap_plans(volumes, cfg, grid):
@@ -586,11 +600,11 @@ def _kernel_shap_plans(volumes, cfg, grid):
     return _segment_plans(volumes, grid, rows, reduce)
 
 
-def _check_grid(grid, volume):
-    if grid.segment_ids.shape != volume.data.shape:
+def _check_grid(grid, shape):
+    """Whether the grid, if any, fits volumes of data shape `shape`."""
+    if grid is not None and grid.segment_ids.shape != shape:
         raise ValueError(
-            f"grid shape {grid.segment_ids.shape} does not match volume "
-            f"shape {volume.data.shape}"
+            f"grid shape {grid.segment_ids.shape} does not match volume shape {shape}"
         )
 
 
@@ -603,7 +617,10 @@ def default_grid_for(method, n_modalities, dims, block_shape):
     return build_grid(n_modalities, dims, block_shape, per_modality=not shared)
 
 
-# each method's plan builder: (volumes, cfg, grid) -> one plan per volume
+# each method's plan builder: (volumes, cfg, grid) -> one plan per volume.
+# A builder checks its parameters and draws its rows when called, and takes
+# each volume from the iterable only as that volume's plan is taken; but
+# feature_permutation's, whose donors are the whole dataset, takes them all.
 _PLANS = {
     SaliencyMethod.OCCLUSION: _occlusion_plans,
     SaliencyMethod.FEATURE_ABLATION: _feature_ablation_plans,
@@ -617,31 +634,40 @@ _PLANS = {
 def generate_maps(data, oracle, cfg: MethodConfig, grid=None, on_map=None):
     """Run one method over a dataset; returns ({sample_id: map}, runlog dict).
 
-    The method's plan builder checks its input, draws its rows and builds
-    every sample's plan before any oracle call; then all samples' volumes go
-    through one oracle stream (see _explain). Given `on_map`, each sample's
-    map goes to `on_map(sample_id, map)` as soon as it is made, in sample
-    order, and is not kept: the returned dict is empty, and the call holds
-    one finished map at a time. The runlog records method, params, seed,
-    and per sample its oracle evaluations and its wall time: the time from
-    the previous sample's map, or from the start of the call, to its own,
+    `data` is a list of loaded samples or a DatasetView, which reads each
+    sample from disk as it is reached. The method's plan builder checks its
+    input and draws its rows, and the grid or occlusion's windows are
+    checked against each volume shape (a view's one shape, from its
+    headers), before any oracle call. Each sample's plan is then made only
+    when the one oracle stream reaches the sample (see _explain): with a
+    view on the per-item path, the call holds one sample at a time, and
+    with a batch oracle the samples that its current chunk spans. feature_permutation, whose donors are the
+    whole dataset, holds every volume. Given `on_map`, each sample's map
+    goes to `on_map(sample_id, map)` as soon as it is made, in sample order,
+    and is not kept: the returned dict is empty, and the call holds one
+    finished map at a time. The runlog records method, params, seed, and
+    per sample its oracle evaluations and its wall time: the time from the
+    previous sample's map, or from the start of the call, to its own,
     without the time spent in `on_map`. Wall times are measurement, not a
     deterministic output.
     """
     t0 = time.perf_counter()
     samples = _iter_samples(data)
     method = SaliencyMethod(cfg.method)
-    first = samples[0].volume
+    shapes = list(dict.fromkeys(shape for _, shape in _layouts(samples)))
     if grid is None:
-        grid = default_grid_for(method, first.n_modalities, first.dims, cfg.block_shape)
-    plans = _PLANS[method]([s.volume for s in samples], cfg, grid)
+        grid = default_grid_for(method, shapes[0][0], shapes[0][1:], cfg.block_shape)
+    records = collections.deque()  # the records of the samples planned, whose maps are not made
+    plans = _PLANS[method](_volumes(samples, records), cfg, grid)
+    for shape in shapes:  # what a plan checks of its volume's shape
+        _check_grid(grid, shape)
+        if method is SaliencyMethod.OCCLUSION:
+            _occlusion_windows(shape, cfg)
     maps, wall, evals = {}, {}, {}
-    smaps = _explain(plans, oracle, cfg)
-    for s, plan in zip(samples, plans):
-        sid = s.record.sample_id
-        smap = next(smaps)
+    for smap, n_evals in _explain(plans, oracle, cfg):
+        sid = records.popleft().sample_id
         wall[sid] = time.perf_counter() - t0
-        evals[sid] = int(_heads(plan, cfg)) + len(plan.items)
+        evals[sid] = n_evals
         if on_map is None:
             maps[sid] = smap
         else:
@@ -656,3 +682,4 @@ def generate_maps(data, oracle, cfg: MethodConfig, grid=None, on_map=None):
         "oracle_evals": evals,
     }
     return maps, runlog
+

@@ -8,6 +8,7 @@ All containers are immutable after construction.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -27,10 +28,19 @@ class MMVFormatError(ValueError):
     """An MMV file, or a JSON entry of a file the CLI reads, is malformed."""
 
 
+def _finite(number):
+    """Whether an int or float is finite as a float: an int too large for
+    one is not."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
 # bool is neither a JSON integer nor a number, and numbers are finite
 _JSON_TYPES = {
     "integer": lambda v: type(v) is int,
-    "number": lambda v: type(v) in (int, float) and math.isfinite(v),
+    "number": lambda v: type(v) in (int, float) and _finite(v),
     "string": lambda v: type(v) is str,
     "array": lambda v: type(v) is list,
     "object": lambda v: type(v) is dict,
@@ -180,12 +190,11 @@ def _write_field(field, path):
         fp.write(payload.tobytes(order="C"))
 
 
-def _read_field(cls, path, broadcast_to=None):
-    """Read an MMV file of kind cls.KIND; a single-modality file may be
-    repeated onto the `broadcast_to` names."""
-    with open(path, "rb") as fp:
-        line = fp.readline()
-        payload = fp.read()
+def _read_header(cls, fp, path, broadcast_to=None):
+    """The modality names and data shape of the MMV file of kind cls.KIND
+    open as `fp`, as _read_field reads it, from its header line; fp is left
+    at the payload, whose size is checked against the file's length."""
+    line = fp.readline()
     if not line.endswith(b"\n"):
         raise MMVFormatError(f"{path}: missing header line terminator")
     try:
@@ -205,19 +214,34 @@ def _read_field(cls, path, broadcast_to=None):
         raise MMVFormatError(f"{path}: invalid modality list")
     if len(dims) not in (2, 3) or min(dims) < 1:
         raise MMVFormatError(f"{path}: invalid dims {dims!r}")
-    expected = 4 * len(modalities) * int(np.prod(dims))
-    if len(payload) != expected:
-        raise MMVFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    data = np.frombuffer(payload, dtype="<f4").reshape(len(modalities), *dims)
+    expected = 4 * len(modalities) * math.prod(dims)
+    size = os.fstat(fp.fileno()).st_size - fp.tell()
+    if size != expected:
+        raise MMVFormatError(f"{path}: payload is {size} bytes, expected {expected}")
     if broadcast_to is not None and len(modalities) == 1 and len(broadcast_to) > 1:
-        data = np.repeat(data, len(broadcast_to), axis=0)
-        modalities = list(broadcast_to)
+        modalities = broadcast_to
+    return tuple(modalities), (len(modalities), *dims)
+
+
+def _read_field(cls, path, broadcast_to=None):
+    """Read an MMV file of kind cls.KIND; a single-modality file may be
+    repeated onto the `broadcast_to` names."""
+    with open(path, "rb") as fp:
+        names, shape = _read_header(cls, fp, path, broadcast_to)
+        data = np.frombuffer(fp.read(), dtype="<f4").reshape(-1, *shape[1:])
+    if len(data) != len(names):
+        data = np.repeat(data, len(names), axis=0)
     try:
-        return cls(tuple(modalities), data)
+        return cls(names, data)
     except ValueError as exc:
         raise MMVFormatError(f"{path}: {exc}") from exc
+
+
+def _field_header(cls, path, broadcast_to=None):
+    """(modality names, data shape) of an MMV file as _read_field would read
+    it, from its header and its length, without reading the payload."""
+    with open(path, "rb") as fp:
+        return _read_header(cls, fp, path, broadcast_to)
 
 
 def write_volume(volume: MultiModalVolume, path):
@@ -346,32 +370,91 @@ class LoadedSample:
     mask: SegmentationMask | None
 
 
-def load_dataset(manifest: DatasetManifest):
-    """Load all volumes (and masks, broadcast if single-modality) into memory.
+class DatasetView:
+    """A manifest's samples, each read from disk only when iteration reaches it.
 
-    Every volume and mask must list the first volume's modality names, in
-    its order: the channels are read by position.
+    Made by checking every volume and mask header, before any payload is
+    read: each must be a valid MMV header whose payload size the file's
+    length bears out; every volume must list the first volume's modality
+    names, in its order (the channels are read by position), and have its
+    dims; every mask must list its volume's names (a single-modality mask
+    is broadcast to them) and have its dims. A failed check is an error
+    that names the sample. Iteration then reads, checks and yields one
+    LoadedSample at a time, in manifest order, and holds none of them;
+    each pass reads the files again. With keep_masks=False, each mask is
+    still read and checked but the samples carry mask=None.
+
+    `modality_names` and `shape` are the first volume's (None when the
+    manifest is empty).
     """
-    samples, names = [], None
-    for rec in manifest.records:
-        try:
+
+    def __init__(self, manifest: DatasetManifest, keep_masks=True):
+        self.records = manifest.records
+        self.keep_masks = keep_masks
+        self.modality_names = self.shape = None
+        for rec in self.records:
+            with _naming(rec):
+                volume = _field_header(MultiModalVolume, rec.volume_path)
+                mask = None
+                if rec.mask_path is not None:
+                    mask = _field_header(SegmentationMask, rec.mask_path, volume[0])
+            self._check(rec, volume, mask)
+
+    def __len__(self):
+        return len(self.records)
+
+    def __iter__(self):
+        for rec in self.records:
+            # yielded without a name, so that no sample is held while the next is read
+            yield self._read(rec)
+
+    def _read(self, rec):
+        with _naming(rec):
             volume = read_volume(rec.volume_path)
             mask = None
             if rec.mask_path is not None:
                 mask = read_mask(rec.mask_path, broadcast_to=volume.modality_names)
-        except (OSError, MMVFormatError) as exc:
-            raise type(exc)(f"{rec.sample_id}: {exc}") from exc
-        names = names or volume.modality_names
+        self._check(rec, *[(f.modality_names, f.data.shape) for f in (volume, mask)
+                             if f is not None])
+        return LoadedSample(rec, volume, mask if self.keep_masks else None)
+
+    def _check(self, rec, volume, mask=None):
+        """Whether a sample's volume and mask, each given as its (modality
+        names, data shape), fit the first volume, which fixes both."""
+        if self.modality_names is None:
+            self.modality_names, self.shape = volume
         for field, path in ((volume, rec.volume_path), (mask, rec.mask_path)):
-            if field is not None and field.modality_names != names:
+            if field is not None and field[0] != self.modality_names:
                 raise ValueError(
-                    f"{rec.sample_id}: {path} lists modalities {list(field.modality_names)}, "
-                    f"but the first volume lists {list(names)}"
+                    f"{rec.sample_id}: {path} lists modalities {list(field[0])}, "
+                    f"but the first volume lists {list(self.modality_names)}"
                 )
-        if mask is not None and mask.data.shape != volume.data.shape:
+        if volume[1] != self.shape:
             raise ValueError(
-                f"{rec.sample_id}: mask shape {mask.data.shape} does not match "
-                f"volume shape {volume.data.shape}"
+                f"{rec.sample_id}: {rec.volume_path} has dims {list(volume[1][1:])}, "
+                f"but the first volume has {list(self.shape[1:])}"
             )
-        samples.append(LoadedSample(rec, volume, mask))
-    return samples
+        if mask is not None and mask[1] != volume[1]:
+            raise ValueError(
+                f"{rec.sample_id}: mask shape {mask[1]} does not match "
+                f"volume shape {volume[1]}"
+            )
+
+
+@contextlib.contextmanager
+def _naming(rec):
+    """Put the sample id in front of a read error's message."""
+    try:
+        yield
+    except (OSError, MMVFormatError) as exc:
+        raise type(exc)(f"{rec.sample_id}: {exc}") from exc
+
+
+def load_dataset(manifest: DatasetManifest):
+    """Every sample of a manifest, read into memory, as a list.
+
+    The samples of a DatasetView of the manifest, so every header is checked
+    before any payload is read, and each sample is read and checked as the
+    view reads it. A DatasetView itself holds one sample at a time.
+    """
+    return list(DatasetView(manifest))

@@ -18,8 +18,10 @@ from mmsaliency.ablate import (
     shapley_mi,
 )
 from mmsaliency.metrics import msfi
-from mmsaliency.oracle import ClassProbabilities
-from mmsaliency.tensorio import SaliencyMap, SegmentationMask
+from mmsaliency import oracle as oracle_mod
+from mmsaliency.oracle import ClassProbabilities, ShapeRuleClassifier
+from mmsaliency.synthgen import SynthConfig, generate_dataset
+from mmsaliency.tensorio import DatasetView, SaliencyMap, SegmentationMask, load_dataset
 
 ZERO = AblationPolicy(AblationVariant.ZERO_WHOLE_MODALITY)
 NONLESION = AblationPolicy(AblationVariant.NONLESION_SAMPLE_WHOLE_MODALITY, rng_seed=9)
@@ -331,6 +333,40 @@ class TestShapleyMI:
             "exact enumeration is capped at 12"
         )
         assert calls == []
+
+
+class TestDatasetViewInput:
+    """shapley_mi over a DatasetView, which reads each sample as the stream
+    reaches it, equals shapley_mi over the samples as a list."""
+
+    class Batched:
+        """The built-in classifier behind predict_batch, counting its items."""
+
+        def __init__(self):
+            self.inner = ShapeRuleClassifier((0.0, 1.0, 0.0, 1.0), intensity_threshold=0.35)
+            self.items = 0
+
+        def predict(self, volume):
+            return self.inner.predict(volume)
+
+        def predict_batch(self, volumes):
+            self.items += len(volumes)
+            return [self.inner.predict(v) for v in volumes]
+
+    @pytest.mark.parametrize("variant", ["zero", "nonlesion", "feature"])
+    def test_equal_to_the_list(self, tmp_path, monkeypatch, variant):
+        manifest = generate_dataset(SynthConfig(n_samples=5, image_size=32, seed=3), tmp_path)
+        policy = AblationPolicy(AblationVariant(variant), rng_seed=4)
+        listed = load_dataset(manifest)
+        builtin = ShapeRuleClassifier((0.0, 1.0, 0.0, 1.0), intensity_threshold=0.35)
+        expected = shapley_mi(listed, builtin, policy)
+        assert shapley_mi(DatasetView(manifest), builtin, policy) == expected
+        # chunks of three volumes, which span samples
+        monkeypatch.setattr(oracle_mod, "BATCH_BYTES", 3 * listed[0].volume.data.nbytes)
+        batched = [self.Batched(), self.Batched()]
+        assert shapley_mi(listed, batched[0], policy) == expected
+        assert shapley_mi(DatasetView(manifest), batched[1], policy) == expected
+        assert batched[0].items == batched[1].items == 16 * 5
 
 
 class TestMsfiInvarianceToMiScale:

@@ -9,6 +9,7 @@ import textwrap
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import REPO, src_env
@@ -17,6 +18,7 @@ from mmsaliency import oracle as oracle_mod
 from mmsaliency.cli import _parse_params, main
 from mmsaliency.oracle import ClassProbabilities
 from mmsaliency.saliency import MethodConfig
+from mmsaliency.tensorio import MultiModalVolume, write_volume
 
 
 def run_cli(*argv):
@@ -805,6 +807,10 @@ MUTATIONS = [
     pytest.param(file, at, value, id=f"{file}:{'.'.join(map(str, at))}={json.dumps(value)}")
     for file, at, kind in JSON_ENTRIES for value in wrong_values(kind)
 ] + [
+    # an integer too large for a float is no finite number
+    pytest.param(file, at, 10**400, id=f"{file}:{'.'.join(map(str, at))}=10**400")
+    for file, at, kind in JSON_ENTRIES if kind == "number"
+] + [
     pytest.param(file, at, text, id=f"{file}:{at[0]}.{at[1]}={text}")
     for file, at in CSV_CELLS
     for text in [v if type(v) is str else json.dumps(v) for v in wrong_values("number")]
@@ -973,6 +979,65 @@ class TestModalityNames:
         assert f"s0001: {copy} lists modalities {names}" in line
         assert "['T1', 'T1C', 'T2', 'FLAIR']" in line
         assert sorted(tmp_path.rglob("*")) == before  # no new output path
+
+
+class TestLaterSampleFaults:
+    """The commands read one sample at a time, but check every header first:
+    a fault in the last sample's header stops a run before any oracle call,
+    and a fault in its payload stops it when the sample is read."""
+
+    @staticmethod
+    def faulty_copy(pipeline, tmp_path, fault):
+        """The last record's volume or mask copied into tmp_path with `fault`."""
+        data = pipeline / "data"
+        last = json.loads((data / "manifest.json").read_text())["records"][-1]
+        if fault == "names":
+            key = "volume"
+            copy = edited_volume(data / last[key], tmp_path / "v.mmv",
+                                 {"modalities": ["PET", "T1C", "T2", "FLAIR"]})
+        elif fault == "dims":
+            key = "volume"
+            copy = tmp_path / "v.mmv"
+            write_volume(MultiModalVolume(("T1", "T1C", "T2", "FLAIR"),
+                                          np.zeros((4, 40, 40), dtype=np.float32)), copy)
+        else:  # a mask value that is neither 0 nor 1
+            key = "mask"
+            copy = tmp_path / "m.mmv"
+            header, payload = (data / last[key]).read_bytes().split(b"\n", 1)
+            copy.write_bytes(header + b"\n" + np.float32(0.5).tobytes() + payload[4:])
+        manifest = edited_manifest(pipeline, tmp_path / "manifest.json",
+                                   lambda doc: doc["records"][-1].update({key: str(copy)}))
+        return last["sample_id"], copy, manifest
+
+    @pytest.mark.parametrize("name", ["mi", "saliency", "msfi"])
+    @pytest.mark.parametrize("fault, text", [
+        ("names", "lists modalities ['PET', 'T1C', 'T2', 'FLAIR'], but the first volume "
+                  "lists ['T1', 'T1C', 'T2', 'FLAIR']"),
+        ("dims", "has dims [40, 40], but the first volume has [48, 48]"),
+        ("mask", "mask values must be 0 or 1"),
+    ])
+    def test_exits_with_one_line(self, pipeline, tmp_path, monkeypatch, name, fault, text):
+        sid, copy, manifest = self.faulty_copy(pipeline, tmp_path, fault)
+        calls = []
+        predict = oracle_mod.ShapeRuleClassifier.predict
+        monkeypatch.setattr(oracle_mod.ShapeRuleClassifier, "predict",
+                            lambda clf, volume: calls.append(1) or predict(clf, volume))
+        paths = {"manifest": manifest, "out": tmp_path / "new" / "out",
+                 "sal": pipeline / "saliency", "mi": pipeline / "mi.csv"}
+        argv = command("mi-corr", paths) if name == "msfi" else command(name, paths)
+        if name == "msfi":
+            argv[1] = "msfi"
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        line = assert_one_error_line(err, argv)
+        assert line.split(": error: ")[1].startswith(f"{sid}: {copy}")
+        assert text in line
+        if fault != "mask":  # found in the headers, before any payload is read
+            assert calls == []
+        elif name != "msfi":  # found when the last sample is read
+            assert calls
+        assert sorted(tmp_path.rglob("*")) == before  # no file and no out-dir left
 
 
 @pytest.fixture(scope="module")

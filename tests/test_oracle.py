@@ -1,5 +1,6 @@
 import math
 import re
+import subprocess
 import sys
 import tempfile
 import textwrap
@@ -14,8 +15,9 @@ from helpers import (
     circularity_reference,
     make_sample,
     make_volume,
+    src_env,
 )
-from mmsaliency import oracle
+from mmsaliency import oracle, tensorio
 from mmsaliency.ablate import AblationPolicy, AblationVariant, shapley_mi
 from mmsaliency.oracle import (
     ClassProbabilities,
@@ -25,6 +27,7 @@ from mmsaliency.oracle import (
     boundary_count,
     circularity,
     largest_component,
+    predict_all,
     predict_shape_rule,
 )
 from mmsaliency.saliency import MethodConfig, SaliencyMethod, build_grid, generate_maps
@@ -35,7 +38,7 @@ from mmsaliency.synthgen import (
     rasterize_shape,
     render_sample,
 )
-from mmsaliency.tensorio import MultiModalVolume, load_dataset, load_manifest
+from mmsaliency.tensorio import DatasetView, MultiModalVolume, load_dataset, load_manifest
 
 
 def disk_volume(radius, size=64, weighted_modality=0, n_modalities=2):
@@ -939,3 +942,37 @@ class TestExternalOracle:
         check = 'assert sys.argv[3:] == ["{x}", "a{}b"], sys.argv\n'
         cmd = _write_stub(tmp_path, check + GOOD_BODY) + " {{x}} a{{}}b"
         assert [p.probs for p in self._predict(cmd)] == [(0.25, 0.75)] * 3
+
+
+def test_the_package_does_not_import_subprocess():
+    """Only ExternalCommandOracle spawns, and it imports subprocess, tempfile,
+    csv, shlex and string where it uses them: a run on the built-in oracle
+    does not load subprocess (about 0.6 MB with shlex and string)."""
+    code = textwrap.dedent("""\
+        import sys
+        import numpy
+        print("subprocess" in sys.modules)
+        import mmsaliency
+        import mmsaliency.cli
+        print("subprocess" in sys.modules)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    with_numpy, with_package = proc.stdout.split()
+    if with_numpy == "True":
+        pytest.skip("this numpy imports subprocess with numpy itself")
+    assert with_package == "False"
+
+
+def test_accuracy_and_predict_all_read_a_view_once(tmp_path, monkeypatch):
+    manifest = generate_dataset(SynthConfig(n_samples=4, image_size=32, seed=2), tmp_path)
+    clf = ShapeRuleClassifier((0.0, 1.0, 0.0, 1.0), intensity_threshold=0.35)
+    listed = load_dataset(manifest)
+    reads = []
+    read_volume = tensorio.read_volume
+    monkeypatch.setattr(tensorio, "read_volume", lambda path: reads.append(path) or read_volume(path))
+    assert accuracy(DatasetView(manifest), clf) == accuracy(listed, clf)
+    assert len(reads) == 4
+    assert predict_all(DatasetView(manifest), clf) == predict_all(listed, clf)
+    assert len(reads) == 8

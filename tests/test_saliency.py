@@ -20,7 +20,7 @@ from helpers import (
     src_env,
     subset_shapley,
 )
-from mmsaliency import saliency
+from mmsaliency import saliency, tensorio
 from mmsaliency.ablate import exact_shapley
 from mmsaliency.oracle import ClassProbabilities
 from mmsaliency.saliency import (
@@ -39,7 +39,14 @@ from mmsaliency.saliency import (
     postprocess,
     shapley_sampling,
 )
-from mmsaliency.tensorio import MultiModalVolume, SaliencyMap
+from mmsaliency.tensorio import (
+    DatasetManifest,
+    DatasetView,
+    ManifestRecord,
+    MultiModalVolume,
+    SaliencyMap,
+    write_volume,
+)
 
 CONSTANT = FixedOracle((0.4, 0.6))
 
@@ -316,7 +323,7 @@ class TestOcclusion:
         rng = np.random.default_rng(10)
         volumes = [make_volume(rng, 2, dims) for dims in [(8, 8), (8, 8), (6, 8), (8, 8)]]
         cfg = MethodConfig(SaliencyMethod.OCCLUSION, window=4, stride=2)
-        plans = saliency._occlusion_plans(volumes, cfg, None)
+        plans = list(saliency._occlusion_plans(volumes, cfg, None))
         assert plans[0].items is plans[1].items is plans[3].items
         assert plans[2].items is not plans[0].items
         # 2 modalities x corners (0, 2) x (0, 2, 4), and x (0, 2, 4) twice
@@ -1020,6 +1027,63 @@ class TestStreamedMaps:
             assert data == maps[sid].data.tobytes()
         assert streamed["oracle_evals"] == runlog["oracle_evals"]
         assert list(streamed["wall_time"]) == ["c", "a", "b"]
+
+
+class TestDatasetViewInput:
+    """generate_maps over a DatasetView reads each sample as the stream
+    reaches it, and makes the maps it makes from the samples as a list."""
+
+    @staticmethod
+    def _view(tmp_path, dims):
+        rng = np.random.default_rng(35)
+        records = []
+        for sid in ("c", "a", "b", "d"):
+            path = tmp_path / f"{sid}.mmv"
+            write_volume(make_volume(rng, 2, dims, low=0.1), path)
+            records.append(ManifestRecord(sid, 0, str(path)))
+        return DatasetView(DatasetManifest(tuple(records), ("x", "y")))
+
+    @pytest.mark.parametrize("target_class", [None, 1])
+    @pytest.mark.parametrize("dims", [(8, 8), (4, 4, 4)])
+    @pytest.mark.parametrize("method", list(SaliencyMethod))
+    def test_one_sample_alive_and_the_maps_of_the_list(self, tmp_path, monkeypatch, method,
+                                                       dims, target_class):
+        view = self._view(tmp_path, dims)
+        listed = list(view)
+        cfg = MethodConfig(method, target_class=target_class, rng_seed=6, window=2,
+                           stride=2, block_shape=2 if len(dims) == 3 else 4, n_samples=40)
+
+        def fn(data):
+            return float(np.sqrt(data.mean()) + data.flat[0] / 4)
+
+        maps, runlog = generate_maps(listed, FunctionOracle(fn), cfg)
+        # the volumes the view reads from here on, counted while alive; seen
+        # gets the count at each read, the new volume included, and each call
+        live, seen = [], []
+        read_volume = tensorio.read_volume
+
+        def counted(path):
+            volume = read_volume(path)
+            live.append(token := object())
+            weakref.finalize(volume, live.remove, token)
+            seen.append(len(live))
+            return volume
+
+        def counting(data):
+            seen.append(len(live))
+            return fn(data)
+
+        monkeypatch.setattr(tensorio, "read_volume", counted)
+        streamed, streamed_log = generate_maps(view, FunctionOracle(counting), cfg)
+        if method is SaliencyMethod.FEATURE_PERMUTATION:
+            assert max(seen) == len(view)  # the donors: every volume
+        else:
+            assert set(seen) == {1}
+        assert live == []
+        assert list(streamed) == ["c", "a", "b", "d"]
+        for sid, smap in maps.items():
+            assert streamed[sid].data.tobytes() == smap.data.tobytes()
+        assert streamed_log["oracle_evals"] == runlog["oracle_evals"]
 
 
 class TestDistinctRows:
