@@ -13,8 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .oracle import _iter_samples, _layouts, predict_volumes
-from .tensorio import MultiModalVolume
+from .oracle import predict_volumes
+from .tensorio import MultiModalVolume, _dataset
 
 # players of an exact 2^n coalition table: modalities or saliency segments
 MAX_EXACT_PLAYERS = 12
@@ -106,7 +106,7 @@ def apply_ablation(volume, keep, policy: AblationPolicy, mask=None):
 
 def coalition_performance(data, oracle, keep, policy):
     """Oracle accuracy with each sample ablated down to the kept modalities."""
-    samples = _iter_samples(data)
+    samples, _ = _dataset(data)
     return _coalition_accuracies(samples, oracle, [keep], policy)[0]
 
 
@@ -197,10 +197,11 @@ def shapley_mi(data, oracle, policy) -> ModalityImportance:
     Every coalition value is computed once and shared across all modalities'
     marginal contributions; all 2^M x N ablated volumes are evaluated as one
     stream, sample by sample. `data` is a list of loaded samples or a
-    DatasetView, which reads each sample from disk as the stream reaches it.
+    DatasetView, which reads each sample from disk as the stream reaches it;
+    either must keep to one layout (see tensorio._dataset), whose modality
+    names label the result, and is checked before any oracle call.
     """
-    samples = _iter_samples(data)
-    names, _ = _layouts(samples)[0]
+    samples, (names, _) = _dataset(data)
     rows = coalition_table(len(names), "modalities")
     phi = exact_shapley(_coalition_accuracies(samples, oracle, rows, policy), len(names))
     return ModalityImportance.from_phi(phi, policy.mi_variant, names)

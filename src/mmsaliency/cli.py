@@ -32,10 +32,11 @@ from .metrics import (
     msfi,
     nemenyi,
 )
-from .oracle import ExternalCommandOracle, ShapeRuleClassifier, _command_parts, _iter_samples
+from .oracle import ExternalCommandOracle, ShapeRuleClassifier, _command_parts
 from .saliency import MethodConfig, SaliencyMethod, generate_maps, postprocess
 from .synthgen import DEFAULT_MODALITIES, SynthConfig, generate_dataset, generate_probe
-from .tensorio import DatasetView, _json_entry, load_manifest, read_saliency, write_saliency
+from .tensorio import (DatasetView, _dataset, _fit_layout, _json_entry, load_manifest,
+                       read_saliency, write_saliency)
 
 
 def _named_floats(text, names, default, what):
@@ -109,12 +110,12 @@ def _write_csv(path, rows):
         csv.writer(fp, lineterminator="\n").writerows(rows)
 
 
-def _load_samples(manifest_path, keep_masks=True):
-    """The manifest and a DatasetView of its samples, whose headers are
-    checked and whose payloads are read as a run reaches them; an empty
-    manifest is an error."""
+def _load_samples(manifest_path):
+    """The manifest, a DatasetView of its samples, which checks their headers
+    and reads each payload as a run reaches it, and their layout (see
+    tensorio._dataset, which rejects an empty manifest)."""
     manifest = load_manifest(manifest_path)
-    return manifest, _iter_samples(DatasetView(manifest, keep_masks))
+    return (manifest, *_dataset(DatasetView(manifest)))
 
 
 def cmd_synth_generate(args):
@@ -139,8 +140,7 @@ def cmd_synth_probe(args):
 
 def cmd_mi_compute(args):
     _check_oracle(args)
-    manifest, samples = _load_samples(args.manifest)
-    names = samples.modality_names
+    manifest, samples, (names, _) = _load_samples(args.manifest)
     oracle = _build_oracle(args, names, manifest.class_names)
     policy = AblationPolicy(AblationVariant(args.policy), rng_seed=args.seed)
     mi = shapley_mi(samples, oracle, policy)
@@ -192,9 +192,7 @@ def _parse_params(text):
 
 def cmd_saliency_run(args):
     _check_oracle(args)
-    # every mask is read and checked as its sample is reached, then dropped:
-    # no method reads the masks
-    manifest, samples = _load_samples(args.manifest, keep_masks=False)
+    manifest, samples, (names, _) = _load_samples(args.manifest)
     method = SaliencyMethod(args.method)
     cfg = MethodConfig(method=method, rng_seed=args.seed, **_parse_params(args.params))
     n_classes = len(manifest.class_names)
@@ -203,7 +201,7 @@ def cmd_saliency_run(args):
             f"target_class={cfg.target_class}, but the manifest has {n_classes} "
             f"classes {list(manifest.class_names)}"
         )
-    oracle = _build_oracle(args, samples.modality_names, manifest.class_names)
+    oracle = _build_oracle(args, names, manifest.class_names)
     out_dir, files = Path(args.out_dir), {}
     with _staged(out_dir) as stage:
 
@@ -301,10 +299,10 @@ def _load_runlogs(path):
 
 
 def cmd_metrics(args):
-    _, samples = _load_samples(args.manifest)
+    _, samples, layout = _load_samples(args.manifest)
     phi = norm = None
     if args.metric in ("msfi", "mi-corr"):
-        phi, norm = _load_mi_csv(args.mi, samples.modality_names)
+        phi, norm = _load_mi_csv(args.mi, layout[0])
     runlogs = _load_runlogs(args.saliency_dir)
     for method, (_, runlog) in runlogs.items():
         for rec in samples.records:
@@ -312,13 +310,15 @@ def cmd_metrics(args):
                 raise ValueError(f"{method}: no saliency file for {rec.sample_id}")
             if args.metric in ("msfi", "iou") and rec.mask_path is None:
                 raise ValueError(f"{rec.sample_id}: {args.metric} needs a mask")
-    # every method's map of a sample is scored while the sample is loaded;
-    # the rows go out method by method, each method's in sample order
+    # every method's map of a sample is checked against the layout and scored while
+    # the sample is loaded; the rows go out method by method, each in sample order
     scores = {method: [] for method in runlogs}
     for s in samples:
         sid = s.record.sample_id
         for method, (directory, runlog) in runlogs.items():
-            smap = read_saliency(directory / runlog["files"][sid])
+            path = directory / runlog["files"][sid]
+            smap = read_saliency(path)
+            _fit_layout(layout, sid, (path, smap.modality_names, smap.data.shape))
             if args.metric == "msfi":
                 value = msfi(postprocess(smap), s.mask, norm)
             elif args.metric == "mi-corr":

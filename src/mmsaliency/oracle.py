@@ -19,9 +19,9 @@ import numpy as np
 
 from .tensorio import (
     DatasetManifest,
-    DatasetView,
     ManifestRecord,
     MultiModalVolume,
+    _dataset,
     save_manifest,
     write_volume,
 )
@@ -385,52 +385,38 @@ def _shape_rule_probs(cfg, fg):
     return ClassProbabilities((p_round, 1.0 - p_round))
 
 
-def _iter_samples(data):
-    """The samples of a dataset: a DatasetView as it is, which reads each
-    sample as iteration reaches it, anything else as a list. An empty
-    dataset is a ValueError."""
-    samples = data if isinstance(data, DatasetView) else list(data)
-    if not len(samples):
-        raise ValueError("empty dataset")
-    return samples
-
-
-def _layouts(samples):
-    """The distinct (modality names, data shape) pairs of the samples'
-    volumes, the first volume's first: a DatasetView's one pair, from its
-    headers."""
-    if isinstance(samples, DatasetView):
-        return [(samples.modality_names, samples.shape)]
-    return list(dict.fromkeys((s.volume.modality_names, s.volume.data.shape) for s in samples))
-
-
 def accuracy(data, oracle) -> float:
-    """Fraction of samples whose argmax prediction equals the label.
-
-    Argmax ties break toward the lower class index.
-    """
-    samples = _iter_samples(data)
-    records = []
-    preds = predict_volumes(oracle, _volumes(samples, records))
-    hits = sum(p.argmax == records[i].label for i, p in enumerate(preds))
-    return hits / len(samples)
+    """Fraction of samples whose argmax prediction equals the label, the
+    dataset's layout checked first (see _predictions). Argmax ties break
+    toward the lower class index."""
+    hits = [p.argmax == record.label for record, p in _predictions(data, oracle)]
+    return sum(hits) / len(hits)
 
 
-def predict_all(samples, oracle):
+def predict_all(data, oracle):
     """Predict every sample: {sample_id: ClassProbabilities}."""
+    return {record.sample_id: p for record, p in _predictions(data, oracle)}
+
+
+def _predictions(data, oracle):
+    """(record, prediction) of each sample of a dataset of one layout, checked
+    before any oracle call (see tensorio._dataset), in order."""
+    samples, _ = _dataset(data)
     records = []
-    preds = predict_volumes(oracle, _volumes(samples, records))
-    return {records[i].sample_id: p for i, p in enumerate(preds)}
+    for i, p in enumerate(predict_volumes(oracle, _volumes(samples, records))):
+        yield records[i], p
 
 
 def _volumes(samples, records):
     """Each sample's volume, its record appended to `records` first: the
-    samples are iterated once, and a sample is let go before the next is
-    taken."""
+    samples are iterated once, and each is let go before its volume is
+    yielded, so that its mask is not held while the oracle runs."""
     for s in samples:
         records.append(s.record)
-        yield s.volume
+        volume = s.volume
         del s
+        yield volume
+        del volume  # not held while the next sample is read
 
 
 def predict_volumes(oracle, volumes):

@@ -9,7 +9,6 @@ shared grids broadcast one map across all modalities.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
 import time
@@ -21,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .ablate import coalition_table, exact_shapley
-from .oracle import _iter_samples, _layouts, _volumes, predict_volumes
-from .tensorio import MultiModalVolume, SaliencyMap
+from .oracle import _volumes, predict_volumes
+from .tensorio import MultiModalVolume, SaliencyMap, _dataset
 
 
 class SaliencyMethod(Enum):
@@ -205,7 +204,7 @@ def _heads(plan, cfg):
 
 def _explain_one(make_plans, volume, oracle, cfg, grid=None):
     """The map of one volume from the plan builder `make_plans`."""
-    plans = make_plans([volume], cfg, grid)
+    plans = make_plans([volume], volume.data.shape, cfg, grid)
     _check_grid(grid, volume.data.shape)
     [(smap, _)] = _explain(plans, oracle, cfg)
     return smap
@@ -323,12 +322,12 @@ def occlusion(volume, oracle, cfg) -> SaliencyMap:
     return _explain_one(_occlusion_plans, volume, oracle, cfg)
 
 
-def _occlusion_plans(volumes, cfg, grid):
+def _occlusion_plans(volumes, shape, cfg, grid):
     """One plan per volume, made as it is taken from the iterator returned,
-    each with its own noise; the grid is unused."""
-    # the plans of one volume shape share one list of windows
-    windows = functools.cache(lambda shape: _occlusion_windows(shape, cfg))
-    return map(lambda v: _occlusion_plan(v, windows(v.data.shape), cfg), volumes)
+    each with its own noise; the plans share one list of the windows of
+    `shape`, made and checked here. The grid is unused."""
+    windows = _occlusion_windows(shape, cfg)
+    return map(lambda v: _occlusion_plan(v, windows, cfg), volumes)
 
 
 def _occlusion_windows(shape, cfg):
@@ -378,7 +377,7 @@ def feature_ablation(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     return _explain_one(_feature_ablation_plans, volume, oracle, cfg, grid)
 
 
-def _feature_ablation_plans(volumes, cfg, grid):
+def _feature_ablation_plans(volumes, shape, cfg, grid):
     if not grid.per_modality:
         raise ValueError("feature_ablation requires a per-modality segment grid")
     # row 0 keeps everything; row k + 1 drops segment k
@@ -398,7 +397,7 @@ def feature_permutation(data, oracle, cfg, grid: SegmentGrid):
     return generate_maps(data, oracle, cfg, grid)[0]
 
 
-def _feature_permutation_plans(volumes, cfg, grid):
+def _feature_permutation_plans(volumes, shape, cfg, grid):
     """One plan per volume, all made at once: each sample's donors are the
     whole dataset's volumes."""
     volumes = list(volumes)
@@ -406,9 +405,6 @@ def _feature_permutation_plans(volumes, cfg, grid):
         raise ValueError("feature_permutation requires a shared segment grid")
     if len(volumes) < 2:
         raise ValueError("feature_permutation needs at least 2 samples in the batch")
-    names, shape = volumes[0].modality_names, volumes[0].data.shape
-    if any(v.modality_names != names or v.data.shape != shape for v in volumes):
-        raise ValueError("all samples in the batch must share modalities and dims")
     rng = np.random.default_rng(cfg.rng_seed)
     # perms[k][j]: the sample whose segment k sample j gets
     perms = [_derangement_preferring(rng, len(volumes)) for _ in range(grid.n_segments)]
@@ -461,7 +457,7 @@ def lime(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     return _explain_one(_lime_plans, volume, oracle, cfg, grid)
 
 
-def _lime_plans(volumes, cfg, grid):
+def _lime_plans(volumes, shape, cfg, grid):
     k_segments = grid.n_segments
     if cfg.n_samples < k_segments:
         raise ValueError(
@@ -500,7 +496,7 @@ def shapley_sampling(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     return _explain_one(_shapley_sampling_plans, volume, oracle, cfg, grid)
 
 
-def _shapley_sampling_plans(volumes, cfg, grid):
+def _shapley_sampling_plans(volumes, shape, cfg, grid):
     if cfg.exhaustive:
         return _exact_shapley_plans(volumes, grid)
     k_segments = grid.n_segments
@@ -552,7 +548,7 @@ def kernel_shap(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     return _explain_one(_kernel_shap_plans, volume, oracle, cfg, grid)
 
 
-def _kernel_shap_plans(volumes, cfg, grid):
+def _kernel_shap_plans(volumes, shape, cfg, grid):
     if grid.per_modality:
         raise ValueError("kernel_shap requires a shared segment grid")
     k_segments = grid.n_segments
@@ -617,8 +613,9 @@ def default_grid_for(method, n_modalities, dims, block_shape):
     return build_grid(n_modalities, dims, block_shape, per_modality=not shared)
 
 
-# each method's plan builder: (volumes, cfg, grid) -> one plan per volume.
-# A builder checks its parameters and draws its rows when called, and takes
+# each method's plan builder: (volumes, shape, cfg, grid) -> one plan per
+# volume, every volume of data shape `shape`. A builder checks its
+# parameters and draws its rows (occlusion: its windows) when called, and takes
 # each volume from the iterable only as that volume's plan is taken; but
 # feature_permutation's, whose donors are the whole dataset, takes them all.
 _PLANS = {
@@ -635,34 +632,31 @@ def generate_maps(data, oracle, cfg: MethodConfig, grid=None, on_map=None):
     """Run one method over a dataset; returns ({sample_id: map}, runlog dict).
 
     `data` is a list of loaded samples or a DatasetView, which reads each
-    sample from disk as it is reached. The method's plan builder checks its
-    input and draws its rows, and the grid or occlusion's windows are
-    checked against each volume shape (a view's one shape, from its
-    headers), before any oracle call. Each sample's plan is then made only
-    when the one oracle stream reaches the sample (see _explain): with a
-    view on the per-item path, the call holds one sample at a time, and
-    with a batch oracle the samples that its current chunk spans. feature_permutation, whose donors are the
-    whole dataset, holds every volume. Given `on_map`, each sample's map
-    goes to `on_map(sample_id, map)` as soon as it is made, in sample order,
-    and is not kept: the returned dict is empty, and the call holds one
-    finished map at a time. The runlog records method, params, seed, and
-    per sample its oracle evaluations and its wall time: the time from the
-    previous sample's map, or from the start of the call, to its own,
-    without the time spent in `on_map`. Wall times are measurement, not a
-    deterministic output.
+    sample from disk as it is reached. Before any oracle call, it is checked
+    to keep to one layout (see tensorio._dataset), the plan builder checks
+    the method's parameters and draws its rows, and the grid or occlusion's
+    windows are checked against the layout's shape. Each sample's plan is
+    then made only when the one oracle stream reaches the sample (see
+    _explain): with a view on the per-item path, the call holds one volume
+    and no mask while the oracle runs; with a batch oracle, the volumes its
+    current chunk spans; feature_permutation, whose donors are the whole
+    dataset, holds every volume. Given `on_map`, each sample's map goes to
+    `on_map(sample_id, map)` as soon as it is made, in sample order, and is
+    not kept: the returned dict is empty, and the call holds one finished
+    map at a time. The runlog records method, params, seed, and per sample
+    its oracle evaluations and its wall time: the time from the previous
+    sample's map, or from the start of the call, to its own, without the
+    time spent in `on_map`. Wall times are measurement, not a deterministic
+    output.
     """
     t0 = time.perf_counter()
-    samples = _iter_samples(data)
+    samples, (_, shape) = _dataset(data)
     method = SaliencyMethod(cfg.method)
-    shapes = list(dict.fromkeys(shape for _, shape in _layouts(samples)))
     if grid is None:
-        grid = default_grid_for(method, shapes[0][0], shapes[0][1:], cfg.block_shape)
+        grid = default_grid_for(method, shape[0], shape[1:], cfg.block_shape)
     records = collections.deque()  # the records of the samples planned, whose maps are not made
-    plans = _PLANS[method](_volumes(samples, records), cfg, grid)
-    for shape in shapes:  # what a plan checks of its volume's shape
-        _check_grid(grid, shape)
-        if method is SaliencyMethod.OCCLUSION:
-            _occlusion_windows(shape, cfg)
+    plans = _PLANS[method](_volumes(samples, records), shape, cfg, grid)
+    _check_grid(grid, shape)
     maps, wall, evals = {}, {}, {}
     for smap, n_evals in _explain(plans, oracle, cfg):
         sid = records.popleft().sample_id

@@ -238,10 +238,10 @@ def _read_field(cls, path, broadcast_to=None):
 
 
 def _field_header(cls, path, broadcast_to=None):
-    """(modality names, data shape) of an MMV file as _read_field would read
-    it, from its header and its length, without reading the payload."""
+    """(path, modality names, data shape) of an MMV file as _read_field would
+    read it, from its header and its length, without reading the payload."""
     with open(path, "rb") as fp:
-        return _read_header(cls, fp, path, broadcast_to)
+        return (path, *_read_header(cls, fp, path, broadcast_to))
 
 
 def write_volume(volume: MultiModalVolume, path):
@@ -375,30 +375,22 @@ class DatasetView:
 
     Made by checking every volume and mask header, before any payload is
     read: each must be a valid MMV header whose payload size the file's
-    length bears out; every volume must list the first volume's modality
-    names, in its order (the channels are read by position), and have its
-    dims; every mask must list its volume's names (a single-modality mask
-    is broadcast to them) and have its dims. A failed check is an error
-    that names the sample. Iteration then reads, checks and yields one
-    LoadedSample at a time, in manifest order, and holds none of them;
-    each pass reads the files again. With keep_masks=False, each mask is
-    still read and checked but the samples carry mask=None.
-
-    `modality_names` and `shape` are the first volume's (None when the
-    manifest is empty).
+    length bears out, and all keep to one `layout` (see _fit_layout; None
+    for an empty manifest), a single-modality mask broadcast to its volume's
+    names. A failed check is an error that names the sample. Iteration then
+    reads, checks and yields one LoadedSample at a time, in manifest order,
+    and holds none of them; each pass reads the files again.
     """
 
-    def __init__(self, manifest: DatasetManifest, keep_masks=True):
+    def __init__(self, manifest: DatasetManifest):
         self.records = manifest.records
-        self.keep_masks = keep_masks
-        self.modality_names = self.shape = None
+        self.layout = None
         for rec in self.records:
             with _naming(rec):
-                volume = _field_header(MultiModalVolume, rec.volume_path)
-                mask = None
+                fields = [_field_header(MultiModalVolume, rec.volume_path)]
                 if rec.mask_path is not None:
-                    mask = _field_header(SegmentationMask, rec.mask_path, volume[0])
-            self._check(rec, volume, mask)
+                    fields.append(_field_header(SegmentationMask, rec.mask_path, fields[0][1]))
+            self.layout = _fit_layout(self.layout, rec.sample_id, *fields)
 
     def __len__(self):
         return len(self.records)
@@ -414,31 +406,56 @@ class DatasetView:
             mask = None
             if rec.mask_path is not None:
                 mask = read_mask(rec.mask_path, broadcast_to=volume.modality_names)
-        self._check(rec, *[(f.modality_names, f.data.shape) for f in (volume, mask)
-                             if f is not None])
-        return LoadedSample(rec, volume, mask if self.keep_masks else None)
+        sample = LoadedSample(rec, volume, mask)
+        _fit_sample(self.layout, sample)
+        return sample
 
-    def _check(self, rec, volume, mask=None):
-        """Whether a sample's volume and mask, each given as its (modality
-        names, data shape), fit the first volume, which fixes both."""
-        if self.modality_names is None:
-            self.modality_names, self.shape = volume
-        for field, path in ((volume, rec.volume_path), (mask, rec.mask_path)):
-            if field is not None and field[0] != self.modality_names:
-                raise ValueError(
-                    f"{rec.sample_id}: {path} lists modalities {list(field[0])}, "
-                    f"but the first volume lists {list(self.modality_names)}"
-                )
-        if volume[1] != self.shape:
+
+def _fit_layout(layout, sample_id, *fields):
+    """The dataset's layout, (modality names, data shape), once a sample fits
+    it; `layout` is None before the first sample, whose volume fixes it.
+
+    The fields, each (path, modality names, data shape), are the sample's
+    volume and then its mask if any, or a map file in the volume's place.
+    Each must list the layout's names in its order, as channels are read by
+    position, and have its shape; else a ValueError names the sample and the file.
+    """
+    names, shape = layout = layout or fields[0][1:]
+    for path, field_names, field_shape in fields:
+        if field_names != names:
             raise ValueError(
-                f"{rec.sample_id}: {rec.volume_path} has dims {list(volume[1][1:])}, "
-                f"but the first volume has {list(self.shape[1:])}"
+                f"{sample_id}: {path} lists modalities {list(field_names)}, "
+                f"but the first volume lists {list(names)}"
             )
-        if mask is not None and mask[1] != volume[1]:
+        if field_shape != shape:
             raise ValueError(
-                f"{rec.sample_id}: mask shape {mask[1]} does not match "
-                f"volume shape {volume[1]}"
+                f"{sample_id}: {path} has dims {list(field_shape[1:])}, "
+                f"but the first volume has {list(shape[1:])}"
             )
+    return layout
+
+
+def _fit_sample(layout, sample):
+    """_fit_layout of a loaded sample's volume and mask, at its record's paths."""
+    rec = sample.record
+    fields = [(rec.volume_path, sample.volume), (rec.mask_path, sample.mask)]
+    return _fit_layout(layout, rec.sample_id, *[
+        (path, f.modality_names, f.data.shape) for path, f in fields if f is not None])
+
+
+def _dataset(data):
+    """(samples, layout) of a DatasetView, as it is, or of any other iterable
+    of loaded samples as a list, each checked by _fit_layout against the
+    first. An empty dataset is a ValueError."""
+    if isinstance(data, DatasetView):
+        samples, layout = data, data.layout
+    else:
+        samples, layout = list(data), None
+        for sample in samples:
+            layout = _fit_sample(layout, sample)
+    if not samples:
+        raise ValueError("empty dataset")
+    return samples, layout
 
 
 @contextlib.contextmanager
@@ -453,8 +470,9 @@ def _naming(rec):
 def load_dataset(manifest: DatasetManifest):
     """Every sample of a manifest, read into memory, as a list.
 
-    The samples of a DatasetView of the manifest, so every header is checked
-    before any payload is read, and each sample is read and checked as the
-    view reads it. A DatasetView itself holds one sample at a time.
+    The samples of a DatasetView of the manifest, so every header is checked,
+    one layout among them, before any payload is read, and each sample is
+    read and checked as the view reads it. A DatasetView itself holds one
+    sample at a time.
     """
     return list(DatasetView(manifest))

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,10 +16,17 @@ import pytest
 from helpers import REPO, src_env
 from mmsaliency import cli
 from mmsaliency import oracle as oracle_mod
+from mmsaliency import tensorio
 from mmsaliency.cli import _parse_params, main
 from mmsaliency.oracle import ClassProbabilities
 from mmsaliency.saliency import MethodConfig
-from mmsaliency.tensorio import MultiModalVolume, write_volume
+from mmsaliency.tensorio import (
+    MultiModalVolume,
+    SaliencyMap,
+    read_saliency,
+    write_saliency,
+    write_volume,
+)
 
 
 def run_cli(*argv):
@@ -730,17 +738,29 @@ class TestStagedOutputs:
         else:
             assert not (tmp_path / "new").exists()
 
-    def test_the_masks_are_not_handed_on(self, manifest, tmp_path, monkeypatch):
-        handed = []
+    @pytest.mark.parametrize("method", ["occlusion", "feature_permutation"])
+    def test_no_mask_is_alive_while_the_oracle_runs(self, manifest, tmp_path, monkeypatch,
+                                                     method):
+        alive, reads, alive_at_calls = set(), [], []
+        read_mask = tensorio.read_mask
 
-        def generate_maps(samples, *args, **kwargs):
-            handed.extend(s.mask for s in samples)
-            return real(samples, *args, **kwargs)
+        def tracked(*args, **kwargs):
+            mask = read_mask(*args, **kwargs)
+            reads.append(len(reads))
+            alive.add(reads[-1])
+            weakref.finalize(mask, alive.discard, reads[-1])
+            return mask
 
-        real = cli.generate_maps
-        monkeypatch.setattr(cli, "generate_maps", generate_maps)
-        run_cli(*self.occlusion(manifest, tmp_path / "maps"))
-        assert handed == [None] * 3
+        predict = oracle_mod.ShapeRuleClassifier.predict
+        monkeypatch.setattr(tensorio, "read_mask", tracked)
+        monkeypatch.setattr(oracle_mod.ShapeRuleClassifier, "predict",
+                            lambda clf, volume: alive_at_calls.append(len(alive))
+                            or predict(clf, volume))
+        run_cli("saliency", "run", "--manifest", str(manifest), "--method", method,
+                "--params", "window=16,stride=16,block_shape=16", "--out-dir",
+                str(tmp_path / "maps"))
+        assert len(reads) == 3  # every mask is still read and checked
+        assert alive_at_calls and set(alive_at_calls) == {0}
 
     def test_a_run_replaces_only_its_own_files(self, manifest, tmp_path):
         out = tmp_path / "maps"
@@ -1038,6 +1058,37 @@ class TestLaterSampleFaults:
         elif name != "msfi":  # found when the last sample is read
             assert calls
         assert sorted(tmp_path.rglob("*")) == before  # no file and no out-dir left
+
+    @pytest.mark.parametrize("metric", ["msfi", "mi-corr", "iou"])
+    @pytest.mark.parametrize("fault, text", [
+        # the same map, its channels and their names in reverse order
+        ("names", "lists modalities ['FLAIR', 'T2', 'T1C', 'T1'], but the first volume "
+                  "lists ['T1', 'T1C', 'T2', 'FLAIR']"),
+        ("dims", "has dims [40, 40], but the first volume has [48, 48]"),
+    ])
+    def test_a_map_out_of_layout_exits_with_one_line(self, pipeline, tmp_path, metric, fault,
+                                                     text):
+        sal = tmp_path / "saliency"
+        shutil.copytree(pipeline / "saliency", sal)
+        sid = json.loads((pipeline / "data" / "manifest.json").read_text())["records"][-1][
+            "sample_id"]
+        path = sal / f"{sid}_feature_ablation.mmv"
+        smap = read_saliency(path)
+        if fault == "names":
+            smap = SaliencyMap(smap.modality_names[::-1], smap.data[::-1])
+        else:
+            smap = SaliencyMap(smap.modality_names, np.zeros((4, 40, 40), dtype=np.float32))
+        write_saliency(smap, path)
+        out = tmp_path / "scores.csv"
+        argv = ["metrics", metric, "--manifest", str(pipeline / "data" / "manifest.json"),
+                "--saliency-dir", str(sal), "--out", str(out)]
+        if metric != "iou":
+            argv += ["--mi", str(pipeline / "mi.csv")]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        line = assert_one_error_line(err, argv)
+        assert line.split(": error: ")[1] == f"{sid}: {path} {text}"
+        assert not out.exists() and not Path(f"{out}.meta.json").exists()
 
 
 @pytest.fixture(scope="module")

@@ -319,15 +319,21 @@ class TestOcclusion:
         b = occlusion(vol, oracle, cfg).data
         assert np.array_equal(a, b)
 
-    def test_plans_of_one_shape_share_one_window_list(self):
+    def test_one_call_makes_one_window_list(self, monkeypatch):
+        made = []
+        windows = saliency._occlusion_windows
+        monkeypatch.setattr(saliency, "_occlusion_windows",
+                            lambda *args: made.append(windows(*args)) or made[-1])
         rng = np.random.default_rng(10)
-        volumes = [make_volume(rng, 2, dims) for dims in [(8, 8), (8, 8), (6, 8), (8, 8)]]
+        samples = [make_sample(f"s{i}", make_volume(rng, 2, (6, 8))) for i in range(3)]
         cfg = MethodConfig(SaliencyMethod.OCCLUSION, window=4, stride=2)
-        plans = list(saliency._occlusion_plans(volumes, cfg, None))
-        assert plans[0].items is plans[1].items is plans[3].items
-        assert plans[2].items is not plans[0].items
-        # 2 modalities x corners (0, 2) x (0, 2, 4), and x (0, 2, 4) twice
-        assert (len(plans[2].items), len(plans[0].items)) == (2 * 2 * 3, 2 * 3 * 3)
+        oracle = FunctionOracle(lambda d: float(d.mean()))
+        _, runlog = generate_maps(samples, oracle, cfg)
+        # 2 modalities x corners (0, 2) x (0, 2, 4), made once for the 3 samples
+        assert [len(w) for w in made] == [2 * 2 * 3]
+        assert runlog["oracle_evals"] == {f"s{i}": 1 + 2 * 2 * 3 for i in range(3)}
+        plans = list(saliency._occlusion_plans([s.volume for s in samples], (2, 6, 8), cfg, None))
+        assert plans[0].items is plans[1].items is plans[2].items
 
 
 def _typed(volume, dtype):
@@ -369,13 +375,20 @@ class TestOcclusionReference:
         self._assert_equal_to_reference(samples, window, stride, target_class)
 
     @pytest.mark.parametrize("target_class", [None, 1])
-    def test_samples_of_two_shapes(self, target_class):
+    def test_samples_of_two_shapes_fail_before_any_oracle_call(self, target_class):
         rng = np.random.default_rng(12)
         samples = [
             make_sample(f"s{i}", make_volume(rng, 2, dims))
             for i, dims in enumerate([(8, 8), (6, 7), (8, 8), (6, 7)])
         ]
-        self._assert_equal_to_reference(samples, (3, 3), (2, 2), target_class)
+        calls = []
+        oracle = FunctionOracle(lambda d: calls.append(1) or 0.5)
+        cfg = MethodConfig(SaliencyMethod.OCCLUSION, target_class=target_class, rng_seed=13,
+                           window=(3, 3), stride=(2, 2))
+        with pytest.raises(ValueError) as err:
+            generate_maps(samples, oracle, cfg)
+        assert str(err.value) == "s1: s1.mmv has dims [6, 7], but the first volume has [8, 8]"
+        assert calls == []
 
 
 class TestFeatureAblation:
