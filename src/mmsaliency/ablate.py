@@ -91,9 +91,9 @@ def apply_ablation(volume, keep, policy: AblationPolicy, mask=None):
         if policy.variant is AblationVariant.ZERO_WHOLE_MODALITY:
             data[m] = 0.0
         elif policy.variant is AblationVariant.ZERO_FEATURE_REGION:
-            data[m][mask.data[m] > 0.5] = 0.0
+            data[m][mask.data[m]] = 0.0
         else:
-            pool = volume.data[m][mask.data[m] <= 0.5]
+            pool = volume.data[m][~mask.data[m]]
             if pool.size == 0:
                 raise ValueError(
                     f"modality {m}: non-lesion sampling pool is empty "
@@ -114,15 +114,17 @@ def _coalition_accuracies(samples, oracle, rows, policy):
     """Accuracy per keep row. Every ablated volume goes through one stream,
     sample by sample: each sample's ablations, one per row, in row order.
     The samples are iterated once, and a sample is let go before the next
-    is taken."""
+    is taken. A sample's mask is taken only when the policy needs one, so a
+    DatasetView reads no mask payload under the zero policy."""
     labels = []
 
     def ablated():
         for s in samples:
             labels.append(s.record.label)
+            mask = s.mask if policy.needs_mask else None
             for keep in rows:
-                yield apply_ablation(s.volume, keep, policy, s.mask)
-            del s
+                yield apply_ablation(s.volume, keep, policy, mask)
+            del s, mask
 
     hits = [0] * len(rows)
     for i, pred in enumerate(predict_volumes(oracle, ablated())):

@@ -112,7 +112,7 @@ def _write_csv(path, rows):
 
 def _load_samples(manifest_path):
     """The manifest, a DatasetView of its samples, which checks their headers
-    and reads each payload as a run reaches it, and their layout (see
+    and reads each payload only when a run uses it, and their layout (see
     tensorio._dataset, which rejects an empty manifest)."""
     manifest = load_manifest(manifest_path)
     return (manifest, *_dataset(DatasetView(manifest)))

@@ -100,7 +100,7 @@ def msfi(smap, masks, phi):
     positive = np.maximum(smap.data.astype(np.float64), 0.0)
     m = smap.data.shape[0]
     flat_pos = positive.reshape(m, -1)
-    flat_mask = masks.data.reshape(m, -1) > 0.5
+    flat_mask = masks.data.reshape(m, -1)
     totals = flat_pos.sum(axis=1)
     inside = np.where(flat_mask, flat_pos, 0.0).sum(axis=1)
     ratios = np.divide(inside, totals, out=np.zeros(m), where=totals > 0)
@@ -122,7 +122,7 @@ def iou(smap, masks, threshold=0.5):
     if smap.data.shape != masks.data.shape:
         raise ValueError("saliency and mask shapes differ")
     predicted = smap.data >= threshold
-    actual = masks.data > 0.5
+    actual = masks.data
     union = int(np.count_nonzero(predicted | actual))
     if union == 0:
         return 1.0

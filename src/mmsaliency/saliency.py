@@ -637,17 +637,17 @@ def generate_maps(data, oracle, cfg: MethodConfig, grid=None, on_map=None):
     the method's parameters and draws its rows, and the grid or occlusion's
     windows are checked against the layout's shape. Each sample's plan is
     then made only when the one oracle stream reaches the sample (see
-    _explain): with a view on the per-item path, the call holds one volume
-    and no mask while the oracle runs; with a batch oracle, the volumes its
-    current chunk spans; feature_permutation, whose donors are the whole
-    dataset, holds every volume. Given `on_map`, each sample's map goes to
-    `on_map(sample_id, map)` as soon as it is made, in sample order, and is
-    not kept: the returned dict is empty, and the call holds one finished
-    map at a time. The runlog records method, params, seed, and per sample
-    its oracle evaluations and its wall time: the time from the previous
-    sample's map, or from the start of the call, to its own, without the
-    time spent in `on_map`. Wall times are measurement, not a deterministic
-    output.
+    _explain): with a view, which reads no mask, on the per-item path, the
+    call holds one volume while the oracle runs; with a batch oracle, the
+    volumes its current chunk spans; feature_permutation, whose donors are
+    the whole dataset, holds every volume. Given `on_map`, each sample's map
+    goes to `on_map(sample_id, map)` as soon as it is made, in sample order,
+    and is not kept: the returned dict is empty, and the call holds one
+    finished map at a time. The runlog records method, params, seed, and per
+    sample its oracle evaluations and its wall time: the time from the
+    previous sample's map, or from the start of the call, to its own,
+    without the time spent in `on_map`. Wall times are measurement, not a
+    deterministic output.
     """
     t0 = time.perf_counter()
     samples, (_, shape) = _dataset(data)

@@ -189,7 +189,7 @@ def render_sample(cfg: SynthConfig, index, label):
     n_mod = len(DEFAULT_MODALITIES)
     offsets = _modality_offsets(n_mod, size)
     data = np.zeros((n_mod, size, size))
-    masks = np.zeros((n_mod, size, size))
+    masks = np.zeros((n_mod, size, size), dtype=bool)
     kinds = []
     for m in range(n_mod):
         aligned = rng.random() < cfg.alignment[m]
@@ -206,7 +206,7 @@ def render_sample(cfg: SynthConfig, index, label):
         if cfg.background == "brain_texture":
             data[m] = _brain_texture(rng, size)
         data[m][support] = intensity
-        masks[m][support] = 1.0
+        masks[m][support] = True
     volume = MultiModalVolume(DEFAULT_MODALITIES, data)
     mask = SegmentationMask(DEFAULT_MODALITIES, masks)
     return volume, mask, kinds

@@ -9,6 +9,7 @@ All containers are immutable after construction.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -67,10 +68,12 @@ def _json_entry(doc, key, kind, where, each=None):
 
 
 def _freeze(data, modality_names, *, binary=False):
-    """Validate and return the canonical read-only float array for a field.
+    """Validate and return the canonical read-only array for a field.
 
     float32 input stays float32 (the file payload dtype); everything else is
     held as float64. Writing a float64 field quantizes it to f32le on disk.
+    A binary field (a mask) is held as bool, one byte per voxel: bool input
+    as it is, and any other input only if its every value is 0 or 1.
     """
     names = tuple(str(n) for n in modality_names)
     if not names:
@@ -78,7 +81,10 @@ def _freeze(data, modality_names, *, binary=False):
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate modality names: {names}")
     arr = np.asarray(data)
-    dtype = np.float32 if arr.dtype == np.float32 else np.float64
+    if binary and arr.dtype == bool:
+        dtype = bool
+    else:
+        dtype = np.float32 if arr.dtype == np.float32 else np.float64
     arr = np.ascontiguousarray(arr, dtype=dtype)
     if arr.ndim not in (3, 4):
         raise ValueError(
@@ -90,11 +96,14 @@ def _freeze(data, modality_names, *, binary=False):
         )
     if min(arr.shape) < 1:
         raise ValueError(f"all dimensions must be positive, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("data contains non-finite values")
-    if binary:
-        if not np.logical_or(arr == 0.0, arr == 1.0).all():
-            raise ValueError("mask values must be 0 or 1")
+    if dtype is not bool:
+        if not np.isfinite(arr).all():
+            raise ValueError("data contains non-finite values")
+        if binary:
+            ones = arr == 1.0
+            if not (ones | (arr == 0.0)).all():
+                raise ValueError("mask values must be 0 or 1")
+            arr = ones
     arr.setflags(write=False)
     return names, arr
 
@@ -150,7 +159,11 @@ class MultiModalVolume(_Field):
 
 @dataclass(frozen=True, eq=False)
 class SegmentationMask(_Field):
-    """Per-modality binary feature-localization field aligned with a volume."""
+    """Per-modality binary feature-localization field aligned with a volume.
+
+    data is bool, True inside the feature; it is made from bool data, or from
+    numbers that are all 0 or 1. On disk it is f32le 0.0 and 1.0.
+    """
 
     KIND = KIND_MASK
 
@@ -225,14 +238,16 @@ def _read_header(cls, fp, path, broadcast_to=None):
 
 def _read_field(cls, path, broadcast_to=None):
     """Read an MMV file of kind cls.KIND; a single-modality file may be
-    repeated onto the `broadcast_to` names."""
+    repeated onto the `broadcast_to` names, once its one channel is checked
+    and held in the field's dtype."""
     with open(path, "rb") as fp:
         names, shape = _read_header(cls, fp, path, broadcast_to)
         data = np.frombuffer(fp.read(), dtype="<f4").reshape(-1, *shape[1:])
-    if len(data) != len(names):
-        data = np.repeat(data, len(names), axis=0)
     try:
-        return cls(names, data)
+        field = cls(names[:len(data)], data)
+        if len(data) != len(names):
+            field = cls(names, np.repeat(field.data, len(names), axis=0))
+        return field
     except ValueError as exc:
         raise MMVFormatError(f"{path}: {exc}") from exc
 
@@ -371,15 +386,17 @@ class LoadedSample:
 
 
 class DatasetView:
-    """A manifest's samples, each read from disk only when iteration reaches it.
+    """A manifest's samples, whose payloads are read only when a command uses them.
 
     Made by checking every volume and mask header, before any payload is
     read: each must be a valid MMV header whose payload size the file's
     length bears out, and all keep to one `layout` (see _fit_layout; None
     for an empty manifest), a single-modality mask broadcast to its volume's
     names. A failed check is an error that names the sample. Iteration then
-    reads, checks and yields one LoadedSample at a time, in manifest order,
-    and holds none of them; each pass reads the files again.
+    yields one _ViewSample at a time, in manifest order, and holds none of
+    them: a sample reads its volume and its mask each on first access, so a
+    command that never takes a sample's mask, or its volume, never reads
+    that file's payload. Each pass reads the files again.
     """
 
     def __init__(self, manifest: DatasetManifest):
@@ -398,17 +415,33 @@ class DatasetView:
     def __iter__(self):
         for rec in self.records:
             # yielded without a name, so that no sample is held while the next is read
-            yield self._read(rec)
+            yield _ViewSample(rec, self.layout)
 
-    def _read(self, rec):
-        with _naming(rec):
-            volume = read_volume(rec.volume_path)
-            mask = None
-            if rec.mask_path is not None:
-                mask = read_mask(rec.mask_path, broadcast_to=volume.modality_names)
-        sample = LoadedSample(rec, volume, mask)
-        _fit_sample(self.layout, sample)
-        return sample
+
+class _ViewSample:
+    """A DatasetView's sample: its record, and its volume and its mask (None
+    without a mask path), each read on first access, checked against the
+    view's layout by _fit_layout, and kept."""
+
+    def __init__(self, record, layout):
+        self.record = record
+        self._layout = layout
+
+    @functools.cached_property
+    def volume(self):
+        return self._read(read_volume, self.record.volume_path)
+
+    @functools.cached_property
+    def mask(self):
+        path = self.record.mask_path
+        return None if path is None else self._read(read_mask, path, self._layout[0])
+
+    def _read(self, read, path, *args):
+        with _naming(self.record):
+            field = read(path, *args)
+        _fit_layout(self._layout, self.record.sample_id,
+                    (path, field.modality_names, field.data.shape))
+        return field
 
 
 def _fit_layout(layout, sample_id, *fields):
@@ -468,11 +501,13 @@ def _naming(rec):
 
 
 def load_dataset(manifest: DatasetManifest):
-    """Every sample of a manifest, read into memory, as a list.
+    """Every sample of a manifest, its volume and its mask read into memory,
+    as a list of LoadedSample.
 
     The samples of a DatasetView of the manifest, so every header is checked,
-    one layout among them, before any payload is read, and each sample is
-    read and checked as the view reads it. A DatasetView itself holds one
-    sample at a time.
+    one layout among them, before any payload is read, and each payload is
+    read and checked as the view reads it, the volume before the mask. A
+    DatasetView itself holds one sample at a time, and reads only the
+    payloads a command uses.
     """
-    return list(DatasetView(manifest))
+    return [LoadedSample(s.record, s.volume, s.mask) for s in DatasetView(manifest)]

@@ -759,7 +759,7 @@ class TestStagedOutputs:
         run_cli("saliency", "run", "--manifest", str(manifest), "--method", method,
                 "--params", "window=16,stride=16,block_shape=16", "--out-dir",
                 str(tmp_path / "maps"))
-        assert len(reads) == 3  # every mask is still read and checked
+        assert reads == []  # saliency run reads no mask
         assert alive_at_calls and set(alive_at_calls) == {0}
 
     def test_a_run_replaces_only_its_own_files(self, manifest, tmp_path):
@@ -1004,7 +1004,8 @@ class TestModalityNames:
 class TestLaterSampleFaults:
     """The commands read one sample at a time, but check every header first:
     a fault in the last sample's header stops a run before any oracle call,
-    and a fault in its payload stops it when the sample is read."""
+    and a fault in its payload stops a command that reads that payload when
+    the sample is read."""
 
     @staticmethod
     def faulty_copy(pipeline, tmp_path, fault):
@@ -1020,6 +1021,10 @@ class TestLaterSampleFaults:
             copy = tmp_path / "v.mmv"
             write_volume(MultiModalVolume(("T1", "T1C", "T2", "FLAIR"),
                                           np.zeros((4, 40, 40), dtype=np.float32)), copy)
+        elif fault == "size":  # a mask payload one value short
+            key = "mask"
+            copy = tmp_path / "m.mmv"
+            copy.write_bytes((data / last[key]).read_bytes()[:-4])
         else:  # a mask value that is neither 0 nor 1
             key = "mask"
             copy = tmp_path / "m.mmv"
@@ -1034,19 +1039,30 @@ class TestLaterSampleFaults:
         ("names", "lists modalities ['PET', 'T1C', 'T2', 'FLAIR'], but the first volume "
                   "lists ['T1', 'T1C', 'T2', 'FLAIR']"),
         ("dims", "has dims [40, 40], but the first volume has [48, 48]"),
+        # checked from the file's length, also by a command that reads no mask
+        ("size", f"payload is {4 * 48 * 48 * 4 - 4} bytes, expected {4 * 48 * 48 * 4}"),
         ("mask", "mask values must be 0 or 1"),
     ])
     def test_exits_with_one_line(self, pipeline, tmp_path, monkeypatch, name, fault, text):
         sid, copy, manifest = self.faulty_copy(pipeline, tmp_path, fault)
-        calls = []
+        calls, mask_reads = [], []
         predict = oracle_mod.ShapeRuleClassifier.predict
         monkeypatch.setattr(oracle_mod.ShapeRuleClassifier, "predict",
                             lambda clf, volume: calls.append(1) or predict(clf, volume))
+        read_mask = tensorio.read_mask
+        monkeypatch.setattr(tensorio, "read_mask",
+                            lambda *args, **kw: mask_reads.append(args) or read_mask(*args, **kw))
         paths = {"manifest": manifest, "out": tmp_path / "new" / "out",
                  "sal": pipeline / "saliency", "mi": pipeline / "mi.csv"}
         argv = command("mi-corr", paths) if name == "msfi" else command(name, paths)
         if name == "msfi":
             argv[1] = "msfi"
+        elif name == "mi":  # a policy that reads the masks
+            argv += ["--policy", "nonlesion"]
+        if (fault, name) == ("mask", "saliency"):  # saliency run reads no mask payload
+            run_cli(*argv)
+            assert calls and mask_reads == []
+            return
         before = sorted(tmp_path.rglob("*"))
         with pytest.raises(SystemExit) as err:
             main(argv)
@@ -1089,6 +1105,44 @@ class TestLaterSampleFaults:
         line = assert_one_error_line(err, argv)
         assert line.split(": error: ")[1] == f"{sid}: {path} {text}"
         assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
+class TestPayloadReads:
+    """Each command reads only the volume and mask payloads it uses, one of
+    each per sample at most; every header is still checked."""
+
+    # (volume payloads, mask payloads) read per sample
+    @pytest.mark.parametrize("argv, per_sample", [
+        ("saliency run --manifest {manifest} --method feature_ablation "
+         "--params block_shape=24 --out-dir {out}", (1, 0)),
+        ("mi compute --manifest {manifest} --policy zero --out {out}", (1, 0)),
+        ("mi compute --manifest {manifest} --policy nonlesion --out {out}", (1, 1)),
+        ("mi compute --manifest {manifest} --policy feature --out {out}", (1, 1)),
+        ("metrics mi-corr --manifest {manifest} --saliency-dir {sal} --mi {mi} --out {out}",
+         (0, 0)),
+        ("metrics msfi --manifest {manifest} --saliency-dir {sal} --mi {mi} --out {out}",
+         (0, 1)),
+        ("metrics iou --manifest {manifest} --saliency-dir {sal} --out {out}", (0, 1)),
+        (None, (1, 1)),  # tensorio.load_dataset
+    ], ids=["saliency", "mi-zero", "mi-nonlesion", "mi-feature", "mi-corr", "msfi", "iou",
+            "load_dataset"])
+    def test_payloads_read_per_command(self, pipeline, tmp_path, monkeypatch, argv,
+                                       per_sample):
+        manifest = pipeline / "data" / "manifest.json"
+        reads = {"read_volume": [], "read_mask": []}
+        for name, log in reads.items():
+            read = getattr(tensorio, name)
+            monkeypatch.setattr(tensorio, name, lambda path, *args, read=read, log=log, **kw:
+                                log.append(Path(path).name) or read(path, *args, **kw))
+        if argv is None:
+            tensorio.load_dataset(tensorio.load_manifest(manifest))
+        else:
+            run_cli(*argv.format(manifest=manifest, out=tmp_path / "out",
+                                 sal=pipeline / "saliency", mi=pipeline / "mi.csv").split())
+        records = json.loads(manifest.read_text())["records"]
+        volumes, masks = per_sample
+        assert reads["read_volume"] == [r["volume"] for r in records] * volumes
+        assert reads["read_mask"] == [r["mask"] for r in records] * masks
 
 
 @pytest.fixture(scope="module")

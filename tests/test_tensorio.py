@@ -249,6 +249,50 @@ def test_mask_broadcast_loader(tmp_path):
         assert np.array_equal(wide.data[m], mask.data[0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+def test_a_mask_is_held_as_bool(dtype):
+    values = np.array([[[1, 0], [0, 1]], [[0, 0], [1, 1]]], dtype=dtype)
+    mask = SegmentationMask(("a", "b"), values)
+    assert mask.data.dtype == bool
+    assert np.array_equal(mask.data, values == 1)
+    assert not mask.data.flags.writeable
+
+
+def test_a_bool_mask_is_kept_without_a_copy():
+    keep = np.array([[[True, False], [False, True]]])
+    mask = SegmentationMask(("a",), keep)
+    assert mask.data is keep  # no float64 copy, nor any other
+    assert mask.data.dtype == bool
+
+
+def test_a_mask_round_trips_to_the_same_bytes(tmp_path):
+    values = np.random.default_rng(0).random((3, 5, 4, 2)) < 0.3
+    write_mask(SegmentationMask(("a", "b", "c"), values), tmp_path / "m1.mmv")
+    back = read_mask(tmp_path / "m1.mmv")
+    assert back.data.dtype == bool and np.array_equal(back.data, values)
+    write_mask(back, tmp_path / "m2.mmv")
+    raw = (tmp_path / "m2.mmv").read_bytes()
+    assert raw == (tmp_path / "m1.mmv").read_bytes()
+    payload = np.frombuffer(raw.split(b"\n", 1)[1], dtype="<f4")
+    assert np.array_equal(payload, values.ravel().astype(np.float32))
+
+
+def test_a_one_channel_mask_is_repeated_as_bool(tmp_path):
+    one = np.random.default_rng(1).random((1, 6, 5)) < 0.5
+    path = tmp_path / "m.mmv"
+    write_mask(SegmentationMask(("label",), one), path)
+    wide = read_mask(path, broadcast_to=("T1", "T1C", "T2", "FLAIR"))
+    assert wide.modality_names == ("T1", "T1C", "T2", "FLAIR")
+    assert wide.data.dtype == bool and wide.data.flags.c_contiguous
+    # the field a float repeat of the payload checked afterwards would give
+    payload = np.frombuffer(path.read_bytes().split(b"\n", 1)[1], dtype="<f4")
+    assert np.array_equal(wide.data, np.repeat(payload.reshape(1, 6, 5), 4, axis=0) == 1)
+    bad = path.read_bytes()[:-4] + np.float32(0.5).tobytes()
+    path.write_bytes(bad)
+    with pytest.raises(MMVFormatError, match="mask values must be 0 or 1"):
+        read_mask(path, broadcast_to=("T1", "T1C"))
+
+
 def test_saliency_postprocessed_range_checked():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         SaliencyMap(("a",), np.array([[[2.0, 0.0], [0.0, 0.0]]]), postprocessed=True)
