@@ -97,12 +97,15 @@ def msfi(smap, masks, phi):
         raise ValueError("phi must have one weight per modality")
     if not np.isfinite(phi).all() or (phi < 0).any():
         raise ValueError("phi must be finite and nonnegative")
-    positive = np.maximum(smap.data.astype(np.float64), 0.0)
+    # one float64 copy of the map: its positive part, then only what lies inside
+    positive = smap.data.astype(np.float64)
+    np.maximum(positive, 0.0, out=positive)
     m = smap.data.shape[0]
     flat_pos = positive.reshape(m, -1)
     flat_mask = masks.data.reshape(m, -1)
     totals = flat_pos.sum(axis=1)
-    inside = np.where(flat_mask, flat_pos, 0.0).sum(axis=1)
+    flat_pos[~flat_mask] = 0.0
+    inside = flat_pos.sum(axis=1)
     ratios = np.divide(inside, totals, out=np.zeros(m), where=totals > 0)
     phi_sum = phi.sum()
     if phi_sum <= 0:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, runtime_checkable
@@ -31,10 +30,12 @@ PROB_TOL = 1e-6
 # float32) is about 143 MB.
 BATCH_BYTES = 512 << 20
 # Bytes of memory a classifier's foreground memo may hold, each entry counted
-# as its packed key plus MEMO_ENTRY_BYTES (435-476 by tracemalloc): 2202 fields
-# of 64x64, 2880 of 48x48, 4681 of 8x8; a field larger than this is kept alone.
-MEMO_BYTES = 2 << 20
-MEMO_ENTRY_BYTES = 440
+# as its packed bits plus MEMO_ENTRY_BYTES, the rest of its memory (about 130
+# at 64x64 and 155 at 48x48 by tracemalloc on Python 3.11: the bytes header,
+# the float and the dict's share): 1979 fields of 64x64, 2992 of 48x48, 8295
+# of 8x8; a field larger than this is kept alone.
+MEMO_BYTES = 1280 << 10
+MEMO_ENTRY_BYTES = 150
 
 
 @dataclass(frozen=True)
@@ -234,14 +235,15 @@ def circularity(component):
 
 
 class _ForegroundMemo:
-    """Predictions by (shape, packed bits) of a thresholded field, least
-    recently used first. Each entry counts as its packed key plus
-    MEMO_ENTRY_BYTES, and the entries besides the newest count at most
-    MEMO_BYTES in all. Only get and add change the entries, so the count
-    stays true."""
+    """The round-class probability of thresholded fields of one shape, by
+    their packed bits, least recently used first. A field of another shape
+    empties it. Each entry counts as its packed bits plus MEMO_ENTRY_BYTES,
+    and the entries besides the newest count at most MEMO_BYTES in all. Only
+    get and add change the entries, so the count stays true."""
 
     def __init__(self):
-        self._entries = OrderedDict()
+        self._entries = {}
+        self._shape = None
         self.nbytes = 0
 
     def __len__(self):
@@ -250,19 +252,56 @@ class _ForegroundMemo:
     def __iter__(self):
         return iter(self._entries)
 
-    def get(self, key):
-        """The remembered prediction, now the most recent, or None."""
-        probs = self._entries.get(key)
-        if probs is not None:
-            self._entries.move_to_end(key)
-        return probs
+    def get(self, shape, bits):
+        """The remembered probability, now the most recent, or None."""
+        if shape != self._shape:
+            return None
+        p_round = self._entries.pop(bits, None)
+        if p_round is not None:
+            self._entries[bits] = p_round
+        return p_round
 
-    def add(self, key, probs):
-        self._entries[key] = probs
-        self.nbytes += len(key[1]) + MEMO_ENTRY_BYTES
+    def add(self, shape, bits, p_round):
+        if shape != self._shape:
+            self._entries.clear()
+            self._shape, self.nbytes = shape, 0
+        self._entries[bits] = p_round
+        self.nbytes += len(bits) + MEMO_ENTRY_BYTES
         while self.nbytes > MEMO_BYTES and len(self._entries) > 1:
-            old, _ = self._entries.popitem(last=False)
-            self.nbytes -= len(old[1]) + MEMO_ENTRY_BYTES
+            old = next(iter(self._entries))
+            del self._entries[old]
+            self.nbytes -= len(old) + MEMO_ENTRY_BYTES
+
+
+def predict_shape_rule(cfg: ShapeRuleClassifier, volume: MultiModalVolume) -> ClassProbabilities:
+    """Apply the shape rule; empty foreground yields uniform probabilities.
+
+    The uniform output is a documented degenerate case, not an error:
+    modality ablation legitimately empties the foreground. Everything after
+    the threshold reads only the foreground and cfg, so a foreground met
+    before gets its remembered prediction, the very one labeling would give.
+    """
+    w = cfg._weight_row
+    data = volume.data.astype(np.float64, copy=False)
+    if w.shape[1] != data.shape[0]:
+        raise ValueError(
+            f"classifier has {w.shape[1]} weights but volume has "
+            f"{volume.n_modalities} modalities"
+        )
+    # the product tensordot(w, data, axes=(0, 0)) computes, without its set-up;
+    # above the cut exactly where its quotient by the weight sum is above the
+    # threshold. fg is one flat row, its bits in C order as the field's.
+    fg = np.dot(w, data.reshape(w.shape[1], -1)) > cfg._cut
+    bits = np.packbits(fg).tobytes()
+    p_round = cfg._memo.get(data.shape, bits)
+    if p_round is None:
+        p_round = _shape_rule_probs(cfg, fg.reshape(data.shape[1:]))
+        cfg._memo.add(data.shape, bits, p_round)
+    # a logistic and its complement, a simplex as they stand: built without
+    # ClassProbabilities' checks, as MultiModalVolume._masked builds volumes
+    probs = object.__new__(ClassProbabilities)
+    object.__setattr__(probs, "probs", (p_round, 1.0 - p_round))
+    return probs
 
 
 @dataclass(frozen=True)
@@ -273,13 +312,13 @@ class ShapeRuleClassifier:
     connected component, and maps its circularity through a logistic with
     the given cutoff and temperature. Class 0 is the round class.
 
-    Each instance remembers the predictions of its recent thresholded fields
-    in about MEMO_BYTES of memory, so a perturbation that leaves the
-    foreground as it was is not labeled again, and holds its weights as a
-    float64 row and the threshold's cut on their weighted sum (see
-    _threshold_cut), made once. The memo, the row and the cut take no part
-    in equality, hashing or repr. The memo is not locked: threads that share
-    an instance must lock around predict.
+    Each instance remembers the round-class probability of its recent
+    thresholded fields, all of one shape, in about MEMO_BYTES of memory, so a
+    perturbation that leaves the foreground as it was is not labeled again;
+    and it holds its weights as a float64 row and the threshold's cut on
+    their weighted sum (see _threshold_cut), made once. The memo, the row and
+    the cut take no part in equality, hashing or repr. The memo is not
+    locked: threads that share an instance must lock around predict.
     """
 
     modality_weights: tuple
@@ -290,7 +329,7 @@ class ShapeRuleClassifier:
         default_factory=_ForegroundMemo, init=False, repr=False, compare=False
     )
     _weight_row: np.ndarray = field(init=False, repr=False, compare=False)
-    _cut: float = field(init=False, repr=False, compare=False)
+    _cut: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.modality_weights)
@@ -310,39 +349,14 @@ class ShapeRuleClassifier:
             weight_sum = float(row.sum())
         if not math.isfinite(weight_sum):
             raise ValueError(f"weights must have a finite sum: {w}")
+        # a 0-d array, which numpy compares a field against sooner than a float
+        cut = np.array(_threshold_cut(self.intensity_threshold, weight_sum))
         row.setflags(write=False)
+        cut.setflags(write=False)
         object.__setattr__(self, "_weight_row", row)
-        object.__setattr__(self, "_cut", _threshold_cut(self.intensity_threshold, weight_sum))
+        object.__setattr__(self, "_cut", cut)
 
-    def predict(self, volume: MultiModalVolume) -> ClassProbabilities:
-        return predict_shape_rule(self, volume)
-
-
-def predict_shape_rule(cfg: ShapeRuleClassifier, volume: MultiModalVolume):
-    """Apply the shape rule; empty foreground yields uniform probabilities.
-
-    The uniform output is a documented degenerate case, not an error:
-    modality ablation legitimately empties the foreground. Everything after
-    the threshold reads only the foreground and cfg, so a foreground met
-    before gets its remembered prediction, the very one labeling would give.
-    """
-    w = cfg._weight_row
-    if w.shape[1] != volume.n_modalities:
-        raise ValueError(
-            f"classifier has {w.shape[1]} weights but volume has "
-            f"{volume.n_modalities} modalities"
-        )
-    data = volume.data.astype(np.float64, copy=False)
-    # the product tensordot(w, data, axes=(0, 0)) computes, without its set-up;
-    # above the cut exactly where its quotient by the weight sum is above the
-    # threshold. fg is one flat row, its bits in C order as the field's.
-    fg = np.dot(w, data.reshape(w.shape[1], -1)) > cfg._cut
-    key = (data.shape[1:], np.packbits(fg).tobytes())
-    probs = cfg._memo.get(key)
-    if probs is None:
-        probs = _shape_rule_probs(cfg, fg.reshape(data.shape[1:]))
-        cfg._memo.add(key, probs)
-    return probs
+    predict = predict_shape_rule
 
 
 def _threshold_cut(threshold, weight_sum):
@@ -371,18 +385,17 @@ def _threshold_cut(threshold, weight_sum):
 
 
 def _shape_rule_probs(cfg, fg):
-    """The shape rule's prediction for a thresholded field."""
+    """The shape rule's round-class probability for a thresholded field."""
     padded = _pad(fg)
     runs = _label_runs(padded)
     if runs is None:
-        return ClassProbabilities((0.5, 0.5))
+        return 0.5
     # every foreground axis neighbour of a component pixel is in the component,
     # so its boundary count is its area less its foreground-interior pixels
     area = runs[3]
     perim = area - int(np.count_nonzero(_in_component(runs, _interior(padded))))
     c = _roundness(area, perim, fg.ndim)
-    p_round = float(_sigmoid((c - cfg.circularity_cutoff) / cfg.softness))
-    return ClassProbabilities((p_round, 1.0 - p_round))
+    return float(_sigmoid((c - cfg.circularity_cutoff) / cfg.softness))
 
 
 def accuracy(data, oracle) -> float:

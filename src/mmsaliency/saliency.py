@@ -279,13 +279,14 @@ def postprocess(raw: SaliencyMap) -> SaliencyMap:
     of the whole multi-modal map. All-zero maps pass through unchanged. The
     operation is idempotent.
     """
+    # one float64 copy of the map, clipped and scaled in place
     values = raw.data.astype(np.float64)
     cap = _percentile_99(values.reshape(-1))
-    values = np.minimum(values, cap)
-    values = np.maximum(values, 0.0)
+    np.minimum(values, cap, out=values)
+    np.maximum(values, 0.0, out=values)
     top = values.max()
     if top > 0.0:
-        values = values / top
+        np.divide(values, top, out=values)
     return SaliencyMap(raw.modality_names, values, postprocessed=True)
 
 
@@ -399,12 +400,11 @@ def feature_permutation(data, oracle, cfg, grid: SegmentGrid):
 
 def _feature_permutation_plans(volumes, shape, cfg, grid):
     """One plan per volume, all made at once: each sample's donors are the
-    whole dataset's volumes."""
-    volumes = list(volumes)
+    whole dataset's volumes, which generate_maps has checked to be at least
+    two."""
     if grid.per_modality:
         raise ValueError("feature_permutation requires a shared segment grid")
-    if len(volumes) < 2:
-        raise ValueError("feature_permutation needs at least 2 samples in the batch")
+    volumes = list(volumes)
     rng = np.random.default_rng(cfg.rng_seed)
     # perms[k][j]: the sample whose segment k sample j gets
     perms = [_derangement_preferring(rng, len(volumes)) for _ in range(grid.n_segments)]
@@ -633,9 +633,11 @@ def generate_maps(data, oracle, cfg: MethodConfig, grid=None, on_map=None):
 
     `data` is a list of loaded samples or a DatasetView, which reads each
     sample from disk as it is reached. Before any oracle call, it is checked
-    to keep to one layout (see tensorio._dataset), the plan builder checks
-    the method's parameters and draws its rows, and the grid or occlusion's
-    windows are checked against the layout's shape. Each sample's plan is
+    to keep to one layout (see tensorio._dataset), the grid is checked
+    against the layout's shape and feature_permutation's dataset for a
+    second sample, all before any payload is read; then the plan builder
+    checks the method's parameters (occlusion: its windows against the
+    shape) and draws its rows. Each sample's plan is
     then made only when the one oracle stream reaches the sample (see
     _explain): with a view, which reads no mask, on the per-item path, the
     call holds one volume while the oracle runs; with a batch oracle, the
@@ -654,9 +656,11 @@ def generate_maps(data, oracle, cfg: MethodConfig, grid=None, on_map=None):
     method = SaliencyMethod(cfg.method)
     if grid is None:
         grid = default_grid_for(method, shape[0], shape[1:], cfg.block_shape)
+    _check_grid(grid, shape)
+    if method is SaliencyMethod.FEATURE_PERMUTATION and len(samples) < 2:
+        raise ValueError("feature_permutation needs at least 2 samples in the batch")
     records = collections.deque()  # the records of the samples planned, whose maps are not made
     plans = _PLANS[method](_volumes(samples, records), shape, cfg, grid)
-    _check_grid(grid, shape)
     maps, wall, evals = {}, {}, {}
     for smap, n_evals in _explain(plans, oracle, cfg):
         sid = records.popleft().sample_id

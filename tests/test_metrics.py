@@ -396,3 +396,74 @@ class TestMetricRecord:
             MetricRecord("s", "m", "mi_corr", -1.5)
         with pytest.raises(ValueError):
             MetricRecord("s", "m", "unknown", 0.5)
+
+
+def _msfi_new_arrays(smap_, masks, phi):
+    """msfi with a new whole-map array per step: the positive part of a
+    float64 copy, and np.where for the mass inside the masks."""
+    phi = np.asarray(phi, dtype=np.float64)
+    positive = np.maximum(smap_.data.astype(np.float64), 0.0)
+    m = positive.shape[0]
+    flat_pos = positive.reshape(m, -1)
+    totals = flat_pos.sum(axis=1)
+    inside = np.where(masks.data.reshape(m, -1), flat_pos, 0.0).sum(axis=1)
+    ratios = np.divide(inside, totals, out=np.zeros(m), where=totals > 0)
+    return 0.0 if phi.sum() <= 0 else float(np.dot(phi, ratios) / phi.sum())
+
+
+def _postprocess_new_arrays(raw):
+    """postprocess with a new whole-map array per step."""
+    from mmsaliency.saliency import _percentile_99
+
+    values = raw.data.astype(np.float64)
+    values = np.minimum(values, _percentile_99(values.reshape(-1)))
+    values = np.maximum(values, 0.0)
+    top = values.max()
+    return values / top if top > 0.0 else values
+
+
+class TestScoringInPlace:
+    """postprocess and msfi each hold one float64 copy of a map and work on
+    it in place; their results equal the formulas that make a new array per
+    step, bit for bit."""
+
+    @staticmethod
+    def signed_zero_maps(dtype):
+        # modality 0 mixes signs and holds -0.0, modality 1 is all zero, and
+        # modality 2 is -0.0 and negative values only
+        rng = np.random.default_rng(31)
+        data = rng.standard_normal((3, 6, 7)).astype(dtype)
+        data[0].reshape(-1)[::5] = -0.0
+        data[1] = 0.0
+        data[2] = -np.abs(data[2])
+        data[2].reshape(-1)[::2] = -0.0
+        masks = segmask(rng.random((3, 6, 7)) < 0.4)
+        return data, masks
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_postprocess_equals_the_new_array_formula(self, dtype):
+        from mmsaliency.saliency import postprocess
+
+        data, _ = self.signed_zero_maps(dtype)
+        for values in (data, data[1:], np.zeros_like(data)):
+            raw = SaliencyMap(tuple(f"m{i}" for i in range(len(values))), values)
+            assert raw.data.dtype == dtype
+            got = postprocess(raw).data
+            want = _postprocess_new_arrays(raw)
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.array_equal(raw.data, values)  # the input is not touched
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("phi", [(0.5, 0.3, 0.2), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+    def test_msfi_equals_the_new_array_formula(self, dtype, phi):
+        from mmsaliency.saliency import postprocess
+
+        data, masks = self.signed_zero_maps(dtype)
+        raw = SaliencyMap(masks.modality_names, data)
+        assert raw.data.dtype == dtype
+        for scored in (raw, postprocess(raw)):
+            got = msfi(scored, masks, phi)
+            want = _msfi_new_arrays(scored, masks, phi)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert np.array_equal(raw.data, data)

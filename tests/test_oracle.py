@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -423,12 +424,16 @@ class TestForegroundMemo:
         data = volume.data.copy()
         data[0] = 0.0
         same_foreground = volume.with_data(data)
-        assert classifier.predict(same_foreground) is first
+        hit = classifier.predict(same_foreground)
         assert labelings[0] == 1
         fresh = replace(MEMO_CFG).predict(same_foreground)
         assert labelings[0] == 2
-        assert fresh == first
+        assert hit == fresh == first
         assert fresh.probs == predict_shape_rule_reference(MEMO_CFG, same_foreground)
+        # built from the remembered probability without the checks, as the
+        # checked constructor would build it
+        assert type(hit) is ClassProbabilities and hit == ClassProbabilities(hit.probs)
+        assert [type(p) for p in hit.probs] == [float, float]
 
     @pytest.mark.parametrize("change", [{"intensity_threshold": 0.6}, {"softness": 0.3}])
     def test_classifiers_differing_in_one_setting_share_no_entry(self, change):
@@ -461,11 +466,11 @@ class TestForegroundMemo:
             data = np.zeros((1, *dims), dtype=np.float32)
             data.reshape(-1)[index] = 1.0
             classifier.predict(MultiModalVolume(("a",), data))
-            counted = [len(packed) + entry for _, packed in memo]
+            counted = [len(bits) + entry for bits in memo]
             assert memo.nbytes == sum(counted)
             assert memo.nbytes <= oracle.MEMO_BYTES or len(memo) == 1
             # the newest entry is the last one
-            assert list(memo)[-1] == (data.shape[1:], np.packbits(data[0] > 0).tobytes())
+            assert list(memo)[-1] == np.packbits(data[0] > 0).tobytes()
 
         for index in range(300):
             predict_dot((64, 64), index)
@@ -493,7 +498,7 @@ class TestForegroundMemo:
             data = np.zeros((1, 8, 8), dtype=np.float32)
             data.reshape(-1)[index] = 1.0
             volumes.append(MultiModalVolume(("a",), data))
-            keys.append(((8, 8), np.packbits(data[0] > 0).tobytes()))
+            keys.append(np.packbits(data[0] > 0).tobytes())
         for volume in volumes[:3] + volumes[:1]:
             classifier.predict(volume)
         assert list(classifier._memo) == [keys[1], keys[2], keys[0]]
@@ -543,6 +548,69 @@ class TestForegroundMemo:
             assert list(got) == list(want)
             assert all(np.array_equal(got[sid].data, want[sid].data) for sid in got)
 
+    def test_the_exhaustive_set_up_at_its_most_distinct_seed_fits(self, labelings, tmp_path):
+        # the shapley-accuracy set-up at seed 5, whose exhaustive K = 9 pass
+        # meets 1844 distinct foregrounds, the most of seeds 1-8: a second
+        # pass finds every one of them in the memo
+        generate_dataset(SynthConfig(n_samples=12, image_size=48, seed=5), tmp_path)
+        samples = load_dataset(load_manifest(tmp_path / "manifest.json"))
+        grid = build_grid(4, (48, 48), 16, per_modality=False)
+        cfg = MethodConfig(SaliencyMethod.KERNEL_SHAP, exhaustive=True)
+        classifier = replace(MEMO_CFG)
+        first = generate_maps(samples, classifier, cfg, grid)[0]
+        assert labelings[0] == len(classifier._memo) == 1844
+        again = generate_maps(samples, classifier, cfg, grid)[0]
+        assert labelings[0] == 1844
+        assert all(np.array_equal(again[sid].data, first[sid].data) for sid in first)
+
+    def test_the_budget_holds_the_workloads_foregrounds(self):
+        # shapley-accuracy meets at most 1844 distinct 48x48 foregrounds over
+        # seeds 1-8; the budget keeps room for the 2880 the memo held before
+        assert oracle.MEMO_BYTES // (48 * 48 // 8 + oracle.MEMO_ENTRY_BYTES) >= 2880
+
+    @pytest.mark.parametrize("side", [48, 64])
+    def test_an_entry_costs_about_its_counted_bytes(self, side):
+        # tracemalloc bytes of a memo filled to its budget and then churned by
+        # new fields and hits, less the same memo emptied, per entry and
+        # beyond its packed bits: within 20% of MEMO_ENTRY_BYTES
+        memo = oracle._ForegroundMemo()
+        shape = (1, side, side)
+        rng = np.random.default_rng(side)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            most = oracle.MEMO_BYTES // (side * side // 8 + oracle.MEMO_ENTRY_BYTES)
+            for i in range(3 * most):
+                memo.add(shape, np.packbits(rng.random(side * side) < 0.5).tobytes(),
+                         float(rng.random()))
+                if i % 2:  # a hit on the oldest entry
+                    assert memo.get(shape, next(iter(memo))) is not None
+            assert len(memo) == most
+            full = tracemalloc.get_traced_memory()[0]
+            memo._entries.clear()
+            emptied = tracemalloc.get_traced_memory()[0]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        beyond_bits = (full - emptied) / most - side * side // 8
+        assert 0.8 * oracle.MEMO_ENTRY_BYTES <= beyond_bits <= 1.2 * oracle.MEMO_ENTRY_BYTES
+
+    def test_a_field_of_another_shape_empties_the_memo(self, labelings):
+        # 8x8 and 4x16 fields of the same pixels pack to the same bits
+        classifier = ShapeRuleClassifier((1.0,))
+        data = np.zeros((1, 8, 8), dtype=np.float32)
+        data[0, 2:6, 1:7] = 1.0
+        volumes = [MultiModalVolume(("a",), d) for d in (data, data.reshape(1, 4, 16), data)]
+        expected = [replace(classifier).predict(v) for v in volumes]  # each from a new memo
+        assert expected[0] != expected[1]
+        labelings[0] = 0
+        for volume, want in zip(volumes, expected):
+            assert classifier.predict(volume) == want
+            assert len(classifier._memo) == 1
+            assert classifier._memo.nbytes == 8 + oracle.MEMO_ENTRY_BYTES
+        assert labelings[0] == 3
+
 
 class TestSetUpOnce:
     """The classifier's weight row, made once, against the weights it holds."""
@@ -553,6 +621,8 @@ class TestSetUpOnce:
         assert classifier._weight_row.tolist() == [[1.0, 2.0, 0.0]]
         assert not classifier._weight_row.flags.writeable
         assert classifier._cut == oracle._threshold_cut(0.5, 3.0)
+        # the cut too, as a 0-d array
+        assert classifier._cut.shape == () and not classifier._cut.flags.writeable
 
     def test_equality_hash_and_repr_ignore_the_row(self):
         a, b = ShapeRuleClassifier((1, 2)), ShapeRuleClassifier((1.0, 2.0))
@@ -645,8 +715,9 @@ class TestThresholdCut:
             volume = MultiModalVolume(tuple(f"m{i}" for i in range(m)), data)
             expected = division_form(cfg, data)
             probs = predict_shape_rule(cfg, volume)
-            assert list(cfg._memo)[-1] == (dims, np.packbits(expected).tobytes())
-            assert probs == oracle._shape_rule_probs(cfg, expected)
+            assert list(cfg._memo)[-1] == np.packbits(expected).tobytes()
+            p_round = oracle._shape_rule_probs(cfg, expected)
+            assert probs == ClassProbabilities((p_round, 1.0 - p_round))
             if dtype is np.float64:
                 assert expected.any() and not expected.all()  # the cut lies inside
 

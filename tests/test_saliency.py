@@ -1098,6 +1098,26 @@ class TestDatasetViewInput:
             assert streamed[sid].data.tobytes() == smap.data.tobytes()
         assert streamed_log["oracle_evals"] == runlog["oracle_evals"]
 
+    @pytest.mark.parametrize("n_samples, grid_args, message", [
+        (4, ((8, 8), 4, False), r"grid shape \(2, 8, 8\) does not match volume shape \(2, 4, 4, 4\)"),
+        (4, ((4, 4, 4), 2, True), "requires a shared segment grid"),
+        (1, ((4, 4, 4), 2, False), "at least 2 samples"),
+    ])
+    def test_feature_permutation_fails_before_it_reads_a_payload(
+            self, tmp_path, monkeypatch, n_samples, grid_args, message):
+        view = self._view(tmp_path, (4, 4, 4))
+        view = DatasetView(DatasetManifest(view.records[:n_samples], ("x", "y")))
+        reads = []
+        read_volume = tensorio.read_volume
+        monkeypatch.setattr(tensorio, "read_volume",
+                            lambda path: reads.append(path) or read_volume(path))
+        dims, block, per_modality = grid_args
+        grid = build_grid(2, dims, block, per_modality=per_modality)
+        cfg = MethodConfig(SaliencyMethod.FEATURE_PERMUTATION, target_class=0)
+        with pytest.raises(ValueError, match=message):
+            generate_maps(view, CONSTANT, cfg, grid)
+        assert reads == []
+
 
 class TestDistinctRows:
     """Keep-row methods evaluate each distinct row once per sample."""
