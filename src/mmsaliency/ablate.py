@@ -10,10 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from .oracle import predict_volumes
+from .oracle import _evaluate, _Plan
 from .tensorio import MultiModalVolume, _dataset
 
 # players of an exact 2^n coalition table: modalities or saliency segments
@@ -111,25 +112,17 @@ def coalition_performance(data, oracle, keep, policy):
 
 
 def _coalition_accuracies(samples, oracle, rows, policy):
-    """Accuracy per keep row. Every ablated volume goes through one stream,
-    sample by sample: each sample's ablations, one per row, in row order.
-    The samples are iterated once, and a sample is let go before the next
-    is taken. A sample's mask is taken only when the policy needs one, so a
-    DatasetView reads no mask payload under the zero policy."""
-    labels = []
+    """Accuracy per keep row, from one plan per sample with no head: its items
+    are the rows, ablated by apply_ablation with the sample's mask only if the
+    policy needs one (so a DatasetView reads no mask under `zero`)."""
 
-    def ablated():
-        for s in samples:
-            labels.append(s.record.label)
-            mask = s.mask if policy.needs_mask else None
-            for keep in rows:
-                yield apply_ablation(s.volume, keep, policy, mask)
-            del s, mask
+    def plan(s):
+        label = s.record.label
+        build = partial(apply_ablation, policy=policy, mask=s.mask if policy.needs_mask else None)
+        return _Plan(s.volume, rows, build, lambda preds: [p.argmax == label for p in preds])
 
-    hits = [0] * len(rows)
-    for i, pred in enumerate(predict_volumes(oracle, ablated())):
-        hits[i % len(rows)] += pred.argmax == labels[i // len(rows)]
-    return [h / len(samples) for h in hits]
+    hit_rows = [row for row, _ in _evaluate(map(plan, samples), oracle)]
+    return [sum(hits) / len(samples) for hits in zip(*hit_rows)]
 
 
 def exact_shapley(values, n_players):

@@ -1,5 +1,5 @@
 """Black-box prediction oracles: the contract, a reference shape classifier,
-and an external batch-command adapter.
+an external batch-command adapter, and the one stream that evaluates plans.
 
 The reference classifier grades a combined image by the circularity of its
 largest thresholded component, so the whole attribution pipeline is testable
@@ -8,11 +8,14 @@ without any trained model. Real models plug in through the batch protocol.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 import struct
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -430,6 +433,48 @@ def _volumes(samples, records):
         del s
         yield volume
         del volume  # not held while the next sample is read
+
+
+class _Plan(NamedTuple):
+    """One sample's share of an evaluation stream: `build(volume, item)` makes
+    one volume per entry of `items` (a keep row, an occlusion window or a
+    (voxels, donor data) pair), in item order; `reduce` turns the share's
+    predictions, in order, into its result; `head` puts the volume itself
+    first, evaluated apart from any equal perturbed volume."""
+
+    volume: MultiModalVolume
+    items: Sequence
+    build: Callable[[MultiModalVolume, object], MultiModalVolume]
+    reduce: Callable[[list], object]
+    head: bool = False
+
+
+def _evaluate(plans, oracle):
+    """Evaluate the plans' shares as one stream, each its head and then its
+    items' volumes, built here and nowhere else; yield each plan's
+    `reduce(predictions)` and its number of evaluations, in order. Every plan
+    has at least one evaluation; a batch oracle's chunks may span plans.
+    `plans` is iterated once, as the stream reaches each plan, and no plan is
+    held once reduced: only the plans that the current chunk spans are alive,
+    and on the per-item path one, whose volumes are each built only after
+    the one before it is predicted."""
+    started = collections.deque()  # plans the stream has reached, not yet reduced
+
+    def stream():
+        for plan in plans:
+            started.append(plan)
+            if plan.head:
+                yield plan.volume
+            for item in plan.items:
+                yield plan.build(plan.volume, item)
+            del plan  # not held while the next plan is made
+
+    preds = predict_volumes(oracle, stream())
+    for first in preds:
+        plan = started.popleft()
+        n_evals = plan.head + len(plan.items)
+        yield plan.reduce([first, *itertools.islice(preds, n_evals - 1)]), n_evals
+        del plan
 
 
 def predict_volumes(oracle, volumes):

@@ -12,15 +12,13 @@ import collections
 import itertools
 import math
 import time
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
 from .ablate import coalition_table, exact_shapley
-from .oracle import _volumes, predict_volumes
+from .oracle import _evaluate, _Plan, _volumes
 from .tensorio import MultiModalVolume, SaliencyMap, _dataset
 
 
@@ -139,67 +137,22 @@ def _axis_tuple(value, ndim, name):
     return out
 
 
-class _Plan(NamedTuple):
-    """One sample's share of a method's oracle stream, as data.
-
-    `items` has one entry per perturbed evaluation (a distinct keep row, an
-    occlusion window or a (voxels, donor data) pair); `build(volume, item)`
-    makes its volume, once per item and in item order. `reduce` turns the
-    items' target probabilities, in order, into the map data. `baseline`
-    means "reduce reads the unperturbed prediction": the sample's volume is
-    evaluated even when cfg.target_class is set, and its probability first.
-    """
-
-    volume: MultiModalVolume
-    items: Sequence
-    build: Callable[[MultiModalVolume, object], MultiModalVolume]
-    reduce: Callable[[np.ndarray], np.ndarray]
-    baseline: bool = False
-
-
 def _explain(plans, oracle, cfg):
-    """Evaluate every plan's volumes as one stream; yield each plan's map and
-    its number of oracle evaluations, in order.
+    """Each plan's map and evaluation count, from oracle._evaluate. The target
+    is cfg.target_class, or else the volume's predicted class, which then heads
+    the share; reduce gets target probabilities, the head's only if plan.head."""
 
-    A plan's target is cfg.target_class, or else the predicted class of its
-    volume. The volume heads the plan's share of the stream when the target
-    is unset or the plan is a baseline plan, and is evaluated apart from any
-    equal perturbed volume; each item's volume follows, built here and
-    nowhere else. Every plan has at least one evaluation. One stream serves
-    all plans, so a batch oracle gets chunks that may span samples. `plans`
-    is iterated once, as the stream reaches each plan, and no plan is held
-    once its map is made: a lazy iterable of plans has only the plans alive
-    that the current chunk spans, and on the per-item path one plan, whose
-    volumes are each built only after the one before it is predicted.
-    """
-    started = collections.deque()  # plans the stream has reached, whose maps are not made
+    def resolved(plan):
+        head = plan.head or cfg.target_class is None
 
-    def stream():
-        for plan in plans:
-            started.append(plan)
-            if _heads(plan, cfg):
-                yield plan.volume
-            for item in plan.items:
-                yield plan.build(plan.volume, item)
-            del plan  # not held while the next plan is made
+        def reduce(preds):
+            target = preds[0].argmax if cfg.target_class is None else cfg.target_class
+            probs = [_class_prob(p, target) for p in (preds if plan.head else preds[head:])]
+            return SaliencyMap(plan.volume.modality_names, plan.reduce(np.array(probs)))
 
-    preds = predict_volumes(oracle, stream())
-    for first in preds:
-        plan = started.popleft()
-        n_evals = _heads(plan, cfg) + len(plan.items)
-        mine = itertools.chain([first], itertools.islice(preds, n_evals - 1))
-        head = next(mine) if _heads(plan, cfg) else None
-        target = head.argmax if cfg.target_class is None else cfg.target_class
-        if plan.baseline:
-            mine = itertools.chain([head], mine)
-        probs = [_class_prob(p, target) for p in mine]
-        yield SaliencyMap(plan.volume.modality_names, plan.reduce(np.array(probs))), n_evals
-        del plan
+        return plan._replace(reduce=reduce, head=head)
 
-
-def _heads(plan, cfg):
-    """Whether the plan's unperturbed volume heads its share of the stream."""
-    return cfg.target_class is None or plan.baseline
+    return _evaluate(map(resolved, plans), oracle)
 
 
 def _explain_one(make_plans, volume, oracle, cfg, grid=None):
@@ -279,9 +232,9 @@ def postprocess(raw: SaliencyMap) -> SaliencyMap:
     of the whole multi-modal map. All-zero maps pass through unchanged. The
     operation is idempotent.
     """
-    # one float64 copy of the map, clipped and scaled in place
+    # the cap from a partition of the map itself; one float64 copy, clipped and scaled in place
+    cap = _percentile_99(raw.data.reshape(-1))
     values = raw.data.astype(np.float64)
-    cap = _percentile_99(values.reshape(-1))
     np.minimum(values, cap, out=values)
     np.maximum(values, 0.0, out=values)
     top = values.max()
@@ -291,7 +244,7 @@ def postprocess(raw: SaliencyMap) -> SaliencyMap:
 
 
 def _percentile_99(values):
-    """np.percentile(values, 99.0) of a flat float64 array, bit for bit.
+    """np.percentile(values.astype(np.float64), 99.0) of a flat array, bit for bit.
 
     numpy's linear method, step by step: the same partition, so that equal
     values of opposite sign land alike, the same two order statistics and
@@ -304,7 +257,8 @@ def _percentile_99(values):
     lo = -1 if index >= n - 1 else math.floor(index)
     hi = -1 if lo == -1 else lo + 1
     ordered = np.partition(values, sorted({0, -1, lo, hi}))
-    a, b = ordered[lo], ordered[hi]
+    # a float32 statistic converts exactly; as Python floats, the lerp is in float64
+    a, b = float(ordered[lo]), float(ordered[hi])
     t = index - lo
     d = b - a
     return b - d * (1 - t) if t >= 0.5 else a + d * t
@@ -325,8 +279,8 @@ def occlusion(volume, oracle, cfg) -> SaliencyMap:
 
 def _occlusion_plans(volumes, shape, cfg, grid):
     """One plan per volume, made as it is taken from the iterator returned,
-    each with its own noise; the plans share one list of the windows of
-    `shape`, made and checked here. The grid is unused."""
+    each with its own noise and headed by its volume; the plans share one
+    list of the windows of `shape`, made and checked here. The grid is unused."""
     windows = _occlusion_windows(shape, cfg)
     return map(lambda v: _occlusion_plan(v, windows, cfg), volumes)
 
@@ -367,7 +321,7 @@ def _occlusion_plan(volume, windows, cfg):
             cover[sl] += 1
         return np.divide(accum, cover, out=np.zeros_like(accum), where=cover > 0)
 
-    return _Plan(volume, windows, replaced, reduce, baseline=True)
+    return _Plan(volume, windows, replaced, reduce, head=True)
 
 
 def feature_ablation(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
@@ -399,9 +353,9 @@ def feature_permutation(data, oracle, cfg, grid: SegmentGrid):
 
 
 def _feature_permutation_plans(volumes, shape, cfg, grid):
-    """One plan per volume, all made at once: each sample's donors are the
-    whole dataset's volumes, which generate_maps has checked to be at least
-    two."""
+    """One plan per volume, headed by it, all made at once: each sample's
+    donors are the whole dataset's volumes, which generate_maps has checked
+    to be at least two."""
     if grid.per_modality:
         raise ValueError("feature_permutation requires a shared segment grid")
     volumes = list(volumes)
@@ -420,7 +374,7 @@ def _feature_permutation_plans(volumes, shape, cfg, grid):
     # sample j's items: per segment, its voxels and the data of its donor
     return [
         _Plan(v, [(voxels, volumes[int(p[j])].data) for voxels, p in zip(segments, perms)],
-              _shuffled, reduce, baseline=True)
+              _shuffled, reduce, head=True)
         for j, v in enumerate(volumes)
     ]
 
@@ -613,11 +567,12 @@ def default_grid_for(method, n_modalities, dims, block_shape):
     return build_grid(n_modalities, dims, block_shape, per_modality=not shared)
 
 
-# each method's plan builder: (volumes, shape, cfg, grid) -> one plan per
-# volume, every volume of data shape `shape`. A builder checks its
-# parameters and draws its rows (occlusion: its windows) when called, and takes
-# each volume from the iterable only as that volume's plan is taken; but
-# feature_permutation's, whose donors are the whole dataset, takes them all.
+# each method's plan builder: (volumes, shape, cfg, grid) -> one oracle._Plan
+# per volume, every volume of data shape `shape`, whose reduce gets target
+# probabilities (see _explain). A builder checks its parameters and draws its
+# rows (occlusion: its windows) when called, and takes each volume from the
+# iterable only as that volume's plan is taken; but feature_permutation's,
+# whose donors are the whole dataset, takes them all.
 _PLANS = {
     SaliencyMethod.OCCLUSION: _occlusion_plans,
     SaliencyMethod.FEATURE_ABLATION: _feature_ablation_plans,
@@ -637,10 +592,10 @@ def generate_maps(data, oracle, cfg: MethodConfig, grid=None, on_map=None):
     against the layout's shape and feature_permutation's dataset for a
     second sample, all before any payload is read; then the plan builder
     checks the method's parameters (occlusion: its windows against the
-    shape) and draws its rows. Each sample's plan is
-    then made only when the one oracle stream reaches the sample (see
-    _explain): with a view, which reads no mask, on the per-item path, the
-    call holds one volume while the oracle runs; with a batch oracle, the
+    shape) and draws its rows. Each sample's plan is then made only when
+    the one oracle stream reaches the sample (see oracle._evaluate): with a
+    view, which reads no mask, on the per-item path, the call holds one
+    volume while the oracle runs; with a batch oracle, the
     volumes its current chunk spans; feature_permutation, whose donors are
     the whole dataset, holds every volume. Given `on_map`, each sample's map
     goes to `on_map(sample_id, map)` as soon as it is made, in sample order,

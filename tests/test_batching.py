@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from helpers import FunctionOracle, make_sample, make_volume, sampled_keep_rows
+from mmsaliency import ablate, saliency
 from mmsaliency import oracle as oracle_mod
-from mmsaliency import saliency
-from mmsaliency.ablate import AblationPolicy, AblationVariant, shapley_mi
+from mmsaliency.ablate import AblationPolicy, AblationVariant, coalition_table, shapley_mi
 from mmsaliency.oracle import predict_volumes
 from mmsaliency.saliency import (
     MethodConfig,
@@ -18,7 +18,7 @@ from mmsaliency.saliency import (
     default_grid_for,
     generate_maps,
 )
-from mmsaliency.tensorio import MultiModalVolume
+from mmsaliency.tensorio import MultiModalVolume, SegmentationMask
 
 INNER = FunctionOracle(lambda d: float(np.clip(d.mean() + d.std(), 0, 1)))
 # occlusion's and feature_permutation's reductions read each sample's
@@ -49,6 +49,20 @@ def _samples(n=3):
         make_sample(f"s{i}", make_volume(rng, 2, (8, 8), low=0.1), label=i % 2)
         for i in range(n)
     ]
+
+
+def _masked_samples(n=3):
+    """_samples(n), each with a mask: a 3 x 3 lesion in every modality."""
+    lesion = np.zeros((2, 8, 8), dtype=bool)
+    lesion[:, 2:5, 3:6] = True
+    return [
+        make_sample(s.record.sample_id, s.volume,
+                    SegmentationMask(s.volume.modality_names, lesion), s.record.label)
+        for s in _samples(n)
+    ]
+
+
+POLICIES = [AblationPolicy(variant, rng_seed=3) for variant in AblationVariant]
 
 
 def _cfg(method):
@@ -219,16 +233,48 @@ def test_runlog_oracle_evals_add_up_to_the_oracle_calls(method, target_class):
     assert sum(runlog["wall_time"].values()) <= elapsed
 
 
-@pytest.mark.parametrize("budget", [None, 5 * 2 * 8 * 8 * 8])
-def test_shapley_mi_is_one_stream(budget, monkeypatch):
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.variant.value)
+@pytest.mark.parametrize("budget", [None, 5 * VOLUME_BYTES])
+def test_shapley_mi_is_one_stream(budget, policy, monkeypatch):
     if budget is not None:
         monkeypatch.setattr(oracle_mod, "BATCH_BYTES", budget)
-    samples = _samples()
-    policy = AblationPolicy(AblationVariant.ZERO_WHOLE_MODALITY)
+    samples = _masked_samples()
     stub = BatchStub(INNER)
     assert shapley_mi(samples, stub, policy) == shapley_mi(samples, INNER, policy)
-    # 2^2 coalitions x 3 samples
+    # 2^2 coalitions x 3 samples, and no head
     assert stub.calls == ([12] if budget is None else [5, 5, 2])
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.variant.value)
+def test_per_item_path_builds_each_ablated_volume_after_the_last_is_predicted(
+    policy, monkeypatch
+):
+    events = []
+
+    class Recorded(MultiModalVolume):
+        def __post_init__(self):
+            super().__post_init__()
+            events.append(("built", self))
+
+    class Recording:
+        def predict(self, volume):
+            events.append(("predicted", volume))
+            return INNER.predict(volume)
+
+    monkeypatch.setattr(ablate, "MultiModalVolume", Recorded)
+    samples = _masked_samples(2)
+    shapley_mi(samples, Recording(), policy)
+    built = iter([volume for event, volume in events if event == "built"])
+    expected = []
+    for s in samples:
+        # 2^M coalitions and no head: every row but the last is built, and
+        # the last, which keeps every modality, is the sample's own volume
+        for _ in coalition_table(2, "modalities")[:-1]:
+            volume = next(built)
+            expected += [("built", volume), ("predicted", volume)]
+        expected.append(("predicted", s.volume))
+    assert next(built, None) is None
+    assert events == expected
 
 
 def test_chunks_split_by_budget_and_keep_order(monkeypatch):

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 import weakref
 
@@ -186,9 +187,9 @@ class TestPostprocess:
 
     def test_cap_is_numpy_percentile_bit_for_bit(self):
         rng = np.random.default_rng(4)
-        for i in range(20000):
+        for i in range(24000):
             n = int(rng.integers(1, 80))
-            kind = i % 5
+            kind = i % 6
             if kind == 0:
                 values = rng.standard_normal(n)
             elif kind == 1:  # ties
@@ -197,10 +198,35 @@ class TestPostprocess:
                 values = np.zeros(n)
             elif kind == 3:  # zeros of both signs, which compare equal
                 values = np.where(rng.random(n) < 0.5, -0.0, 0.0) * rng.integers(0, 2, n)
-            else:
+            elif kind == 4:
                 values = rng.exponential(size=n) * 10.0 ** int(rng.integers(-8, 8))
-            expected = np.float64(np.percentile(values, 99.0)).tobytes()
+            else:  # float32, as maps are held, with ties and zeros of both signs
+                values = np.where(
+                    rng.random(n) < 0.4,
+                    rng.choice(np.float32([-0.0, 0.0, 1.0]), n),
+                    rng.standard_normal(n).astype(np.float32),
+                )
+                assert values.dtype == np.float32
+            # postprocess's cap: the percentile of the map in float64
+            expected = np.float64(np.percentile(values.astype(np.float64), 99.0)).tobytes()
             assert np.float64(saliency._percentile_99(values)).tobytes() == expected
+
+    def test_a_float32_map_is_capped_without_a_second_float64_copy(self):
+        data = np.random.default_rng(5).standard_normal((2, 64, 64, 32)).astype(np.float32)
+        raw = SaliencyMap(("a", "b"), data)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = postprocess(raw)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # the float64 result, and at most a float32 partition besides it
+        assert out.data.nbytes <= peak < out.data.nbytes + data.nbytes + (1 << 16)
 
     def test_does_not_import_numpy_ma(self):
         """np.percentile imports numpy.ma, about 12 ms in each fresh
