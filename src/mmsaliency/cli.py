@@ -246,7 +246,11 @@ def _staged(out_dir):
 def _read_csv(path, header, numbers=()):
     """The rows under `header`, each of its length, with finite floats in the `numbers` columns."""
     with open(path, encoding="utf-8", newline="") as fp:
-        rows = list(csv.reader(fp))
+        reader = csv.reader(fp)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: empty file, expected header {header}")
     if rows[0] != header:

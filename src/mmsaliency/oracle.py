@@ -416,23 +416,11 @@ def predict_all(data, oracle):
 
 def _predictions(data, oracle):
     """(record, prediction) of each sample of a dataset of one layout, checked
-    before any oracle call (see tensorio._dataset), in order."""
+    before any oracle call (see tensorio._dataset), in order. The records come
+    from a second pass over the samples, which reads no payload of a view."""
     samples, _ = _dataset(data)
-    records = []
-    for i, p in enumerate(predict_volumes(oracle, _volumes(samples, records))):
-        yield records[i], p
-
-
-def _volumes(samples, records):
-    """Each sample's volume, its record appended to `records` first: the
-    samples are iterated once, and each is let go before its volume is
-    yielded, so that its mask is not held while the oracle runs."""
-    for s in samples:
-        records.append(s.record)
-        volume = s.volume
-        del s
-        yield volume
-        del volume  # not held while the next sample is read
+    volumes = (s.volume for s in samples)
+    yield from zip((s.record for s in samples), predict_volumes(oracle, volumes))
 
 
 class _Plan(NamedTuple):
@@ -601,27 +589,31 @@ def _parse_prediction_csv(path, expected_ids, class_names):
         raise RuntimeError(f"external oracle produced no output CSV: {exc}") from exc
     with fp:
         reader = csv.reader(fp)
-        header = next(reader, None)
-        if not header or header[0] != "sample_id":
-            raise RuntimeError(f"{path}: expected header sample_id,p0,p1[,...]")
-        if len(header) - 1 != len(class_names):
-            raise RuntimeError(
-                f"{path}: {len(header) - 1} probability columns for "
-                f"{len(class_names)} classes {list(class_names)}"
-            )
-        rows = {}
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise RuntimeError(f"{path}: ragged row {row}")
-            try:
-                probs = ClassProbabilities(tuple(float(v) for v in row[1:]))
-            except ValueError as exc:
-                raise RuntimeError(f"{path}: row {row[0]}: {exc}") from exc
-            if row[0] in rows:
-                raise RuntimeError(f"{path}: duplicate predictions for {row[0]}")
-            rows[row[0]] = probs
+        try:
+            lines = list(reader)
+        except csv.Error as exc:
+            raise RuntimeError(f"{path}: line {reader.line_num}: {exc}") from exc
+    header = lines[0] if lines else None
+    if not header or header[0] != "sample_id":
+        raise RuntimeError(f"{path}: expected header sample_id,p0,p1[,...]")
+    if len(header) - 1 != len(class_names):
+        raise RuntimeError(
+            f"{path}: {len(header) - 1} probability columns for "
+            f"{len(class_names)} classes {list(class_names)}"
+        )
+    rows = {}
+    for row in lines[1:]:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise RuntimeError(f"{path}: ragged row {row}")
+        try:
+            probs = ClassProbabilities(tuple(float(v) for v in row[1:]))
+        except ValueError as exc:
+            raise RuntimeError(f"{path}: row {row[0]}: {exc}") from exc
+        if row[0] in rows:
+            raise RuntimeError(f"{path}: duplicate predictions for {row[0]}")
+        rows[row[0]] = probs
     missing = [sid for sid in expected_ids if sid not in rows]
     if missing:
         raise RuntimeError(f"{path}: missing predictions for {missing}")

@@ -8,7 +8,6 @@ shared grids broadcast one map across all modalities.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import time
@@ -18,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .ablate import coalition_table, exact_shapley
-from .oracle import _evaluate, _Plan, _volumes
+from .oracle import _evaluate, _Plan
 from .tensorio import MultiModalVolume, SaliencyMap, _dataset
 
 
@@ -614,11 +613,12 @@ def generate_maps(data, oracle, cfg: MethodConfig, grid=None, on_map=None):
     _check_grid(grid, shape)
     if method is SaliencyMethod.FEATURE_PERMUTATION and len(samples) < 2:
         raise ValueError("feature_permutation needs at least 2 samples in the batch")
-    records = collections.deque()  # the records of the samples planned, whose maps are not made
-    plans = _PLANS[method](_volumes(samples, records), shape, cfg, grid)
+    # the ids from a second pass over the samples, which reads no payload of a view
+    ids = (s.record.sample_id for s in samples)
+    plans = _PLANS[method]((s.volume for s in samples), shape, cfg, grid)
     maps, wall, evals = {}, {}, {}
     for smap, n_evals in _explain(plans, oracle, cfg):
-        sid = records.popleft().sample_id
+        sid = next(ids)
         wall[sid] = time.perf_counter() - t0
         evals[sid] = n_evals
         if on_map is None:

@@ -214,6 +214,9 @@ class TestInputChecks:
         ("scores_empty", "stats", "empty file"),
         ("scores_empty", "report", "empty file"),
         ("scores_short_row", "stats", "does not have the columns"),
+        # a field the csv module rejects; on Python 3.10 a NUL byte fails alike
+        ("scores_field_too_large", "stats", "/bad: line 2: field larger than field limit"),
+        ("mi_field_too_large", "metrics", "/bad: line 2: field larger than field limit"),
         ("runlog_without_files", "metrics",
          "expected a JSON object with a 'files' entry, got {'method': 'kernel_shap'"),
         ("runlog_without_wall_time", "report",
@@ -272,6 +275,10 @@ class TestInputChecks:
         elif fault == "scores_short_row":
             bad.write_text(scores.read_text() + "s0000,lime,msfi\n")
             scores = bad
+        elif fault.endswith("_field_too_large"):
+            header = (mi if fault.startswith("mi") else scores).read_text().splitlines()[0]
+            bad.write_text(f"{header}\n{'x' * 200_000}\n")
+            mi = scores = bad
         elif fault.startswith("runlog_"):
             runlog = json.loads((sal / "runlog_kernel_shap.json").read_text())
             if fault == "runlog_not_an_object":

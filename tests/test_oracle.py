@@ -5,6 +5,7 @@ import sys
 import tempfile
 import textwrap
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -968,6 +969,56 @@ class TestExternalOracle:
         with pytest.raises(ValueError, match="two class names"):
             ExternalCommandOracle(cmd, ("only",))
 
+    def test_no_output_csv_is_fatal(self, tmp_path):
+        # the scorer exits 0 and writes nothing
+        with pytest.raises(RuntimeError, match="external oracle produced no output CSV"):
+            self._predict(_write_stub(tmp_path, "pass\n"))
+
+    @pytest.mark.parametrize("header", ["id,p0,p1\n", "p0,p1\n", ""])
+    def test_wrong_or_empty_header_rejected(self, tmp_path, header):
+        cmd = _write_stub(tmp_path, f"open(output_csv, 'w').write({header!r})\n")
+        with pytest.raises(RuntimeError, match=re.escape("expected header sample_id,p0,p1[,...]")):
+            self._predict(cmd)
+
+    def test_ragged_row_rejected(self, tmp_path):
+        cmd = _write_stub(
+            tmp_path,
+            """\
+            with open(output_csv, "w", newline="") as fp:
+                w = csv.writer(fp, lineterminator="\\n")
+                w.writerow(["sample_id", "p0", "p1"])
+                for sid in ids:
+                    w.writerow([sid, 0.25, 0.75] if sid != "1" else [sid, 0.25])
+            """,
+        )
+        with pytest.raises(RuntimeError, match=re.escape("ragged row ['1', '0.25']")):
+            self._predict(cmd)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        cmd = _write_stub(
+            tmp_path,
+            """\
+            with open(output_csv, "w", newline="") as fp:
+                fp.write("sample_id,p0,p1\\n\\n")
+                for sid in ids:
+                    fp.write(f"{sid},0.25,0.75\\n\\n")
+            """,
+        )
+        assert [p.probs for p in self._predict(cmd)] == [(0.25, 0.75)] * 3
+
+    def test_a_field_the_csv_module_rejects_is_a_runtime_error(self, tmp_path):
+        # csv's default field limit is 131072 characters
+        cmd = _write_stub(
+            tmp_path,
+            """\
+            with open(output_csv, "w", newline="") as fp:
+                fp.write("sample_id,p0,p1\\n" + "x" * 200_000 + ",0.25,0.75\\n")
+            """,
+        )
+        message = r"predictions\.csv: line 2: field larger than field limit"
+        with pytest.raises(RuntimeError, match=message):
+            self._predict(cmd)
+
     def test_batches_land_under_tmpdir(self, tmp_path, monkeypatch):
         # the stub notes its input directory, which is <TMPDIR>/<batch>/input
         note = 'open(input_dir.parents[1] / "seen.txt", "a").write(f"{input_dir}\\n")\n'
@@ -1047,3 +1098,35 @@ def test_accuracy_and_predict_all_read_a_view_once(tmp_path, monkeypatch):
     assert len(reads) == 4
     assert predict_all(DatasetView(manifest), clf) == predict_all(listed, clf)
     assert len(reads) == 8
+
+
+@pytest.mark.parametrize("call", [accuracy, predict_all])
+def test_accuracy_and_predict_all_hold_one_volume_over_a_view(tmp_path, monkeypatch, call):
+    manifest = generate_dataset(SynthConfig(n_samples=4, image_size=32, seed=2), tmp_path)
+    clf = ShapeRuleClassifier((0.0, 1.0, 0.0, 1.0), intensity_threshold=0.35)
+    expected = call(load_dataset(manifest), clf)
+    # the volumes the view reads, counted while alive; seen gets the count at
+    # each read, the new volume included, and at each prediction
+    live, seen = [], []
+    read_volume = tensorio.read_volume
+
+    def counted(path):
+        volume = read_volume(path)
+        live.append(token := object())
+        weakref.finalize(volume, live.remove, token)
+        seen.append(len(live))
+        return volume
+
+    class Counting:
+        def predict(self, volume):
+            seen.append(len(live))
+            return clf.predict(volume)
+
+    def no_mask(*args):
+        raise AssertionError("a mask was read")
+
+    monkeypatch.setattr(tensorio, "read_volume", counted)
+    monkeypatch.setattr(tensorio, "read_mask", no_mask)
+    assert call(DatasetView(manifest), Counting()) == expected
+    assert len(seen) == 8 and set(seen) == {1}
+    assert live == []

@@ -567,6 +567,31 @@ class TestFeaturePermutation:
                 assert sorted(perm.tolist()) == list(range(n))
                 assert not np.any(perm == np.arange(n))
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_after_ten_identities_a_full_cycle(self, n):
+        from mmsaliency.saliency import _derangement_preferring
+
+        class Rng:
+            """The identity for the first ten permutations, then a generator's."""
+
+            def __init__(self):
+                self.draws, self.rng = 0, np.random.default_rng(n)
+
+            def permutation(self, k):
+                self.draws += 1
+                return np.arange(k) if self.draws <= 10 else self.rng.permutation(k)
+
+        rng = Rng()
+        perm = _derangement_preferring(rng, n)
+        assert rng.draws == 11  # ten rejected draws, then the cycle's order
+        assert sorted(perm.tolist()) == list(range(n))
+        assert not np.any(perm == np.arange(n))
+        # a single n-cycle: following perm from 0 comes back to 0 only after n steps
+        steps, j = 1, int(perm[0])
+        while j != 0:
+            steps, j = steps + 1, int(perm[j])
+        assert steps == n
+
 
 class TestLime:
     def test_recovers_linear_coefficients(self):

@@ -157,9 +157,18 @@ def test_nonfinite_payload_rejected(tmp_path):
 
 def test_malformed_header(tmp_path):
     path = tmp_path / "junk.mmv"
-    path.write_bytes(b"not json\n\x00\x00\x00\x00")
-    with pytest.raises(MMVFormatError):
-        read_volume(path)
+    # the header of a (1, 1, 4) volume, its 16-byte payload beyond each edit
+    valid = {"mmv": 1, "kind": "volume", "modalities": ["a"], "dims": [1, 4], "dtype": "f32le"}
+    for content, message in [
+        (b"not json\n\x00\x00\x00\x00", "malformed header"),
+        (json.dumps(valid).encode(), "missing header line terminator"),
+        (json.dumps({**valid, "dtype": "f64le"}).encode() + b"\n" + b"\x00" * 16,
+         "unsupported dtype 'f64le'"),
+        (json.dumps({**valid, "modalities": []}).encode() + b"\n", "invalid modality list"),
+    ]:
+        path.write_bytes(content)
+        with pytest.raises(MMVFormatError, match=re.escape(f"{path}: {message}")):
+            read_volume(path)
 
 
 @pytest.mark.parametrize("edit, match", [
@@ -167,14 +176,21 @@ def test_malformed_header(tmp_path):
     ({"mmv": 1.0}, r"mmv must be a JSON integer, got 1\.0"),
     ({"dims": [True, 4]}, "dims entry 0 must be a JSON integer, got True"),
     ({"dims": [1.0, 4]}, r"dims entry 0 must be a JSON integer, got 1\.0"),
+    # integers of the right type, out of range
+    ({"mmv": 2}, "not an MMV v1 header"),
+    ({"mmv": 0}, "not an MMV v1 header"),
+    ({"dims": [4]}, r"invalid dims \[4\]"),
+    ({"dims": [1, 1, 1, 4]}, r"invalid dims \[1, 1, 1, 4\]"),
+    ({"dims": [0, 4]}, r"invalid dims \[0, 4\]"),
+    ({"dims": [1, -4]}, r"invalid dims \[1, -4\]"),
 ])
 def test_header_integers_must_be_json_integers(tmp_path, edit, match):
-    # the payload fits the dims, so only the entry's type is wrong
+    # the payload fits the unedited dims; the edited entry fails before its size is checked
     header = {"mmv": 1, "kind": "volume", "modalities": ["a"], "dims": [1, 4],
               "dtype": "f32le", **edit}
     path = tmp_path / "v.mmv"
     path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 16)
-    with pytest.raises(MMVFormatError, match=match):
+    with pytest.raises(MMVFormatError, match=re.escape(f"{path}: ") + match):
         read_volume(path)
 
 
