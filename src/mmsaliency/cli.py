@@ -12,7 +12,6 @@ import contextlib
 import csv
 import itertools
 import json
-import math
 import os
 import shutil
 import sys
@@ -35,8 +34,8 @@ from .metrics import (
 from .oracle import ExternalCommandOracle, ShapeRuleClassifier, _command_parts
 from .saliency import MethodConfig, SaliencyMethod, generate_maps, postprocess
 from .synthgen import DEFAULT_MODALITIES, SynthConfig, generate_dataset, generate_probe
-from .tensorio import (DatasetView, _dataset, _fit_layout, _json_entry, load_manifest,
-                       read_saliency, write_saliency)
+from .tensorio import (DatasetView, _dataset, _fit_layout, _json_entry, _read_csv, _read_json,
+                       load_manifest, read_saliency, write_saliency)
 
 
 def _named_floats(text, names, default, what):
@@ -243,37 +242,10 @@ def _staged(out_dir):
         raise
 
 
-def _read_csv(path, header, numbers=()):
-    """The rows under `header`, each of its length, with finite floats in the `numbers` columns."""
-    with open(path, encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        try:
-            rows = list(reader)
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
-    if not rows:
-        raise ValueError(f"{path}: empty file, expected header {header}")
-    if rows[0] != header:
-        raise ValueError(f"{path}: unexpected header {rows[0]}, expected {header}")
-    for line, row in enumerate(rows[1:], 2):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row {row} does not have the columns {header}")
-        for i in map(header.index, numbers):
-            try:
-                value = float(row[i])
-            except ValueError:  # not a number: rejected with nan and inf below
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"{path}: line {line}: {header[i]!r} must be a finite number, got {row[i]!r}"
-                )
-            row[i] = value
-    return rows[1:]
-
-
 def _load_mi_csv(path, modality_names):
     """phi and normalized MI from mi.csv, reordered onto `modality_names`."""
-    rows = _read_csv(path, ["modality", "phi", "normalized", "variant"], ("phi", "normalized"))
+    rows = list(_read_csv(path, ["modality", "phi", "normalized", "variant"],
+                          ("phi", "normalized")).values())
     names = [row[0] for row in rows]
     if sorted(names) != sorted(modality_names):
         raise ValueError(
@@ -291,8 +263,7 @@ def _load_runlogs(path):
         raise ValueError(f"no runlog_*.json found in {path}")
     runlogs = {}
     for p in paths:
-        with open(p, encoding="utf-8") as fp:
-            runlog = json.load(fp)
+        runlog = _read_json(p)
         method = _json_entry(runlog, "method", "string", p)
         _json_entry(runlog, "files", "object", p, each="string")
         _json_entry(runlog, "wall_time", "object", p, each="number")
@@ -344,12 +315,12 @@ def cmd_metrics(args):
 def _read_scores(path, metric=None):
     rows = _read_csv(path, ["sample_id", "method", "metric", "value"], ("value",))
     seen = set()
-    for line, row in enumerate(rows, 2):
+    for line, row in rows.items():
         key = tuple(row[:3])
         if key in seen:
             raise ValueError(f"{path}: line {line}: repeats the score {key}")
         seen.add(key)
-    return [MetricRecord(*row) for row in rows if metric is None or row[2] == metric]
+    return [MetricRecord(*row) for row in rows.values() if metric is None or row[2] == metric]
 
 
 def cmd_stats_friedman(args):

@@ -24,6 +24,7 @@ from .tensorio import (
     ManifestRecord,
     MultiModalVolume,
     _dataset,
+    _read_csv,
     save_manifest,
     write_volume,
 )
@@ -503,12 +504,13 @@ class ExternalCommandOracle:
     """Adapter for an external scorer: `<command> {input_dir} {output_csv}`.
 
     Each batch call writes the volumes plus a manifest.json to a fresh input
-    directory under TMPDIR, invokes the command once, and parses the output CSV
-    (`sample_id,p0,p1[,...]`, one row per sample and one probability column
-    per class). The batch's sample ids are its positions, "0".."n-1". The
-    batch manifest carries `class_names`, which should be the dataset
-    manifest's; every record's label in it is 0, a placeholder the scorer
-    must not read. The template has no other field; `{{` and `}}` are braces.
+    directory under TMPDIR, invokes the command once (its stdout and stderr
+    read as UTF-8 with replacement), and reads the output CSV, headed
+    `sample_id,p0,...,p{C-1}` for C classes, with tensorio._read_csv. The
+    batch's sample ids are its positions, "0".."n-1". The batch manifest
+    carries `class_names`, which should be the dataset manifest's; every
+    record's label in it is 0, a placeholder the scorer must not read. The
+    template has no other field; `{{` and `}}` are braces.
     """
 
     def __init__(self, command_template, class_names=("class0", "class1")):
@@ -540,7 +542,7 @@ class ExternalCommandOracle:
             save_manifest(manifest, input_dir / "manifest.json")
             output_csv = str(tmp / "predictions.csv")
             cmd = [p.format(input_dir=str(input_dir), output_csv=output_csv) for p in self.command]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
+            proc = subprocess.run(cmd, capture_output=True, encoding="utf-8", errors="replace")
             if proc.returncode != 0:
                 raise RuntimeError(
                     f"external oracle exited with {proc.returncode}: "
@@ -581,39 +583,21 @@ def _command_parts(template):
 
 
 def _parse_prediction_csv(path, expected_ids, class_names):
-    import csv
-
+    header = ["sample_id", *(f"p{i}" for i in range(len(class_names)))]
     try:
-        fp = open(path, encoding="utf-8", newline="")
+        table = _read_csv(path, header, header[1:])
     except OSError as exc:
         raise RuntimeError(f"external oracle produced no output CSV: {exc}") from exc
-    with fp:
-        reader = csv.reader(fp)
-        try:
-            lines = list(reader)
-        except csv.Error as exc:
-            raise RuntimeError(f"{path}: line {reader.line_num}: {exc}") from exc
-    header = lines[0] if lines else None
-    if not header or header[0] != "sample_id":
-        raise RuntimeError(f"{path}: expected header sample_id,p0,p1[,...]")
-    if len(header) - 1 != len(class_names):
-        raise RuntimeError(
-            f"{path}: {len(header) - 1} probability columns for "
-            f"{len(class_names)} classes {list(class_names)}"
-        )
+    except ValueError as exc:
+        raise RuntimeError(str(exc)) from exc
     rows = {}
-    for row in lines[1:]:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise RuntimeError(f"{path}: ragged row {row}")
+    for line, (sid, *probs) in table.items():
+        if sid in rows:
+            raise RuntimeError(f"{path}: line {line}: duplicate predictions for {sid}")
         try:
-            probs = ClassProbabilities(tuple(float(v) for v in row[1:]))
+            rows[sid] = ClassProbabilities(probs)
         except ValueError as exc:
-            raise RuntimeError(f"{path}: row {row[0]}: {exc}") from exc
-        if row[0] in rows:
-            raise RuntimeError(f"{path}: duplicate predictions for {row[0]}")
-        rows[row[0]] = probs
+            raise RuntimeError(f"{path}: line {line}: {exc}") from exc
     missing = [sid for sid in expected_ids if sid not in rows]
     if missing:
         raise RuntimeError(f"{path}: missing predictions for {missing}")

@@ -26,7 +26,7 @@ KIND_SALIENCY = "saliency"
 
 
 class MMVFormatError(ValueError):
-    """An MMV file, or a JSON entry of a file the CLI reads, is malformed."""
+    """An MMV file, or a JSON document or CSV table the toolkit reads, is malformed."""
 
 
 def _finite(number):
@@ -65,6 +65,51 @@ def _json_entry(doc, key, kind, where, each=None):
                 f"{where}: {key} entry {k!r} must be a JSON {each}, got {reprlib.repr(item)}"
             )
     return value
+
+
+def _read_json(path):
+    """The JSON document in the file at `path`, decoded as UTF-8; a file that
+    is not UTF-8 or not JSON is an MMVFormatError naming it."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MMVFormatError(f"{path}: {exc}") from exc
+
+
+def _read_csv(path, header, numbers=()):
+    """{line number: row} of the rows under `header` in the UTF-8 CSV file at
+    `path`, blank rows skipped, each of the header's length and with finite
+    floats in the `numbers` columns; else an MMVFormatError naming the file
+    and, unless the header is wrong, the line."""
+    import csv  # here, as only the CLI and a `cmd:` oracle read tables
+
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    reader = csv.reader(line.decode("utf-8") for line in lines)
+    try:
+        rows = [(reader.line_num, row) for row in reader if row]
+    except (UnicodeDecodeError, csv.Error) as exc:  # a line that fails to decode is not yet read
+        line = reader.line_num + isinstance(exc, UnicodeDecodeError)
+        raise MMVFormatError(f"{path}: line {line}: {exc}") from exc
+    if not rows:
+        raise MMVFormatError(f"{path}: empty file, expected header {header}")
+    (_, found), *rows = rows
+    if found != header:
+        raise MMVFormatError(f"{path}: unexpected header {found}, expected {header}")
+    for line, row in rows:
+        if len(row) != len(header):
+            raise MMVFormatError(
+                f"{path}: line {line}: row {row} does not have the columns {header}")
+        for i in map(header.index, numbers):
+            try:
+                value = float(row[i])
+            except ValueError:  # not a number: rejected with nan and inf below
+                value = math.nan
+            if not math.isfinite(value):
+                raise MMVFormatError(
+                    f"{path}: line {line}: {header[i]!r} must be a finite number, got {row[i]!r}"
+                )
+            row[i] = value
+    return dict(rows)
 
 
 def _freeze(data, modality_names, *, binary=False):
@@ -355,8 +400,7 @@ def save_manifest(manifest: DatasetManifest, path):
 def load_manifest(path) -> DatasetManifest:
     """Load a manifest and resolve its volume and mask paths, failing if one is missing."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fp:
-        doc = json.load(fp)
+    doc = _read_json(path)
 
     def _path(rec, key, sid):
         full = path.parent / _json_entry(rec, key, "string", f"{path}: {sid}")

@@ -258,6 +258,19 @@ class TestInputChecks:
         ("manifest_sample_id_int", "mi", "sample_id must be a JSON string, got 7"),
         ("volume_mmv_true", "mi", "mmv must be a JSON integer, got True"),
         ("volume_dims_bool", "mi", "dims entry 0 must be a JSON integer, got True"),
+        # a file that is not JSON or not UTF-8: one line naming the file, and for a CSV the line
+        ("manifest_not_json", "mi",
+         "/manifest.json: Expecting property name enclosed in double quotes: line 1 column 2"),
+        ("manifest_not_json", "saliency",
+         "/manifest.json: Expecting property name enclosed in double quotes: line 1 column 2"),
+        ("manifest_utf16", "mi",
+         "/manifest.json: 'utf-8' codec can't decode byte 0xff in position 0"),
+        ("runlog_truncated", "metrics",
+         "/runlog_kernel_shap.json: Expecting value: line 1 column 12"),
+        ("runlog_truncated", "report",
+         "/runlog_kernel_shap.json: Expecting value: line 1 column 12"),
+        ("mi_byte_ff", "metrics", "/bad: line 3: 'utf-8' codec can't decode byte 0xff"),
+        ("scores_byte_ff", "stats", "/bad: line 3: 'utf-8' codec can't decode byte 0xff"),
     ])
     def test_malformed_file_exits_with_one_line(self, pipeline, tmp_path, fault, command,
                                                 match):
@@ -275,10 +288,18 @@ class TestInputChecks:
         elif fault == "scores_short_row":
             bad.write_text(scores.read_text() + "s0000,lime,msfi\n")
             scores = bad
+        elif fault.endswith("_byte_ff"):
+            lines = (mi if fault.startswith("mi") else scores).read_bytes().split(b"\n")
+            lines[2] = b"\xff" + lines[2]
+            bad.write_bytes(b"\n".join(lines))
+            mi = scores = bad
         elif fault.endswith("_field_too_large"):
             header = (mi if fault.startswith("mi") else scores).read_text().splitlines()[0]
             bad.write_text(f"{header}\n{'x' * 200_000}\n")
             mi = scores = bad
+        elif fault == "runlog_truncated":
+            sal = tmp_path / "runlog_kernel_shap.json"
+            sal.write_text('{"method": ')
         elif fault.startswith("runlog_"):
             runlog = json.loads((sal / "runlog_kernel_shap.json").read_text())
             if fault == "runlog_not_an_object":
@@ -292,9 +313,12 @@ class TestInputChecks:
                 runlog[fault.removeprefix("runlog_").split("_not_a")[0]] = []
             sal = tmp_path / "runlog_kernel_shap.json"
             sal.write_text(json.dumps(runlog))
-        elif fault == "manifest_not_an_object":
+        elif fault in ("manifest_not_an_object", "manifest_not_json", "manifest_utf16"):
+            # the UTF-16 manifest is the pipeline's, as Windows tools write it: ff fe, UTF-16LE
+            content = {"manifest_not_an_object": b"[]", "manifest_not_json": b"{not json",
+                       "manifest_utf16": b"\xff\xfe" + manifest.read_text().encode("utf-16-le")}
             manifest = tmp_path / "manifest.json"
-            manifest.write_text("[]")
+            manifest.write_bytes(content[fault])
         else:
             def edit(doc):
                 if fault == "manifest_empty":
@@ -572,6 +596,26 @@ class TestInputChecks:
         assert not (tmp_path / "iou.csv").exists()
         assert not (tmp_path / "matrix.svg").exists()
 
+    @pytest.mark.parametrize("table", ["mi", "scores"])
+    def test_blank_csv_rows_are_skipped(self, pipeline, tmp_path, capsys, table):
+        """A CSV with a blank row before the header and after every line reads
+        as the pipeline's own: mi.csv gives the same scores, scores.csv the
+        same Friedman output."""
+        blank = tmp_path / f"{table}.csv"
+        blank.write_text("\n" + (pipeline / f"{table}.csv").read_text().replace("\n", "\n\n"))
+
+        def run(path):
+            out = tmp_path / "out.csv"
+            if table == "mi":
+                run_cli("metrics", "msfi", "--manifest", str(pipeline / "data" / "manifest.json"),
+                        "--saliency-dir", str(pipeline / "saliency"), "--mi", str(path),
+                        "--out", str(out))
+                return out.read_bytes()
+            run_cli("stats", "friedman", "--scores", str(path))
+            return capsys.readouterr().out
+
+        assert run(blank) == run(pipeline / f"{table}.csv")
+
     def test_metrics_and_report_take_a_single_runlog_file(self, pipeline, tmp_path):
         runlog = pipeline / "saliency" / "runlog_kernel_shap.json"
         run_cli("metrics", "iou", "--manifest", str(pipeline / "data" / "manifest.json"),
@@ -587,8 +631,9 @@ class TestInputChecks:
     SCORER_OUTPUT = {
         # three probability columns for the dataset's two classes
         "extra_probability_column": (["p0", "p1", "p2"], [0.5, 0.25, 0.25],
-                                     "3 probability columns for 2 classes"),
-        "nan_probability": (["p0", "p1"], ["nan", "nan"], "probabilities must be finite"),
+                                     "expected ['sample_id', 'p0', 'p1']"),
+        "nan_probability": (["p0", "p1"], ["nan", "nan"],
+                            "predictions.csv: line 2: 'p0' must be a finite number, got 'nan'"),
     }
 
     @pytest.mark.parametrize(
@@ -1413,11 +1458,11 @@ def test_no_scipy_module_is_loaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_readme_pipeline_runs_with_scipy_blocked(tmp_path):
-    """Each README stage exits 0 in a process where `import scipy` fails."""
+def readme_stages(tmp_path):
+    """The README pipeline's stages, small, writing under tmp_path."""
     data, sal = tmp_path / "data", tmp_path / "saliency"
     manifest = str(data / "manifest.json")
-    stages = [
+    return [
         ["synth", "generate", "--n", "4", "--size", "32", "--seed", "5", "--out", str(data)],
         ["mi", "compute", "--manifest", manifest, "--policy", "zero",
          "--out", str(tmp_path / "mi.csv")],
@@ -1431,6 +1476,11 @@ def test_readme_pipeline_runs_with_scipy_blocked(tmp_path):
         ["report", "matrix", "--scores", str(tmp_path / "scores.csv"),
          "--out", str(tmp_path / "matrix.svg")],
     ]
+
+
+def test_readme_pipeline_runs_with_scipy_blocked(tmp_path):
+    """Each README stage exits 0 in a process where `import scipy` fails."""
+    stages = readme_stages(tmp_path)
     code = textwrap.dedent("""\
         import json, sys
         sys.modules["scipy"] = None  # any import of scipy now fails
@@ -1448,6 +1498,36 @@ def test_readme_pipeline_runs_with_scipy_blocked(tmp_path):
     statuses = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[[")]
     assert statuses == [[argv[:2], 0] for argv in stages], proc.stdout + proc.stderr
     assert "chi2=" in proc.stdout
+
+
+def test_every_stage_names_its_text_encodings(tmp_path):
+    """Each README stage, and `mi compute` through a `cmd:` scorer, exits 0 in
+    a process where an EncodingWarning from a package module is an error:
+    every text the package reads or writes, a scorer's output included, names
+    its encoding rather than taking the locale's."""
+    # -W matches a module's whole name, so every package module gets its own filter
+    sources = (REPO / "src" / "mmsaliency").glob("*.py")
+    modules = ["mmsaliency", *(f"mmsaliency.{p.stem}" for p in sources if p.stem[0] != "_")]
+    script = tmp_path / "scorer.py"
+    script.write_text(textwrap.dedent(
+        """\
+        import json, sys
+        from pathlib import Path
+
+        manifest = json.loads((Path(sys.argv[1]) / "manifest.json").read_text("utf-8"))
+        rows = [f"{rec['sample_id']},0.9,0.1\\n" for rec in manifest["records"]]
+        Path(sys.argv[2]).write_text("sample_id,p0,p1\\n" + "".join(rows), "utf-8")
+        """
+    ))
+    stages = [*readme_stages(tmp_path),
+              ["mi", "compute", "--manifest", str(tmp_path / "data" / "manifest.json"),
+               "--oracle", f"cmd:{sys.executable} {script} {{input_dir}} {{output_csv}}",
+               "--out", str(tmp_path / "mi_cmd.csv")]]
+    flags = ["-X", "warn_default_encoding", *(f"-Werror::EncodingWarning:{m}" for m in modules)]
+    for argv in stages:
+        proc = subprocess.run([sys.executable, *flags, "-m", "mmsaliency", *argv],
+                              capture_output=True, encoding="utf-8", env=src_env())
+        assert proc.returncode == 0, (argv[:2], proc.stderr)
 
 
 @pytest.mark.skipif(shutil.which("mmsaliency") is None,

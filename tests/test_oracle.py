@@ -908,6 +908,23 @@ class TestExternalOracle:
         with pytest.raises(RuntimeError, match="exited with 3"):
             self._predict(cmd)
 
+    def test_output_that_is_not_utf8_keeps_the_exit_code(self, tmp_path):
+        cmd = _write_stub(tmp_path, 'sys.stderr.buffer.write(b"bad \\xff byte")\nsys.exit(3)\n')
+        with pytest.raises(RuntimeError, match="exited with 3: bad \ufffd byte"):
+            self._predict(cmd)
+
+    def test_output_csv_that_is_not_utf8_names_the_file_and_line(self, tmp_path):
+        cmd = _write_stub(
+            tmp_path,
+            """\
+            with open(output_csv, "wb") as fp:
+                fp.write(b"sample_id,p0,p1\\n0,0.25,0.75\\n\\xff1,0.25,0.75\\n")
+            """,
+        )
+        message = r"predictions\.csv: line 3: 'utf-8' codec can't decode byte 0xff"
+        with pytest.raises(RuntimeError, match=message):
+            self._predict(cmd, n=2)
+
     def test_duplicate_sample_rows_rejected(self, tmp_path):
         cmd = _write_stub(
             tmp_path,
@@ -944,7 +961,8 @@ class TestExternalOracle:
             """\
             with open(output_csv, "w", newline="") as fp:
                 w = csv.writer(fp, lineterminator="\\n")
-                w.writerow(["sample_id", *manifest["class_names"]])
+                assert manifest["class_names"] == ["round", "irregular", "other"]
+                w.writerow(["sample_id", "p0", "p1", "p2"])
                 for sid in ids:
                     w.writerow([sid, 0.5, 0.25, 0.25])
             """,
@@ -964,7 +982,8 @@ class TestExternalOracle:
                     w.writerow([sid, 0.5, 0.25, 0.25])
             """,
         )
-        with pytest.raises(RuntimeError, match="3 probability columns for 2 classes"):
+        expected = "expected ['sample_id', 'p0', 'p1']"
+        with pytest.raises(RuntimeError, match=re.escape(expected)):
             self._predict(cmd)
         with pytest.raises(ValueError, match="two class names"):
             ExternalCommandOracle(cmd, ("only",))
@@ -974,10 +993,14 @@ class TestExternalOracle:
         with pytest.raises(RuntimeError, match="external oracle produced no output CSV"):
             self._predict(_write_stub(tmp_path, "pass\n"))
 
-    @pytest.mark.parametrize("header", ["id,p0,p1\n", "p0,p1\n", ""])
+    @pytest.mark.parametrize("header", ["id,p0,p1\n", "p0,p1\n", "", "sample_id,p1,p0\n",
+                                        "\n\n"])
     def test_wrong_or_empty_header_rejected(self, tmp_path, header):
         cmd = _write_stub(tmp_path, f"open(output_csv, 'w').write({header!r})\n")
-        with pytest.raises(RuntimeError, match=re.escape("expected header sample_id,p0,p1[,...]")):
+        # the reader's header error: "unexpected header [...], expected [...]",
+        # or "empty file, expected header [...]"
+        expected = r"predictions\.csv: .*header.*" + re.escape("['sample_id', 'p0', 'p1']")
+        with pytest.raises(RuntimeError, match=expected):
             self._predict(cmd)
 
     def test_ragged_row_rejected(self, tmp_path):
@@ -991,7 +1014,8 @@ class TestExternalOracle:
                     w.writerow([sid, 0.25, 0.75] if sid != "1" else [sid, 0.25])
             """,
         )
-        with pytest.raises(RuntimeError, match=re.escape("ragged row ['1', '0.25']")):
+        expected = "line 3: row ['1', '0.25'] does not have the columns"
+        with pytest.raises(RuntimeError, match=re.escape(expected)):
             self._predict(cmd)
 
     def test_blank_rows_are_skipped(self, tmp_path):
@@ -1068,8 +1092,9 @@ class TestExternalOracle:
 
 def test_the_package_does_not_import_subprocess():
     """Only ExternalCommandOracle spawns, and it imports subprocess, tempfile,
-    csv, shlex and string where it uses them: a run on the built-in oracle
-    does not load subprocess (about 0.6 MB with shlex and string)."""
+    shlex and string where it uses them, as tensorio._read_csv does csv: a
+    run on the built-in oracle does not load subprocess (about 0.6 MB with
+    shlex and string)."""
     code = textwrap.dedent("""\
         import sys
         import numpy
