@@ -29,7 +29,6 @@ from .metrics import (
 from .oracle import (
     ClassProbabilities,
     ExternalCommandOracle,
-    PredictionOracle,
     ShapeRuleClassifier,
     accuracy,
     predict_shape_rule,

@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .oracle import _evaluate, _Plan
+from .oracle import _checked_class, _evaluate, _Plan
 from .tensorio import MultiModalVolume, _dataset
 
 # players of an exact 2^n coalition table: modalities or saliency segments
@@ -114,12 +114,14 @@ def coalition_performance(data, oracle, keep, policy):
 def _coalition_accuracies(samples, oracle, rows, policy):
     """Accuracy per keep row, from one plan per sample with no head: its items
     are the rows, ablated by apply_ablation with the sample's mask only if the
-    policy needs one (so a DatasetView reads no mask under `zero`)."""
+    policy needs one (so a DatasetView reads no mask under `zero`). A label
+    the oracle does not predict is a ValueError naming the sample."""
 
     def plan(s):
-        label = s.record.label
+        label, what = s.record.label, f"sample {s.record.sample_id}: label"
         build = partial(apply_ablation, policy=policy, mask=s.mask if policy.needs_mask else None)
-        return _Plan(s.volume, rows, build, lambda preds: [p.argmax == label for p in preds])
+        return _Plan(s.volume, rows, build,
+                     lambda preds: [p.argmax == _checked_class(p, label, what) for p in preds])
 
     hit_rows = [row for row, _ in _evaluate(map(plan, samples), oracle)]
     return [sum(hits) / len(samples) for hits in zip(*hit_rows)]

@@ -1,5 +1,7 @@
-"""Black-box prediction oracles: the contract, a reference shape classifier,
-an external batch-command adapter, and the one stream that evaluates plans.
+"""Black-box prediction oracles: a reference shape classifier, an external
+batch-command adapter, and the one plan stream (`_evaluate`) through which the
+package calls an oracle (`predict_volumes`, which states the contract) and
+checks a target or a label against a prediction (`_checked_class`).
 
 The reference classifier grades a combined image by the circularity of its
 largest thresholded component, so the whole attribution pipeline is testable
@@ -15,7 +17,7 @@ import struct
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Protocol, runtime_checkable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,19 +68,11 @@ class ClassProbabilities:
         return int(np.argmax(self.probs))
 
 
-@runtime_checkable
-class PredictionOracle(Protocol):
-    """One prediction per volume. An oracle may also offer
-    `predict_batch(volumes)`, taking a list of volumes and returning one
-    ClassProbabilities per volume, in order; `predict_volumes` then sends it
-    chunks.
-
-    A prediction must be a function of the input volume alone: equal volumes
-    get equal probabilities, in any call and any batch. The saliency methods
-    evaluate each distinct perturbation once and reuse its prediction.
-    """
-
-    def predict(self, volume: MultiModalVolume) -> ClassProbabilities: ...
+def _checked_class(pred, cls, what):
+    """`cls`, if `pred` has that class; else a ValueError that names `what`."""
+    if cls >= len(pred.probs):
+        raise ValueError(f"{what}={cls}, but the oracle predicts {len(pred.probs)} classes")
+    return cls
 
 
 def _sigmoid(x):
@@ -404,9 +398,11 @@ def _shape_rule_probs(cfg, fg):
 
 def accuracy(data, oracle) -> float:
     """Fraction of samples whose argmax prediction equals the label, the
-    dataset's layout checked first (see _predictions). Argmax ties break
-    toward the lower class index."""
-    hits = [p.argmax == record.label for record, p in _predictions(data, oracle)]
+    dataset's layout checked first (see _predictions); a label the oracle does
+    not predict is a ValueError naming the sample. Argmax ties break toward
+    the lower class index."""
+    hits = [p.argmax == _checked_class(p, r.label, f"sample {r.sample_id}: label")
+            for r, p in _predictions(data, oracle)]
     return sum(hits) / len(hits)
 
 
@@ -417,11 +413,13 @@ def predict_all(data, oracle):
 
 def _predictions(data, oracle):
     """(record, prediction) of each sample of a dataset of one layout, checked
-    before any oracle call (see tensorio._dataset), in order. The records come
-    from a second pass over the samples, which reads no payload of a view."""
+    before any oracle call (see tensorio._dataset), in order: one plan per
+    sample through _evaluate, its volume as its head and no items. The records
+    come from a second pass over the samples, which reads no payload of a view."""
     samples, _ = _dataset(data)
-    volumes = (s.volume for s in samples)
-    yield from zip((s.record for s in samples), predict_volumes(oracle, volumes))
+    plans = (_Plan(s.volume, (), None, lambda preds: preds[0], head=True) for s in samples)
+    for record, (pred, _) in zip((s.record for s in samples), _evaluate(plans, oracle)):
+        yield record, pred
 
 
 class _Plan(NamedTuple):
@@ -467,14 +465,18 @@ def _evaluate(plans, oracle):
 
 
 def predict_volumes(oracle, volumes):
-    """Yield a prediction for each of an iterable of volumes, in input order.
+    """Yield a prediction for each of an iterable of volumes, in input order;
+    only _evaluate calls it. An oracle has `predict(volume)`, returning one
+    ClassProbabilities, and may offer `predict_batch(volumes)`, used instead,
+    returning one per volume of a list, in order. A prediction must be a
+    function of the volume alone, in any call and any batch: the saliency
+    methods evaluate each distinct perturbation once and reuse its prediction.
 
-    An oracle with `predict_batch` gets lists of up to BATCH_BYTES of volume
-    data; a volume larger than the budget goes alone, and a call that returns
-    a different number of predictions than it was given volumes is a
-    RuntimeError. Any other oracle gets one `predict` per volume as the
-    iterable yields it, so a generator of perturbed volumes is never held in
-    full.
+    A batch oracle gets lists of up to BATCH_BYTES of volume data; a volume
+    larger than the budget goes alone, and a call that returns a different
+    number of predictions than it was given volumes is a RuntimeError. Any
+    other oracle gets one `predict` per volume as the iterable yields it, so
+    a generator of perturbed volumes is never held in full.
     """
     batch = getattr(oracle, "predict_batch", None)
     if batch is None:

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .ablate import coalition_table, exact_shapley
-from .oracle import _evaluate, _Plan
+from .oracle import _checked_class, _evaluate, _Plan
 from .tensorio import MultiModalVolume, SaliencyMap, _dataset
 
 
@@ -146,7 +146,8 @@ def _explain(plans, oracle, cfg):
 
         def reduce(preds):
             target = preds[0].argmax if cfg.target_class is None else cfg.target_class
-            probs = [_class_prob(p, target) for p in (preds if plan.head else preds[head:])]
+            probs = [p.probs[_checked_class(p, target, "target_class")]
+                     for p in (preds if plan.head else preds[head:])]
             return SaliencyMap(plan.volume.modality_names, plan.reduce(np.array(probs)))
 
         return plan._replace(reduce=reduce, head=head)
@@ -160,15 +161,6 @@ def _explain_one(make_plans, volume, oracle, cfg, grid=None):
     _check_grid(grid, volume.data.shape)
     [(smap, _)] = _explain(plans, oracle, cfg)
     return smap
-
-
-def _class_prob(pred, target):
-    """pred's probability of class `target`; a class it lacks is a ValueError."""
-    if target >= len(pred.probs):
-        raise ValueError(
-            f"target_class={target}, but the oracle predicts {len(pred.probs)} classes"
-        )
-    return pred.probs[target]
 
 
 def _segment_plans(volumes, grid, rows, reduce):

@@ -119,6 +119,19 @@ class TestApplyAblation:
         with pytest.raises(ValueError, match="keep must be a bool row of 2 modalities"):
             apply_ablation(self._volume(), keep, ZERO)
 
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (1, 2, 2)], ids=["fitting", "misfit"])
+    def test_zero_ignores_a_mask_it_is_given(self, shape):
+        vol = self._volume()
+        mask = SegmentationMask(tuple(f"m{i}" for i in range(shape[0])), np.ones(shape))
+        out = apply_ablation(vol, KEEP_0, ZERO, mask)
+        assert out.data.tobytes() == apply_ablation(vol, KEEP_0, ZERO).data.tobytes()
+
+    def test_a_mask_of_another_shape_is_rejected(self):
+        vol = self._volume()
+        mask = SegmentationMask(vol.modality_names, np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match="mask shape does not match volume shape"):
+            apply_ablation(vol, KEEP_0, FEATURE, mask)
+
     def test_zero_policies_idempotent(self):
         vol = self._volume()
         mask_data = np.zeros((2, 3, 3))

@@ -277,6 +277,17 @@ def test_per_item_path_builds_each_ablated_volume_after_the_last_is_predicted(
     assert events == expected
 
 
+@pytest.mark.parametrize("call", [oracle_mod.accuracy, oracle_mod.predict_all])
+@pytest.mark.parametrize("budget, calls", [(None, [5]), (2 * VOLUME_BYTES, [2, 2, 1])])
+def test_accuracy_and_predict_all_send_the_samples_in_chunks(call, budget, calls, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(oracle_mod, "BATCH_BYTES", budget)
+    samples = _samples(5)
+    stub = BatchStub(INNER)
+    assert call(samples, stub) == call(samples, INNER)
+    assert stub.calls == calls
+
+
 def test_chunks_split_by_budget_and_keep_order(monkeypatch):
     small = [MultiModalVolume(("a",), np.full((1, 4, 4), v / 10)) for v in range(7)]
     large = MultiModalVolume(("a",), np.full((1, 8, 8), 0.95))

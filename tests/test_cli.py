@@ -20,6 +20,7 @@ from mmsaliency import tensorio
 from mmsaliency.cli import _parse_params, main
 from mmsaliency.oracle import ClassProbabilities
 from mmsaliency.saliency import MethodConfig
+from mmsaliency.synthgen import SynthConfig, generate_probe
 from mmsaliency.tensorio import (
     MultiModalVolume,
     SaliencyMap,
@@ -706,6 +707,22 @@ class TestInputChecks:
         assert not log.exists()  # the scorer never ran
         assert not out.exists()
 
+    def test_a_label_the_oracle_does_not_predict_exits_with_one_line(self, tmp_path):
+        run_cli("synth", "generate", "--n", "2", "--size", "32", "--seed", "1",
+                "--out", str(tmp_path / "data"))
+        manifest = tmp_path / "data" / "manifest.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["class_names"].append("third")
+        doc["records"][1]["label"] = 2
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["mi", "compute", "--manifest", str(manifest), "--oracle", "builtin",
+                "--out", str(tmp_path / "mi.csv")]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        line = assert_one_error_line(err, argv)
+        assert line.endswith("error: sample s0001: label=2, but the oracle predicts 2 classes")
+        assert not (tmp_path / "mi.csv").exists()
+
     def test_failing_oracle_leaves_no_out_dir(self, tmp_path):
         run_cli("synth", "generate", "--n", "2", "--size", "32", "--seed", "1",
                 "--out", str(tmp_path / "data"))
@@ -1237,6 +1254,17 @@ class TestDeterminism:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    @pytest.mark.parametrize("which", ["t1c", "flair"])
+    def test_synth_probe_writes_what_generate_probe_writes(self, tmp_path, which):
+        run_cli("synth", "probe", "--which", which, "--n", "3", "--size", "40",
+                "--seed", "6", "--out", str(tmp_path / "cli"))
+        generate_probe(SynthConfig(n_samples=3, image_size=40, seed=6), which, tmp_path / "lib")
+        files = sorted(p.name for p in (tmp_path / "lib").iterdir())
+        assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == files
+        assert "manifest.json" in files and len(files) == 7
+        for name in files:
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
     def test_full_rerun_byte_identical_outputs(self, tmp_path):
         outs = {}
         for tag in ("x", "y"):
@@ -1464,6 +1492,8 @@ def readme_stages(tmp_path):
     manifest = str(data / "manifest.json")
     return [
         ["synth", "generate", "--n", "4", "--size", "32", "--seed", "5", "--out", str(data)],
+        ["synth", "probe", "--which", "t1c", "--n", "2", "--size", "32", "--seed", "5",
+         "--out", str(tmp_path / "probe_t1c")],
         ["mi", "compute", "--manifest", manifest, "--policy", "zero",
          "--out", str(tmp_path / "mi.csv")],
         ["saliency", "run", "--manifest", manifest, "--method", "feature_ablation",

@@ -1,8 +1,10 @@
-"""README's "Library layout" table names only attributes its modules have, and
-CI runs ROADMAP's tier-1 command."""
+"""README's "Library layout" table names only attributes its modules have,
+every name the package exports has a user, and CI runs ROADMAP's tier-1
+command."""
 
 import importlib
 import re
+import types
 
 import pytest
 
@@ -38,6 +40,27 @@ def test_layout_names_are_module_attributes(module, names):
     mod = importlib.import_module(f"mmsaliency.{module}")
     missing = [name for name in names if not hasattr(mod, name)]
     assert not missing, f"README lists {missing} under {module}, which lacks them"
+
+
+def test_every_exported_name_has_a_user():
+    """Each public name `mmsaliency` exports appears outside its own def or
+    class line in the package's other modules, demos/, perfbench/ or README."""
+    import mmsaliency
+
+    files = [*(REPO / "src" / "mmsaliency").glob("*.py"), *(REPO / "demos").glob("*.py"),
+             *(REPO / "perfbench").glob("*.py"), *(REPO / "perfbench").glob("*.md"),
+             REPO / "README.md"]
+    lines = [line for path in files if path.name != "__init__.py"
+             for line in path.read_text(encoding="utf-8").splitlines()]
+    names = [name for name, value in vars(mmsaliency).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    assert len(names) > 50
+
+    def used(name):
+        word, own = re.compile(rf"\b{name}\b"), re.compile(rf"\s*(def|class) {name}\b")
+        return any(word.search(line) and not own.match(line) for line in lines if name in line)
+
+    assert [name for name in names if not used(name)] == []
 
 
 def test_ci_runs_the_tier1_command():

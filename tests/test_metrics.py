@@ -467,3 +467,26 @@ class TestScoringInPlace:
             want = _msfi_new_arrays(scored, masks, phi)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert np.array_equal(raw.data, data)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: MetricRecord("s", "m", "msfi", math.nan),
+                 "non-finite value for msfi", id="record-nan"),
+    pytest.param(lambda: kendall_tau_b([1.0], [2.0]),
+                 "need at least two observations", id="tau-one-pair"),
+    pytest.param(lambda: msfi(smap(np.ones((2, 2, 2))), segmask(np.ones((2, 2, 2))), [1.0] * 3),
+                 "phi must have one weight per modality", id="msfi-phi-length"),
+    pytest.param(lambda: msfi(smap(np.ones((2, 2, 2))), segmask(np.ones((2, 2, 2))), [1.0, -1.0]),
+                 "phi must be finite and nonnegative", id="msfi-phi-negative"),
+    pytest.param(lambda: iou(smap(np.zeros((1, 2, 2)), postprocessed=True),
+                             segmask(np.zeros((1, 2, 2))), threshold=1.0),
+                 r"threshold must lie in \(0,1\)", id="iou-threshold"),
+    pytest.param(lambda: iou(smap(np.zeros((1, 2, 2)), postprocessed=True),
+                             segmask(np.zeros((1, 3, 3)))),
+                 "saliency and mask shapes differ", id="iou-shape"),
+    pytest.param(lambda: friedman([0.1, 0.2, 0.3]),
+                 r"scores must be 2-D \(samples x methods\)", id="friedman-1d"),
+])
+def test_bad_arguments_raise_their_message(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

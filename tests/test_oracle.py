@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 import subprocess
@@ -13,6 +14,9 @@ import numpy as np
 import pytest
 
 from helpers import (
+    REPO,
+    FixedOracle,
+    FunctionOracle,
     boundary_count_reference,
     circularity_reference,
     make_sample,
@@ -20,7 +24,7 @@ from helpers import (
     src_env,
 )
 from mmsaliency import oracle, tensorio
-from mmsaliency.ablate import AblationPolicy, AblationVariant, shapley_mi
+from mmsaliency.ablate import AblationPolicy, AblationVariant, coalition_performance, shapley_mi
 from mmsaliency.oracle import (
     ClassProbabilities,
     ExternalCommandOracle,
@@ -798,6 +802,21 @@ class TestShapeRuleClassifier:
             ShapeRuleClassifier((1.0,), softness=0.0)
 
 
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: ClassProbabilities((1.0,)), "need at least two classes", id="one-class"),
+    pytest.param(lambda: circularity(np.zeros((3, 3), dtype=bool)), "empty component",
+                 id="empty-component"),
+    pytest.param(lambda: ShapeRuleClassifier((1.0, -1.0)),
+                 re.escape("weights must be finite and nonnegative: (1.0, -1.0)"),
+                 id="negative-weight"),
+    pytest.param(lambda: ShapeRuleClassifier((1.0,), circularity_cutoff=1.0),
+                 re.escape("circularity_cutoff must lie in (0,1)"), id="cutoff"),
+])
+def test_bad_arguments_raise_their_message(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class OneHotOracle:
     """Returns the true label's one-hot, looked up by volume content."""
 
@@ -1155,3 +1174,51 @@ def test_accuracy_and_predict_all_hold_one_volume_over_a_view(tmp_path, monkeypa
     assert call(DatasetView(manifest), Counting()) == expected
     assert len(seen) == 8 and set(seen) == {1}
     assert live == []
+
+
+def labelled_samples(labels):
+    rng = np.random.default_rng(7)
+    return [make_sample(f"s{i}", make_volume(rng, 2, (4, 4)), label=label)
+            for i, label in enumerate(labels)]
+
+
+def test_accuracy_and_predict_all_are_plans_of_the_one_stream(monkeypatch):
+    samples = labelled_samples([0, 1, 1])
+    clf = FunctionOracle(lambda d: float(d.mean()))
+    expected = accuracy(samples, clf), predict_all(samples, clf)
+    counts = []
+    evaluate = oracle._evaluate
+
+    def recording(plans, oracle_):
+        for reduced, n_evals in evaluate(plans, oracle_):
+            counts.append(n_evals)
+            yield reduced, n_evals
+
+    monkeypatch.setattr(oracle, "_evaluate", recording)
+    assert (accuracy(samples, clf), predict_all(samples, clf)) == expected
+    assert counts == [1] * 6
+
+
+def test_predict_volumes_is_called_only_by_evaluate():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in (REPO / "src" / "mmsaliency").glob("*.py")]
+    callers = [fn.name for tree in trees for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+               if isinstance(node, ast.Call)
+               and "predict_volumes" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert callers == ["_evaluate"]
+
+
+ZERO = AblationPolicy(AblationVariant.ZERO_WHOLE_MODALITY)
+
+
+@pytest.mark.parametrize("call", [
+    accuracy,
+    lambda data, oracle_: shapley_mi(data, oracle_, ZERO),
+    lambda data, oracle_: coalition_performance(data, oracle_, np.array([True, False]), ZERO),
+], ids=["accuracy", "shapley_mi", "coalition_performance"])
+def test_a_label_the_oracle_does_not_predict_names_the_sample(call):
+    samples = labelled_samples([1, 0, 2])
+    with pytest.raises(ValueError, match=re.escape("sample s2: label=2, but the oracle "
+                                                   "predicts 2 classes")):
+        call(samples, FixedOracle((0.4, 0.6)))

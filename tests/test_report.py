@@ -9,6 +9,7 @@ import pytest
 from helpers import src_env
 from mmsaliency.metrics import MetricRecord
 from mmsaliency.report import (
+    MethodSummary,
     matrix_value,
     render_matrix,
     summarize,
@@ -53,6 +54,13 @@ class TestSummarize:
         assert out["fast"] == pytest.approx(1.0)
         assert out["mid"] == pytest.approx(0.5)
         assert out["slow"] == pytest.approx(0.0)
+
+    def test_a_method_without_wall_times_gets_no_speed_score(self):
+        rows = records_for("a", [0.5]) + records_for("b", [0.5]) + records_for("c", [0.5])
+        out = {s.method: s.speed_score for s in summarize(rows, {"a": [1.0], "b": [], "c": [10.0]})}
+        assert out == {"a": 1.0, "b": None, "c": 0.0}
+        out = {s.method: s.speed_score for s in summarize(rows, {"a": [], "b": []})}
+        assert out == {"a": None, "b": None, "c": None}
 
     def test_missing_msfi_rows_is_error(self):
         rows = [MetricRecord("s0", "m", "iou", 0.5)]
@@ -114,6 +122,23 @@ class TestRenderMatrix:
     def test_byte_identical_for_same_input(self):
         summaries = self._summaries({"a": 0.4, "b": 0.9})
         assert render_matrix(summaries) == render_matrix(summaries)
+
+    def test_a_metric_a_method_lacks_leaves_its_cell_empty(self):
+        rows = records_for("a", [1.0], mi_corr=[1.0]) + records_for("b", [1.0])
+        svg = render_matrix(summarize(rows))
+        rects = [(r.get("x"), r.get("y")) for r in ET.fromstring(svg).iter()
+                 if r.tag.endswith("rect")]
+        # columns a and b; rows mi_corr then msfi: b has no mi_corr square
+        assert rects == [("131.00", "37.00"), ("131.00", "81.00"), ("175.00", "81.00")]
+        assert svg == render_matrix(summarize(list(reversed(rows))))
+
+    @pytest.mark.parametrize("summaries, match", [
+        ([], "nothing to render"),
+        ([MethodSummary("a", {}, None, 0.0)], "no metrics to render"),
+    ])
+    def test_nothing_to_draw_is_an_error(self, summaries, match):
+        with pytest.raises(ValueError, match=match):
+            render_matrix(summaries)
 
     def test_speed_row_rendered_when_available(self):
         rows = records_for("a", [0.5]) + records_for("b", [0.6])

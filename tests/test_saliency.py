@@ -113,6 +113,10 @@ class TestSegmentGrid:
         with pytest.raises(ValueError, match="dense from 0"):
             SegmentGrid(True, np.array(ids, dtype=np.int64).reshape(1, 1, -1))
 
+    def test_block_shape_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"block_shape must be positive, got \(2, 0\)"):
+            build_grid(1, (4, 4), (2, 0))
+
     def test_dense_ids_in_any_order_are_accepted(self):
         grid = SegmentGrid(False, np.array([[[2, 0], [1, 2]]]))
         assert grid.n_segments == 3 and grid.segment_ids.dtype == np.int32
@@ -790,6 +794,10 @@ class TestExactShapleyPath:
             (kernel_shap, False, (2, 2), (2, 3), {}, "does not match"),
             (kernel_shap, False, (2, 2), (2, 3), dict(exhaustive=True), "does not match"),
             (occlusion, None, (2, 2), None, dict(window=3), "window"),
+            (occlusion, None, (2, 2), None, dict(window=(1, 1, 1)),
+             r"window must have 2 entries, got \(1, 1, 1\)"),
+            (occlusion, None, (2, 2), None, dict(window=1, stride=0),
+             r"stride \(0, 0\) must be positive"),
             # at these widths only all-ones keep rows get a nonzero weight, and
             # these 40 rows over K = 8 segments hold none
             (lime, True, (2, 4), (2, 4), dict(n_samples=40, kernel_width=1e-200), "singular"),
@@ -1309,6 +1317,7 @@ class TestMethodConfig:
         ("ridge_lambda", math.nan, "ridge_lambda must be finite and nonnegative, got nan"),
         ("ridge_lambda", math.inf, "ridge_lambda must be finite and nonnegative, got inf"),
         ("ridge_lambda", -1e-3, "ridge_lambda must be finite and nonnegative, got -0.001"),
+        ("n_samples", 0, "n_samples must be at least 1"),
     ])
     def test_bad_fit_params_rejected(self, field, value, match):
         with pytest.raises(ValueError, match=match):

@@ -213,6 +213,19 @@ class TestConfigValidation:
             SynthConfig(background="stars")
 
 
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: SynthConfig(image_size=31), "image_size must be at least 32",
+                 id="image-size"),
+    pytest.param(lambda: ShapeSpec(ROUND, (32, 32), 1.0), "base_radius must exceed 1 pixel",
+                 id="base-radius"),
+    pytest.param(lambda: probe_alignment("t1c", ("T1", "T1C")),
+                 r"modalities must include T1C and FLAIR, got \('T1', 'T1C'\)", id="probe-names"),
+])
+def test_bad_arguments_raise_their_message(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def brain_texture_2d(rng, size):
     """The background texture from full 2-D index grids, one cosine product per term."""
     yy, xx = np.indices((size, size), dtype=np.float64)

@@ -85,6 +85,15 @@ def test_volume_invariants_rejected():
         MultiModalVolume(("a",), np.zeros((1, 4)))
 
 
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: MultiModalVolume(("a",), np.zeros((1, 0, 2))),
+                 r"all dimensions must be positive, got \(1, 0, 2\)", id="empty-dim"),
+])
+def test_bad_arguments_raise_their_message(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_volume_data_is_immutable():
     vol = MultiModalVolume(("a",), np.zeros((1, 2, 2)))
     with pytest.raises(ValueError):
@@ -355,6 +364,19 @@ def test_manifest_rejects_unsafe_sample_ids(sample_id):
     # ids become file names in `saliency run` and in the external oracle
     with pytest.raises(ValueError, match="unsafe sample_id"):
         DatasetManifest((ManifestRecord(sample_id, 0, "x"),), ("a", "b"))
+
+
+def test_a_record_path_outside_the_manifest_dir_is_written_absolute(tmp_path):
+    vol = MultiModalVolume(("a",), np.arange(4, dtype=np.float32).reshape(1, 2, 2))
+    write_volume(vol, tmp_path / "s0.mmv")
+    path = tmp_path / "sub" / "manifest.json"
+    path.parent.mkdir()
+    save_manifest(DatasetManifest((ManifestRecord("s0", 0, str(tmp_path / "s0.mmv")),),
+                                  ("a", "b")), path)
+    written = json.loads(path.read_text(encoding="utf-8"))["records"][0]["volume"]
+    assert written == str((tmp_path / "s0.mmv").resolve())
+    [sample] = load_dataset(load_manifest(path))
+    assert sample.volume.data.tobytes() == vol.data.tobytes()
 
 
 def test_manifest_accepts_cwd_relative_record_paths(tmp_path, monkeypatch):
