@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import itertools
-import json
 import os
 import shutil
 import sys
@@ -35,7 +33,8 @@ from .oracle import ExternalCommandOracle, ShapeRuleClassifier, _command_parts
 from .saliency import MethodConfig, SaliencyMethod, generate_maps, postprocess
 from .synthgen import DEFAULT_MODALITIES, SynthConfig, generate_dataset, generate_probe
 from .tensorio import (DatasetView, _dataset, _fit_layout, _json_entry, _read_csv, _read_json,
-                       load_manifest, read_saliency, write_saliency)
+                       _write_csv, _write_json, _write_text, load_manifest, read_saliency,
+                       write_saliency)
 
 
 def _named_floats(text, names, default, what):
@@ -102,11 +101,6 @@ def _add_oracle_args(parser):
     parser.add_argument("--threshold", type=float, default=0.35)
     parser.add_argument("--cutoff", type=float, default=0.7)
     parser.add_argument("--softness", type=float, default=0.08)
-
-
-def _write_csv(path, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fp:
-        csv.writer(fp, lineterminator="\n").writerows(rows)
 
 
 def _load_samples(manifest_path):
@@ -210,9 +204,7 @@ def cmd_saliency_run(args):
 
         _, runlog = generate_maps(samples, oracle, cfg, on_map=write)
         runlog["files"] = files
-        with open(stage / f"runlog_{method.value}.json", "w", encoding="utf-8") as fp:
-            json.dump(runlog, fp, indent=2, sort_keys=True)
-            fp.write("\n")
+        _write_json(stage / f"runlog_{method.value}.json", runlog)
     print(f"wrote {len(files)} {method.value} maps to {out_dir}")
 
 
@@ -304,11 +296,11 @@ def cmd_metrics(args):
         del s, smap  # not held while the next sample is read
     rows = [["sample_id", "method", "metric", "value"], *itertools.chain(*scores.values())]
     _write_csv(args.out, rows)
+    meta = Path(f"{args.out}.meta.json")
     if args.metric == "mi-corr":
-        meta = {"metric": "mi_corr", "estimated_mi_source": "raw_positive_part"}
-        with open(f"{args.out}.meta.json", "w", encoding="utf-8") as fp:
-            json.dump(meta, fp, indent=2, sort_keys=True)
-            fp.write("\n")
+        _write_json(meta, {"metric": "mi_corr", "estimated_mi_source": "raw_positive_part"})
+    else:  # a sidecar left by an earlier mi-corr run would describe these rows
+        meta.unlink(missing_ok=True)
     print(f"wrote {len(rows) - 1} scores to {args.out}")
 
 
@@ -352,9 +344,7 @@ def cmd_report_matrix(args):
     runlogs = _load_runlogs(args.runlog) if args.runlog else {}
     wall = {method: list(r["wall_time"].values()) for method, (_, r) in runlogs.items()}
     summaries = report_mod.summarize(records, wall)
-    svg = report_mod.render_matrix(summaries)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fp:
-        fp.write(svg)
+    _write_text(args.out, report_mod.render_matrix(summaries))
     if args.csv:
         _write_csv(args.csv, report_mod.summary_csv_rows(summaries))
     order = ", ".join(s.method for s in summaries)

@@ -40,8 +40,6 @@ class MetricRecord:
 def estimated_mi(smap):
     """Per-modality sum of positive saliency values."""
     data = smap.data
-    if not np.isfinite(data).all():
-        raise ValueError("saliency map contains non-finite values")
     flat = data.reshape(data.shape[0], -1)
     return np.maximum(flat, 0.0).sum(axis=1)
 
@@ -84,8 +82,8 @@ def msfi(smap, masks, phi):
     For each modality, ratio = positive mass inside the mask over total
     positive mass (0 when the modality has no positive mass); the result is
     the phi-weighted mean of the ratios, 0 when phi sums to 0. phi may be the
-    normalized importance or any positive rescaling of it; the result is
-    identical either way.
+    normalized importance or any positive rescaling of it; the result is the
+    same either way up to rounding, within 1e-15 relative.
     """
     if smap.data.shape != masks.data.shape:
         raise ValueError(

@@ -1,4 +1,4 @@
-"""Typed containers and file I/O for multi-modal volumes, masks, and saliency maps.
+"""Typed containers for volumes, masks and saliency maps, and all of the file I/O.
 
 The on-disk format ("MMV") is one UTF-8 JSON header line terminated by '\\n',
 followed immediately by the raw payload: little-endian IEEE-754 float32,
@@ -9,7 +9,9 @@ All containers are immutable after construction.
 from __future__ import annotations
 
 import contextlib
+import csv
 import functools
+import io
 import json
 import math
 import os
@@ -67,13 +69,30 @@ def _json_entry(doc, key, kind, where, each=None):
     return value
 
 
-def _read_json(path):
-    """The JSON document in the file at `path`, decoded as UTF-8; a file that
-    is not UTF-8 or not JSON is an MMVFormatError naming it."""
+def _read_json(where, data=None):
+    """The JSON document in the bytes `data`, or if None in the file at `where`,
+    decoded as UTF-8; one not UTF-8 or not JSON is an MMVFormatError naming `where`."""
     try:
-        return json.loads(Path(path).read_bytes().decode("utf-8"))
+        return json.loads((Path(where).read_bytes() if data is None else data).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MMVFormatError(f"{path}: {exc}") from exc
+        raise MMVFormatError(f"{where}: {exc}") from exc
+
+
+def _write_text(path, text):
+    """Write `text` at `path` as UTF-8, with "\\n" line ends on every platform."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def _write_json(path, doc):
+    """Write `doc` as JSON, indented, with sorted keys and one final newline."""
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path, rows):
+    """Write `rows` as a CSV table, quoted by the `csv` module, each row ending "\\n"."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    _write_text(path, text.getvalue())
 
 
 def _read_csv(path, header, numbers=()):
@@ -81,8 +100,6 @@ def _read_csv(path, header, numbers=()):
     `path`, blank rows skipped, each of the header's length and with finite
     floats in the `numbers` columns; else an MMVFormatError naming the file
     and, unless the header is wrong, the line."""
-    import csv  # here, as only the CLI and a `cmd:` oracle read tables
-
     lines = Path(path).read_bytes().splitlines(keepends=True)
     reader = csv.reader(line.decode("utf-8") for line in lines)
     try:
@@ -255,10 +272,7 @@ def _read_header(cls, fp, path, broadcast_to=None):
     line = fp.readline()
     if not line.endswith(b"\n"):
         raise MMVFormatError(f"{path}: missing header line terminator")
-    try:
-        header = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MMVFormatError(f"{path}: malformed header: {exc}") from exc
+    header = _read_json(f"{path}: malformed header", line)
     if _json_entry(header, "mmv", "integer", path) != MMV_VERSION:
         raise MMVFormatError(f"{path}: not an MMV v{MMV_VERSION} header")
     kind = _json_entry(header, "kind", "string", path)
@@ -392,9 +406,7 @@ def save_manifest(manifest: DatasetManifest, path):
             for r in manifest.records
         ],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        json.dump(doc, fp, indent=2, sort_keys=True)
-        fp.write("\n")
+    _write_json(path, doc)
 
 
 def load_manifest(path) -> DatasetManifest:

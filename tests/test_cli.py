@@ -174,6 +174,35 @@ class TestPipelineArtifacts:
         # the report read the runlogs' wall times
         assert {r[0] for r in rows[1:] if r[1] == "speed"} == {"feature_ablation", "kernel_shap"}
 
+    def test_every_text_file_has_one_final_newline_and_no_carriage_return(self, pipeline):
+        """tensorio writes every text file with "\\n" line ends, whatever the
+        platform, each ending in exactly one."""
+        names = ["data/manifest.json", "mi.csv", "scores.csv", "micorr.csv", "iou.csv",
+                 "summary.csv", "saliency/runlog_feature_ablation.json",
+                 "saliency/runlog_kernel_shap.json", "micorr.csv.meta.json", "matrix.svg"]
+        for name in names:
+            text = (pipeline / name).read_bytes()
+            assert text.endswith(b"\n") and not text.endswith(b"\n\n"), name
+            assert b"\r" not in text, name
+
+    @pytest.mark.parametrize("metric, scores", [("msfi", "scores.csv"), ("iou", "iou.csv")])
+    def test_only_mi_corr_leaves_a_sidecar(self, pipeline, tmp_path, metric, scores):
+        """A score table's sidecar describes the run that wrote the table: an
+        msfi or iou run removes the one an earlier mi-corr run left."""
+        out = tmp_path / "s.csv"
+        meta = Path(f"{out}.meta.json")
+        common = ["--manifest", str(pipeline / "data" / "manifest.json"),
+                  "--saliency-dir", str(pipeline / "saliency"), "--out", str(out)]
+        mi = ["--mi", str(pipeline / "mi.csv")]
+        run_cli("metrics", "mi-corr", *common, *mi)
+        assert meta.read_bytes() == (pipeline / "micorr.csv.meta.json").read_bytes()
+        run_cli("metrics", metric, *common, *(mi if metric == "msfi" else []))
+        assert not meta.exists()
+        assert out.read_bytes() == (pipeline / scores).read_bytes()
+        run_cli("metrics", "mi-corr", *common, *mi)
+        assert meta.read_bytes() == (pipeline / "micorr.csv.meta.json").read_bytes()
+        assert out.read_bytes() == (pipeline / "micorr.csv").read_bytes()
+
     def test_stats_friedman_runs(self, pipeline, capsys):
         run_cli("stats", "friedman", "--scores", str(pipeline / "scores.csv"))
         out = capsys.readouterr().out

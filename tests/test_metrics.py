@@ -144,6 +144,22 @@ class TestMSFI:
                 value, abs=1e-12
             )
 
+    def test_positive_rescaling_of_phi_moves_msfi_by_rounding_only(self):
+        """The phi-weighted mean rounds differently at another scale of phi,
+        so the docstring promises equality within 1e-15 relative, not bits."""
+        rng = np.random.default_rng(6)
+        moved = 0
+        for _ in range(2000):
+            data = rng.standard_normal((4, 6, 6))
+            masks = rng.random((4, 6, 6)) > 0.5
+            phi = rng.random(4)
+            value = msfi(smap(data), segmask(masks), phi)
+            for scale in (1.0 / phi.max(), rng.uniform(1e-3, 1e3)):
+                scaled = msfi(smap(data), segmask(masks), phi * scale)
+                assert abs(scaled - value) <= 1e-15 * value
+                moved += scaled != value
+        assert moved  # equality up to rounding is all there is to state
+
     def test_moving_mass_inside_mask_never_decreases(self):
         rng = np.random.default_rng(3)
         for _ in range(100):

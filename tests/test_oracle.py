@@ -1111,9 +1111,8 @@ class TestExternalOracle:
 
 def test_the_package_does_not_import_subprocess():
     """Only ExternalCommandOracle spawns, and it imports subprocess, tempfile,
-    shlex and string where it uses them, as tensorio._read_csv does csv: a
-    run on the built-in oracle does not load subprocess (about 0.6 MB with
-    shlex and string)."""
+    shlex and string where it uses them: a run on the built-in oracle does
+    not load subprocess (about 0.6 MB with shlex and string)."""
     code = textwrap.dedent("""\
         import sys
         import numpy

@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import REPO
 from mmsaliency.tensorio import (
     DatasetManifest,
     ManifestRecord,
@@ -503,3 +505,46 @@ def test_a_null_or_absent_mask_loads_as_none(tmp_path, mask):
     [loaded] = load_manifest(_write_manifest(tmp_path, [record])).records
     assert loaded.mask_path is None
     assert loaded.volume_path == str(tmp_path / "s0.mmv")
+
+
+def file_writes(source):
+    """The line numbers of the calls in `source` that may write a file: every
+    `write_text` and `write_bytes` call, and each call of `open` or of a
+    method `open` whose mode (the builtin's second argument, a method's
+    first, or `mode=`) holds "w", "a", "x" or "+", or is not a string literal."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            lines.append(node.lineno)
+        elif name == "open":
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            modes += node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            if any(not (isinstance(m, ast.Constant) and isinstance(m.value, str)
+                        and not set(m.value) & set("wax+")) for m in modes):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source, writes", [
+    ("open(p)", False), ("open(p, 'rb')", False), ("p.open()", False),
+    ("p.open('r', encoding='utf-8')", False), ("open(p, mode='r')", False),
+    ("open(p, 'w')", True), ("open(p, 'ab')", True), ("open(p, mode='x')", True),
+    ("open(p, 'r+')", True), ("p.open('w')", True), ("open(p, mode)", True),
+    ("p.write_text(t)", True), ("Path(p).write_bytes(b)", True),
+])
+def test_file_writes_finds_each_kind_of_write(source, writes):
+    assert bool(file_writes(source)) is writes
+
+
+def test_only_tensorio_writes_files():
+    """Every file the package writes, MMV or text, is written by tensorio, so
+    each format's bytes and line ends are decided in one module."""
+    package = REPO / "src" / "mmsaliency"
+    found = {path.name: file_writes(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert found.pop("tensorio.py")  # the guard sees tensorio's own writes
+    assert {name: lines for name, lines in found.items() if lines} == {}
