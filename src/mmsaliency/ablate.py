@@ -114,14 +114,19 @@ def coalition_performance(data, oracle, keep, policy):
 def _coalition_accuracies(samples, oracle, rows, policy):
     """Accuracy per keep row, from one plan per sample with no head: its items
     are the rows, ablated by apply_ablation with the sample's mask only if the
-    policy needs one (so a DatasetView reads no mask under `zero`). A label
-    the oracle does not predict is a ValueError naming the sample."""
+    policy needs one (so a DatasetView reads no mask under `zero`). Under
+    `zero`, a first row that keeps nothing is all +0.0 for every sample, and
+    is marked so (see oracle._evaluate). A label the oracle does not predict
+    is a ValueError naming the sample."""
+    zeroes = policy.variant is AblationVariant.ZERO_WHOLE_MODALITY
+    zero = 0 if zeroes and not np.any(rows[0]) else None
 
     def plan(s):
         label, what = s.record.label, f"sample {s.record.sample_id}: label"
         build = partial(apply_ablation, policy=policy, mask=s.mask if policy.needs_mask else None)
         return _Plan(s.volume, rows, build,
-                     lambda preds: [p.argmax == _checked_class(p, label, what) for p in preds])
+                     lambda preds: [p.argmax == _checked_class(p, label, what) for p in preds],
+                     zero=zero)
 
     hit_rows = [row for row, _ in _evaluate(map(plan, samples), oracle)]
     return [sum(hits) / len(samples) for hits in zip(*hit_rows)]
@@ -193,7 +198,8 @@ def shapley_mi(data, oracle, policy) -> ModalityImportance:
 
     Every coalition value is computed once and shared across all modalities'
     marginal contributions; all 2^M x N ablated volumes are evaluated as one
-    stream, sample by sample. `data` is a list of loaded samples or a
+    stream, sample by sample, but under `zero` the empty coalition's all-zero
+    volume once for all samples. `data` is a list of loaded samples or a
     DatasetView, which reads each sample from disk as the stream reaches it;
     either must keep to one layout (see tensorio._dataset), whose modality
     names label the result, and is checked before any oracle call.

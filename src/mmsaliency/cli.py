@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import itertools
 import os
 import shutil
@@ -136,11 +137,13 @@ def cmd_mi_compute(args):
     manifest, samples, (names, _) = _load_samples(args.manifest)
     oracle = _build_oracle(args, names, manifest.class_names)
     policy = AblationPolicy(AblationVariant(args.policy), rng_seed=args.seed)
-    mi = shapley_mi(samples, oracle, policy)
-    rows = [["modality", "phi", "normalized", "variant"]]
-    for name, phi, norm in zip(names, mi.phi, mi.normalized):
-        rows.append([name, repr(phi), repr(norm), mi.variant])
-    _write_csv(args.out, rows)
+    with _staged() as stage:
+        out = stage(args.out)
+        mi = shapley_mi(samples, oracle, policy)
+        rows = [["modality", "phi", "normalized", "variant"]]
+        for name, phi, norm in zip(names, mi.phi, mi.normalized):
+            rows.append([name, repr(phi), repr(norm), mi.variant])
+        _write_csv(out, rows)
     print(f"wrote modality importance ({mi.variant}) to {args.out}")
 
 
@@ -196,42 +199,66 @@ def cmd_saliency_run(args):
         )
     oracle = _build_oracle(args, names, manifest.class_names)
     out_dir, files = Path(args.out_dir), {}
-    with _staged(out_dir) as stage:
+    with _staged() as stage:
+        runlog_path = stage(out_dir / f"runlog_{method.value}.json")
 
         def write(sample_id, smap):
             files[sample_id] = f"{sample_id}_{method.value}.mmv"
-            write_saliency(smap, stage / files[sample_id])
+            write_saliency(smap, stage(out_dir / files[sample_id]))
 
         _, runlog = generate_maps(samples, oracle, cfg, on_map=write)
         runlog["files"] = files
-        _write_json(stage / f"runlog_{method.value}.json", runlog)
+        _write_json(runlog_path, runlog)
     print(f"wrote {len(files)} {method.value} maps to {out_dir}")
 
 
 @contextlib.contextmanager
-def _staged(out_dir):
-    """Yield a fresh directory inside `out_dir` for the files of one run.
+def _staged(drop=()):
+    """Yield `stage`, which maps the path of one of a run's output files to
+    the path to write it at: a file in a fresh directory inside the output's
+    directory, which is made with its missing parents at the first `stage`.
 
-    `out_dir` and its missing parents are made first. When the block ends
-    normally, each staged file replaces its namesake in `out_dir`; when it
-    raises, the staged files and every directory made here are removed, and
-    no file that was in `out_dir` before is touched.
+    An output, or a path in `drop`, that is a directory is an
+    IsADirectoryError when it is named. When the block ends normally, each
+    staged file replaces its output and each path in `drop` is removed; when
+    it raises, the staged files and every directory made here are removed,
+    and no file that was there before is touched.
     """
-    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
+    stages, made = {}, []
+
+    def stage(path):
+        path = _not_a_directory(path)
+        if path.parent not in stages:
+            made.extend(d for d in (path.parent, *path.parent.parents) if not d.exists())
+            path.parent.mkdir(parents=True, exist_ok=True)
+            stages[path.parent] = Path(tempfile.mkdtemp(prefix=".staged-", dir=path.parent))
+        return stages[path.parent] / path.name
+
+    drop = [_not_a_directory(path) for path in drop]
     try:
-        stage = Path(tempfile.mkdtemp(prefix=".staged-", dir=out_dir))
         try:
             yield stage
-            for path in sorted(stage.iterdir()):
-                os.replace(path, out_dir / path.name)
+            for out_dir, staged in stages.items():
+                for path in sorted(staged.iterdir()):
+                    os.replace(path, out_dir / path.name)
+            for path in drop:
+                path.unlink(missing_ok=True)
         finally:
-            shutil.rmtree(stage, ignore_errors=True)
+            for staged in stages.values():
+                shutil.rmtree(staged, ignore_errors=True)
     except BaseException:
-        for d in made:  # deepest first; one that is not empty stays
+        # deepest first; one that is not empty stays
+        for d in sorted(made, key=lambda d: len(d.parts), reverse=True):
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise
+
+
+def _not_a_directory(path):
+    path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    return path
 
 
 def _load_mi_csv(path, modality_names):
@@ -277,30 +304,32 @@ def cmd_metrics(args):
                 raise ValueError(f"{method}: no saliency file for {rec.sample_id}")
             if args.metric in ("msfi", "iou") and rec.mask_path is None:
                 raise ValueError(f"{rec.sample_id}: {args.metric} needs a mask")
-    # every method's map of a sample is checked against the layout and scored while
-    # the sample is loaded; the rows go out method by method, each in sample order
-    scores = {method: [] for method in runlogs}
-    for s in samples:
-        sid = s.record.sample_id
-        for method, (directory, runlog) in runlogs.items():
-            path = directory / runlog["files"][sid]
-            smap = read_saliency(path)
-            _fit_layout(layout, sid, (path, smap.modality_names, smap.data.shape))
-            if args.metric == "msfi":
-                value = msfi(postprocess(smap), s.mask, norm)
-            elif args.metric == "mi-corr":
-                value = kendall_tau_b(estimated_mi(smap), phi)
-            else:
-                value = iou(postprocess(smap), s.mask, threshold=args.iou_threshold)
-            scores[method].append([sid, method, args.metric.replace("-", "_"), repr(value)])
-        del s, smap  # not held while the next sample is read
-    rows = [["sample_id", "method", "metric", "value"], *itertools.chain(*scores.values())]
-    _write_csv(args.out, rows)
-    meta = Path(f"{args.out}.meta.json")
-    if args.metric == "mi-corr":
-        _write_json(meta, {"metric": "mi_corr", "estimated_mi_source": "raw_positive_part"})
-    else:  # a sidecar left by an earlier mi-corr run would describe these rows
-        meta.unlink(missing_ok=True)
+    meta = f"{args.out}.meta.json"
+    # a sidecar left by an earlier mi-corr run would describe an msfi or iou run's rows
+    with _staged(drop=() if args.metric == "mi-corr" else [meta]) as stage:
+        out = stage(args.out)
+        # every method's map of a sample is checked against the layout and scored while
+        # the sample is loaded; the rows go out method by method, each in sample order
+        scores = {method: [] for method in runlogs}
+        for s in samples:
+            sid = s.record.sample_id
+            for method, (directory, runlog) in runlogs.items():
+                path = directory / runlog["files"][sid]
+                smap = read_saliency(path)
+                _fit_layout(layout, sid, (path, smap.modality_names, smap.data.shape))
+                if args.metric == "msfi":
+                    value = msfi(postprocess(smap), s.mask, norm)
+                elif args.metric == "mi-corr":
+                    value = kendall_tau_b(estimated_mi(smap), phi)
+                else:
+                    value = iou(postprocess(smap), s.mask, threshold=args.iou_threshold)
+                scores[method].append([sid, method, args.metric.replace("-", "_"), repr(value)])
+            del s, smap  # not held while the next sample is read
+        rows = [["sample_id", "method", "metric", "value"], *itertools.chain(*scores.values())]
+        _write_csv(out, rows)
+        if args.metric == "mi-corr":
+            _write_json(stage(meta),
+                        {"metric": "mi_corr", "estimated_mi_source": "raw_positive_part"})
     print(f"wrote {len(rows) - 1} scores to {args.out}")
 
 
@@ -344,9 +373,11 @@ def cmd_report_matrix(args):
     runlogs = _load_runlogs(args.runlog) if args.runlog else {}
     wall = {method: list(r["wall_time"].values()) for method, (_, r) in runlogs.items()}
     summaries = report_mod.summarize(records, wall)
-    _write_text(args.out, report_mod.render_matrix(summaries))
-    if args.csv:
-        _write_csv(args.csv, report_mod.summary_csv_rows(summaries))
+    with _staged() as stage:
+        svg, table = stage(args.out), args.csv and stage(args.csv)
+        _write_text(svg, report_mod.render_matrix(summaries))
+        if table:
+            _write_csv(table, report_mod.summary_csv_rows(summaries))
     order = ", ".join(s.method for s in summaries)
     print(f"wrote matrix ({order}) to {args.out}")
 

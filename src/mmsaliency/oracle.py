@@ -427,40 +427,57 @@ class _Plan(NamedTuple):
     one volume per entry of `items` (a keep row, an occlusion window or a
     (voxels, donor data) pair), in item order; `reduce` turns the share's
     predictions, in order, into its result; `head` puts the volume itself
-    first, evaluated apart from any equal perturbed volume."""
+    first, evaluated apart from any equal perturbed volume; `zero`, if not
+    None, is the position in `items` of one whose built volume is all +0.0."""
 
     volume: MultiModalVolume
     items: Sequence
     build: Callable[[MultiModalVolume, object], MultiModalVolume]
     reduce: Callable[[list], object]
     head: bool = False
+    zero: int | None = None
 
 
 def _evaluate(plans, oracle):
     """Evaluate the plans' shares as one stream, each its head and then its
     items' volumes, built here and nowhere else; yield each plan's
-    `reduce(predictions)` and its number of evaluations, in order. Every plan
-    has at least one evaluation; a batch oracle's chunks may span plans.
-    `plans` is iterated once, as the stream reaches each plan, and no plan is
-    held once reduced: only the plans that the current chunk spans are alive,
-    and on the per-item path one, whose volumes are each built only after
-    the one before it is predicted."""
-    started = collections.deque()  # plans the stream has reached, not yet reduced
+    `reduce(predictions)` and its number of evaluations, in order. The
+    all-zero volume of one dtype, shape and modality names is built and sent
+    for the first plan that marks it (`zero`) and not for a later one, unless
+    it is that plan's only evaluation: every plan has at least one, and a
+    later plan's reduce gets the first one's prediction in its place. A batch
+    oracle's chunks may span plans. `plans` is iterated once, as the stream
+    reaches each plan, and no plan is held once reduced: only the plans that
+    the current chunk spans are alive, and on the per-item path one, whose
+    volumes are each built only after the one before it is predicted."""
+    started = collections.deque()  # (plan, zero key, zero skipped): reached, not yet reduced
+    sent, zeros = set(), {}  # the zero keys sent, and their predictions once reduced
 
     def stream():
         for plan in plans:
-            started.append(plan)
+            key = skip = None
+            if plan.zero is not None:
+                key = (plan.volume.data.dtype, plan.volume.data.shape, plan.volume.modality_names)
+                skip = key in sent and plan.head + len(plan.items) > 1
+                sent.add(key)
+            started.append((plan, key, skip))
             if plan.head:
                 yield plan.volume
-            for item in plan.items:
-                yield plan.build(plan.volume, item)
+            for i, item in enumerate(plan.items):
+                if not (skip and i == plan.zero):
+                    yield plan.build(plan.volume, item)
             del plan  # not held while the next plan is made
 
     preds = predict_volumes(oracle, stream())
     for first in preds:
-        plan = started.popleft()
-        n_evals = plan.head + len(plan.items)
-        yield plan.reduce([first, *itertools.islice(preds, n_evals - 1)]), n_evals
+        plan, key, skip = started.popleft()
+        n_evals = plan.head + len(plan.items) - bool(skip)
+        got = [first, *itertools.islice(preds, n_evals - 1)]
+        if skip:
+            got.insert(plan.head + plan.zero, zeros[key])
+        elif key is not None:
+            zeros.setdefault(key, got[plan.head + plan.zero])
+        yield plan.reduce(got), n_evals
         del plan
 
 
@@ -470,7 +487,9 @@ def predict_volumes(oracle, volumes):
     ClassProbabilities, and may offer `predict_batch(volumes)`, used instead,
     returning one per volume of a list, in order. A prediction must be a
     function of the volume alone, in any call and any batch: the saliency
-    methods evaluate each distinct perturbation once and reuse its prediction.
+    methods evaluate each distinct perturbation once and reuse its
+    prediction, and a stream evaluates an all-zero volume once for every
+    sample whose volume has its dtype, shape and modality names.
 
     A batch oracle gets lists of up to BATCH_BYTES of volume data; a volume
     larger than the budget goes alone, and a call that returns a different

@@ -91,7 +91,9 @@ class MethodConfig:
 
     target_class=None means "explain the predicted class". n_samples counts
     the random draws of lime, shapley_sampling and kernel_shap; the oracle
-    evaluates only the distinct keep rows among them. `exhaustive` makes the
+    evaluates only the distinct keep rows among them, and a row that drops
+    every segment once for all the samples whose volumes have no sign bit
+    set (see _segment_plans). `exhaustive` makes the
     sampling estimators (shapley_sampling, kernel_shap) return exact Shapley
     values from all 2^K coalitions (K <= 12 segments); n_samples is ignored
     in that mode.
@@ -171,7 +173,9 @@ def _segment_plans(volumes, grid, rows, reduce):
     target probabilities into one value per segment, broadcast over the grid.
     The rows are deduplicated once for all volumes: each distinct row is
     evaluated once per volume, in order of first occurrence, and its
-    probability is passed to `reduce` for every row equal to it.
+    probability is passed to `reduce` for every row equal to it. A distinct
+    row that drops every segment is marked as the plan's `zero` for a volume
+    with no sign bit set, so the stream evaluates it once for all samples.
     """
     # seen[row bytes]: the row's position among the distinct rows and the
     # first row with those bytes. A dict over the row bytes is >10x faster
@@ -202,7 +206,15 @@ def _segment_plans(volumes, grid, rows, reduce):
     def reduce_rows(probs):
         return reduce(probs[where])[grid.segment_ids]
 
-    return map(lambda volume: _Plan(volume, distinct, kept, reduce_rows), volumes)
+    # the position of the distinct row that keeps nothing, if any; kept
+    # multiplies, so a dropped negative voxel or -0.0 stays -0.0
+    blank = seen.get(bytes(rows.shape[1]), (None,))[0]
+
+    def plan(volume):
+        zero = None if blank is None or np.signbit(volume.data).any() else blank
+        return _Plan(volume, distinct, kept, reduce_rows, zero=zero)
+
+    return map(plan, volumes)
 
 
 def _solve(gram, rhs, what):
@@ -302,7 +314,10 @@ def _occlusion_plan(volume, windows, cfg):
         mu, sd = stats[sl[0]]
         data = volume.data.copy()
         data[sl] = rng.normal(mu, sd, size=data[sl].shape) if sd > 0.0 else mu
-        return MultiModalVolume(volume.modality_names, data)
+        # only the window changed, so only its values are checked
+        if not np.isfinite(data[sl]).all():
+            raise ValueError("data contains non-finite values")
+        return MultiModalVolume._trusted(volume.modality_names, data)
 
     def reduce(probs):
         accum = np.zeros_like(volume.data, dtype=np.float64)
@@ -434,7 +449,8 @@ def shapley_sampling(volume, oracle, cfg, grid: SegmentGrid) -> SaliencyMap:
     Segments are added in permutation order starting from an all-zero
     baseline, over n_samples random orderings: n_samples * K + 1 keep rows,
     of which each distinct one is evaluated once (every ordering ends on the
-    full coalition). cfg.exhaustive returns exact Shapley values instead (the
+    full coalition); the all-zero baseline is evaluated once for all the
+    samples of a run. cfg.exhaustive returns exact Shapley values instead (the
     mean over all K! orderings) from the 2^K coalition table; see
     _exact_shapley_plans.
     """

@@ -206,17 +206,23 @@ class MultiModalVolume(_Field):
         return MultiModalVolume(self.modality_names, data)
 
     @classmethod
+    def _trusted(cls, modality_names, data):
+        """A volume made without the checks of _freeze, for data that pass
+        them: a fresh finite array of a checked volume's dtype and shape,
+        made read-only here, and that volume's names."""
+        data.setflags(write=False)
+        volume = object.__new__(cls)
+        object.__setattr__(volume, "modality_names", modality_names)
+        object.__setattr__(volume, "data", data)
+        return volume
+
+    @classmethod
     def _masked(cls, volume, keep):
         """`volume` times `keep`, an array of its shape, or of its dims to be
         broadcast over the modalities, that is bool or holds 0 and 1 in the
-        volume's dtype, made without the checks of _freeze: that product of a
-        validated volume keeps its dtype, shape and finiteness."""
-        data = volume.data * keep
-        data.setflags(write=False)
-        masked = object.__new__(cls)
-        object.__setattr__(masked, "modality_names", volume.modality_names)
-        object.__setattr__(masked, "data", data)
-        return masked
+        volume's dtype, made by _trusted: that product of a validated volume
+        keeps its dtype, shape and finiteness."""
+        return cls._trusted(volume.modality_names, volume.data * keep)
 
 
 @dataclass(frozen=True, eq=False)

@@ -326,8 +326,25 @@ class TestShapleyMI:
                 return ClassProbabilities((0.7, 0.3))
 
         shapley_mi(samples, CountingOracle(), ZERO)
-        # 2^2 coalitions x 3 samples, each evaluated exactly once
-        assert len(calls) == 4 * 3
+        # 2^2 coalitions x 3 samples, each evaluated exactly once, but the
+        # empty coalition's all-zero volume once for all samples
+        assert len(calls) == 4 * 3 - 2
+
+    def test_an_empty_coalition_alone_is_evaluated_for_every_sample(self):
+        # a sample's only evaluation is its all-zero volume, which it makes
+        # itself: every plan of the stream has at least one evaluation
+        rng = np.random.default_rng(13)
+        samples = [make_sample(f"s{i}", make_volume(rng, 2, (3, 3), low=0.2), label=i % 2)
+                   for i in range(3)]
+        calls = []
+
+        class CountingOracle:
+            def predict(self, volume):
+                calls.append(volume.data.any())
+                return ClassProbabilities((0.7, 0.3))
+
+        assert coalition_performance(samples, CountingOracle(), [False, False], ZERO) == 2 / 3
+        assert calls == [False] * 3
 
     def test_cap_precedes_any_oracle_call(self):
         rng = np.random.default_rng(14)
@@ -379,7 +396,8 @@ class TestDatasetViewInput:
         batched = [self.Batched(), self.Batched()]
         assert shapley_mi(listed, batched[0], policy) == expected
         assert shapley_mi(DatasetView(manifest), batched[1], policy) == expected
-        assert batched[0].items == batched[1].items == 16 * 5
+        # under zero, the all-zero volume of the empty coalition once for all samples
+        assert batched[0].items == batched[1].items == 16 * 5 - 4 * (variant == "zero")
 
 
 class TestMsfiInvarianceToMiScale:

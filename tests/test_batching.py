@@ -90,6 +90,22 @@ def _stream_length(method):
     return len(set(sampled_keep_rows(method.value, k, 40, seed=9)))
 
 
+def _zero_row(method):
+    """1 if one of _cfg(method)'s distinct rows drops every segment: its
+    all-zero volume is evaluated for the first sample only (see
+    oracle._evaluate)."""
+    if method in (*BASELINE_METHODS, SaliencyMethod.FEATURE_ABLATION):
+        return 0  # no keep rows, or one dropped segment of K = 8 per row
+    k = default_grid_for(method, 2, (8, 8), 4).n_segments
+    return int((False,) * k in sampled_keep_rows(method.value, k, 40, seed=9))
+
+
+def _sample_evals(method, target_class):
+    """The evaluations of the 3 samples of _samples(), in order."""
+    n = _heads(method, target_class) + _stream_length(method)
+    return [n, n - _zero_row(method), n - _zero_row(method)]
+
+
 def _heads(method, target_class):
     """1 if each sample's unperturbed volume heads its share of the stream."""
     return int(target_class is None or method in BASELINE_METHODS)
@@ -117,16 +133,17 @@ def test_maps_equal_the_per_item_path(method, chunk_volumes, monkeypatch):
 def test_keep_drop_methods_make_one_batch_call_per_sample(method):
     stub = BatchStub(INNER)
     generate_maps(_samples(), stub, _cfg(method))
-    # per sample the unperturbed head, then every distinct perturbation; the
-    # 3 samples' streams make one stream, which fits in one chunk
-    assert stub.calls == [3 * (1 + _stream_length(method))]
+    # per sample the unperturbed head, then every distinct perturbation but a
+    # repeated all-zero volume; the 3 samples' streams make one stream, which
+    # fits in one chunk
+    assert stub.calls == [sum(_sample_evals(method, None))]
 
 
 @pytest.mark.parametrize("method", HEADLESS_METHODS)
 def test_a_set_target_sends_no_head(method):
     stub = BatchStub(INNER)
     batched, _ = generate_maps(_samples(), stub, replace(_cfg(method), target_class=1))
-    assert stub.calls == [3 * _stream_length(method)]
+    assert stub.calls == [sum(_sample_evals(method, 1))]
     per_item, _ = generate_maps(_samples(), INNER, replace(_cfg(method), target_class=1))
     _assert_same_maps(batched, per_item)
 
@@ -166,7 +183,7 @@ def test_chunks_that_split_a_sample_give_the_per_item_maps(
     batched, _ = generate_maps(_samples(), stub, cfg)
     # full chunks, so one holds the tail of sample 0 and the head of sample 1
     assert per_sample % chunk
-    assert sum(stub.calls) == 3 * per_sample
+    assert sum(stub.calls) == sum(_sample_evals(method, target_class))
     assert stub.calls[:-1] == [chunk] * (len(stub.calls) - 1)
     _assert_same_maps(batched, generate_maps(_samples(), INNER, cfg)[0])
 
@@ -183,11 +200,11 @@ def test_per_item_path_builds_each_volume_after_the_last_is_predicted(
             events.append(("built", self))
 
         @classmethod
-        def _masked(cls, volume, keep):
-            # keep-row volumes are made without __post_init__
-            masked = super()._masked(volume, keep)
-            events.append(("built", masked))
-            return masked
+        def _trusted(cls, modality_names, data):
+            # keep-row and occlusion-window volumes are made without __post_init__
+            volume = super()._trusted(modality_names, data)
+            events.append(("built", volume))
+            return volume
 
     class Recording:
         def predict(self, volume):
@@ -199,10 +216,10 @@ def test_per_item_path_builds_each_volume_after_the_last_is_predicted(
     generate_maps(samples, Recording(), _cfg(method))
     built = iter([volume for event, volume in events if event == "built"])
     expected = []
-    for s in samples:
+    for evals, s in zip(_sample_evals(method, None), samples):
         # the sample's own volume heads its share of the stream unbuilt
         expected.append(("predicted", s.volume))
-        for _ in range(_stream_length(method)):
+        for _ in range(evals - 1):
             volume = next(built)
             expected += [("built", volume), ("predicted", volume)]
     assert next(built, None) is None
@@ -225,9 +242,8 @@ def test_runlog_oracle_evals_add_up_to_the_oracle_calls(method, target_class):
     elapsed = time.perf_counter() - start
     assert set(runlog["oracle_evals"]) == set(runlog["wall_time"]) == set(maps)
     assert sum(runlog["oracle_evals"].values()) == len(calls)
-    assert set(runlog["oracle_evals"].values()) == {
-        _heads(method, target_class) + _stream_length(method)
-    }
+    # the first sample pays for a shared all-zero volume
+    assert list(runlog["oracle_evals"].values()) == _sample_evals(method, target_class)
     # each sample's time runs from the previous map, or the call's start, to its own
     assert all(t >= 0.0 for t in runlog["wall_time"].values())
     assert sum(runlog["wall_time"].values()) <= elapsed
@@ -241,8 +257,13 @@ def test_shapley_mi_is_one_stream(budget, policy, monkeypatch):
     samples = _masked_samples()
     stub = BatchStub(INNER)
     assert shapley_mi(samples, stub, policy) == shapley_mi(samples, INNER, policy)
-    # 2^2 coalitions x 3 samples, and no head
-    assert stub.calls == ([12] if budget is None else [5, 5, 2])
+    # 2^2 coalitions x 3 samples, and no head; under zero the empty
+    # coalition's all-zero volume is sent for the first sample only
+    zero = policy.variant is AblationVariant.ZERO_WHOLE_MODALITY
+    if budget is None:
+        assert stub.calls == [10 if zero else 12]
+    else:
+        assert stub.calls == ([5, 5] if zero else [5, 5, 2])
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.variant.value)
@@ -266,10 +287,12 @@ def test_per_item_path_builds_each_ablated_volume_after_the_last_is_predicted(
     shapley_mi(samples, Recording(), policy)
     built = iter([volume for event, volume in events if event == "built"])
     expected = []
-    for s in samples:
+    zero = policy.variant is AblationVariant.ZERO_WHOLE_MODALITY
+    for i, s in enumerate(samples):
         # 2^M coalitions and no head: every row but the last is built, and
-        # the last, which keeps every modality, is the sample's own volume
-        for _ in coalition_table(2, "modalities")[:-1]:
+        # the last, which keeps every modality, is the sample's own volume;
+        # under zero, row 0's all-zero volume is built for the first sample only
+        for _ in coalition_table(2, "modalities")[int(zero and i > 0):-1]:
             volume = next(built)
             expected += [("built", volume), ("predicted", volume)]
         expected.append(("predicted", s.volume))
@@ -320,3 +343,63 @@ def test_per_item_path_streams_one_volume_at_a_time():
         for i in range(3)
         for event in (("built", i), ("predicted", i), ("consumed", None))
     ]
+
+
+class BytesRecording:
+    """Records the bytes of every volume it predicts, by INNER's rule."""
+
+    def __init__(self):
+        self.seen = []
+
+    def predict(self, volume):
+        self.seen.append((volume.data.dtype.str, volume.data.tobytes()))
+        return INNER.predict(volume)
+
+
+def _zero_volumes(seen):
+    """The dtypes of the all-+0.0 volumes among BytesRecording.seen."""
+    return [dtype for dtype, data in seen if not any(data)]
+
+
+SHARING_METHODS = [SaliencyMethod.SHAPLEY_SAMPLING, SaliencyMethod.KERNEL_SHAP]
+
+
+@pytest.mark.parametrize("fault", ["negative voxel", "negative zero"])
+@pytest.mark.parametrize("method", SHARING_METHODS)
+def test_a_volume_with_a_sign_bit_gets_its_own_all_drop_row(method, fault):
+    samples = _samples()
+    data = samples[1].volume.data.copy()
+    data[1, 2, 3] = -0.25 if fault == "negative voxel" else -0.0
+    samples[1] = make_sample("s1", MultiModalVolume(samples[1].volume.modality_names, data))
+    shared = BytesRecording()
+    maps, runlog = generate_maps(samples, shared, _cfg(method))
+    # what each sample sends alone, where nothing is shared: the stream the
+    # oracle got before the all-zero volume was shared
+    alone = BytesRecording()
+    for s in samples:
+        _assert_same_maps({s.record.sample_id: maps[s.record.sample_id]},
+                          generate_maps([s], alone, _cfg(method))[0])
+    n = 1 + _stream_length(method)
+    assert list(runlog["oracle_evals"].values()) == [n, n, n - 1]
+    # the same bytes in the same order, but for s2's all-zero volume, which s0's stands for
+    first, second, third = (alone.seen[i * n:(i + 1) * n] for i in range(3))
+    assert shared.seen == first + second + [v for v in third if any(v[1])]
+    # s1's all-drop volume keeps the sign of a negative voxel or a -0.0
+    signed_zero = (data.dtype.str, (data * 0).tobytes())
+    assert signed_zero not in first and signed_zero in second
+    assert _zero_volumes(shared.seen) == [data.dtype.str]
+
+
+@pytest.mark.parametrize("method", SHARING_METHODS)
+def test_mixed_dtypes_get_one_zero_volume_each(method):
+    samples = [make_sample(s.record.sample_id,
+                           MultiModalVolume(s.volume.modality_names,
+                                            s.volume.data.astype([np.float32, np.float64][i % 2])))
+               for i, s in enumerate(_samples(4))]
+    recording = BytesRecording()
+    maps, runlog = generate_maps(samples, recording, _cfg(method))
+    assert _zero_volumes(recording.seen) == [np.dtype(np.float32).str, np.dtype(np.float64).str]
+    n = 1 + _stream_length(method)
+    assert list(runlog["oracle_evals"].values()) == [n, n, n - 1, n - 1]
+    assert sum(runlog["oracle_evals"].values()) == len(recording.seen)
+    _assert_same_maps(maps, generate_maps(samples, INNER, _cfg(method))[0])

@@ -487,7 +487,8 @@ class TestInputChecks:
         with pytest.raises(SystemExit) as err:
             main(argv)
         line = assert_one_error_line(err, argv)
-        assert "predict_batch returned 127 predictions for 128 volumes" in line
+        # 2^4 coalitions x 8 samples, the empty coalition's all-zero volume sent once
+        assert "predict_batch returned 120 predictions for 121 volumes" in line
         assert not out.exists()
 
     @pytest.mark.parametrize("param, match", [
@@ -872,6 +873,101 @@ class TestStagedOutputs:
         changed = {name for name in first if first[name] != second[name]}
         assert changed == {Path(f"s000{i}_occlusion.mmv") for i in range(3)} | {
             Path("runlog_occlusion.json")}
+
+
+class TestStagedFiles:
+    """`mi compute`, `metrics` and `report matrix` stage their files as
+    `saliency run` does: a run that fails leaves every earlier file as it
+    was, and the missing parents of an output are made, and removed again
+    if the run fails."""
+
+    @staticmethod
+    def metrics(pipeline, metric, out):
+        argv = ["metrics", metric, "--manifest", str(pipeline / "data" / "manifest.json"),
+                "--saliency-dir", str(pipeline / "saliency"), "--out", str(out)]
+        return argv + ([] if metric == "iou" else ["--mi", str(pipeline / "mi.csv")])
+
+    @pytest.mark.parametrize("metric", ["mi-corr", "msfi", "iou"])
+    def test_a_sidecar_in_the_way_leaves_the_old_table(self, pipeline, tmp_path, metric):
+        out = tmp_path / "s.csv"
+        # a table that the run would overwrite with other rows
+        run_cli(*self.metrics(pipeline, "iou" if metric == "msfi" else "msfi", out))
+        before = out.read_bytes()
+        Path(f"{out}.meta.json").mkdir()
+        argv = self.metrics(pipeline, metric, out)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert "Is a directory" in assert_one_error_line(err, argv)
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.csv.meta.json"]
+
+    @pytest.mark.parametrize("fault", ["a directory", "under a file"])
+    def test_a_summary_that_cannot_be_written_leaves_the_old_svg(self, pipeline, tmp_path,
+                                                                  fault):
+        svg, table = tmp_path / "matrix.svg", tmp_path / "summary.csv"
+        run_cli("report", "matrix", "--scores", str(pipeline / "scores.csv"),
+                "--out", str(svg), "--csv", str(table))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        blocked = tmp_path / "blocked"  # the new summary's path, or its parent
+        if fault == "a directory":
+            blocked.mkdir()
+        else:
+            blocked.write_text("a file\n")
+            blocked = blocked / "summary.csv"
+        # one method's scores, whose matrix differs from the two methods' one
+        scores = tmp_path / "one.csv"
+        rows = read_rows(pipeline / "scores.csv")
+        write_rows(scores, [row for row in rows if row[1] != "kernel_shap"])
+        before["one.csv"] = scores.read_bytes()
+        argv = ["report", "matrix", "--scores", str(scores),
+                "--out", str(svg), "--csv", str(blocked)]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert_one_error_line(err, argv)
+        assert svg.read_bytes() == before["matrix.svg"]
+        assert table.read_bytes() == before["summary.csv"]
+        # nothing staged is left behind
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "blocked", "matrix.svg", "one.csv", "summary.csv"]
+
+    def test_missing_parents_are_made(self, pipeline, tmp_path):
+        mi = tmp_path / "new" / "mi" / "mi.csv"
+        run_cli("mi", "compute", "--manifest", str(pipeline / "data" / "manifest.json"),
+                "--policy", "zero", "--out", str(mi))
+        assert mi.read_bytes() == (pipeline / "mi.csv").read_bytes()
+        svg, table = tmp_path / "new" / "svg" / "m.svg", tmp_path / "other" / "s.csv"
+        run_cli("report", "matrix", "--scores", str(pipeline / "scores.csv"),
+                "--runlog", str(pipeline / "saliency"), "--out", str(svg), "--csv", str(table))
+        assert svg.read_bytes() == (pipeline / "matrix.svg").read_bytes()
+        assert table.read_bytes() == (pipeline / "summary.csv").read_bytes()
+        # nothing staged is left behind
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                      if p.is_file()) == ["new/mi/mi.csv", "new/svg/m.svg", "other/s.csv"]
+
+    @pytest.mark.parametrize("command", ["mi", "metrics", "report"])
+    def test_a_failed_run_removes_the_parents_it_made(self, pipeline, tmp_path, command):
+        out = tmp_path / "new" / "deeper" / "out.csv"
+        manifest = str(pipeline / "data" / "manifest.json")
+        if command == "mi":
+            argv = ["mi", "compute", "--manifest", manifest, "--oracle",
+                    "cmd:false {input_dir} {output_csv}", "--out", str(out)]
+        elif command == "metrics":
+            # the last sample's map, out of layout, is read after the table is staged
+            sal = tmp_path / "saliency"
+            shutil.copytree(pipeline / "saliency", sal)
+            path = sorted(sal.glob("*_feature_ablation.mmv"))[-1]
+            smap = read_saliency(path)
+            write_saliency(SaliencyMap(smap.modality_names[::-1], smap.data[::-1]), path)
+            argv = self.metrics(pipeline, "iou", out)
+            argv[argv.index("--saliency-dir") + 1] = str(sal)
+        else:
+            (tmp_path / "file").write_text("a file\n")
+            argv = ["report", "matrix", "--scores", str(pipeline / "scores.csv"),
+                    "--out", str(out), "--csv", str(tmp_path / "file" / "s.csv")]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert_one_error_line(err, argv)
+        assert not (tmp_path / "new").exists()
 
 
 # the values a mutated entry takes, and the JSON type of each
@@ -1379,7 +1475,7 @@ class TestExternalOracleCli:
         assert not out.exists()
 
     def test_command_oracle_spawns_once_per_chunk(self, tmp_path):
-        """MI and occlusion through a logging `cmd:` scorer equal `--oracle builtin`.
+        """MI, kernel_shap and occlusion through a logging `cmd:` scorer equal `--oracle builtin`.
 
         The scorer applies the built-in shape rule at the CLI defaults and logs
         one line per spawn, so the spawn count is checked against chunks, not
@@ -1426,16 +1522,27 @@ class TestExternalOracleCli:
             run_cli("mi", "compute", "--manifest", str(manifest), "--policy", "zero",
                     "--oracle", oracle, "--out", str(out / "mi.csv"))
             mi_spawns = spawns()
+            run_cli("saliency", "run", "--manifest", str(manifest), "--method", "kernel_shap",
+                    "--params", "block_shape=16,exhaustive=1", "--oracle", oracle,
+                    "--out-dir", str(out))
+            shap_spawns = spawns()
             run_cli("saliency", "run", "--manifest", str(manifest), "--method", "occlusion",
                     "--params", "window=16,stride=16", "--oracle", oracle,
                     "--out-dir", str(out))
             outputs[oracle] = [
                 (out / name).read_bytes()
-                for name in ("mi.csv", "s0000_occlusion.mmv", "s0001_occlusion.mmv")
+                for name in ("mi.csv", "s0000_occlusion.mmv", "s0001_occlusion.mmv",
+                             "s0000_kernel_shap.mmv", "s0001_kernel_shap.mmv")
             ]
+            evals = json.loads((out / "runlog_kernel_shap.json").read_text())["oracle_evals"]
+            assert evals == {"s0000": 1 + 16, "s0001": 16}
         assert outputs[command] == outputs["builtin"]
-        # 2^4 coalitions x 2 samples in one spawn
-        assert mi_spawns == [[32, ["LGG", "HGG"]]]
+        # per sample, the head and the 2^4 coalitions of 2 x 2 shared blocks,
+        # the empty coalition's all-zero volume sent once
+        assert shap_spawns == [[2 * (1 + 16) - 1, ["LGG", "HGG"]]]
+        # 2^4 coalitions x 2 samples in one spawn, the empty coalition's
+        # all-zero volume sent once
+        assert mi_spawns == [[31, ["LGG", "HGG"]]]
         # per sample, the unperturbed head that fixes the target and that the
         # reduction reads, then 4 modalities x 4 windows; both samples' 34
         # evaluations are one stream, which fits in one spawn
