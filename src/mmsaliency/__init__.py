@@ -10,7 +10,6 @@ from .ablate import (
     AblationPolicy,
     AblationVariant,
     ModalityImportance,
-    apply_ablation,
     coalition_performance,
     coalition_table,
     exact_shapley,

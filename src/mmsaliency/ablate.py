@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -60,76 +59,64 @@ class AblationPolicy:
         return "feat" if self.variant is AblationVariant.ZERO_FEATURE_REGION else "mod"
 
 
-def apply_ablation(volume, keep, policy: AblationPolicy, mask=None):
-    """Return a volume with every modality whose `keep` entry is False ablated.
-
-    `keep` is a bool row with one entry per modality, as in coalition_table.
-
-    Zero policies are idempotent; the sampling policy draws i.i.d. with
-    replacement from the non-lesion pool of the same modality, seeded, so the
-    result is a pure function of its arguments.
-    """
-    if policy.needs_mask and mask is None:
-        raise ValueError(f"policy {policy.variant.value!r} requires a mask")
-    if not policy.needs_mask and mask is not None:
-        mask = None
-    keep = np.asarray(keep)
-    if keep.dtype != bool or keep.shape != (volume.n_modalities,):
-        raise ValueError(
-            f"keep must be a bool row of {volume.n_modalities} modalities, "
-            f"got {keep.dtype} {keep.shape}"
-        )
-    if mask is not None and mask.data.shape != volume.data.shape:
-        raise ValueError("mask shape does not match volume shape")
-
-    if keep.all():
-        return volume
-    data = volume.data.copy()
-    # made only where it draws: numpy.random is not imported for the zero policies
-    if policy.variant is AblationVariant.NONLESION_SAMPLE_WHOLE_MODALITY:
-        rng = np.random.default_rng(policy.rng_seed)
-    for m in np.flatnonzero(~keep):
-        if policy.variant is AblationVariant.ZERO_WHOLE_MODALITY:
-            data[m] = 0.0
-        elif policy.variant is AblationVariant.ZERO_FEATURE_REGION:
-            data[m][mask.data[m]] = 0.0
-        else:
-            pool = volume.data[m][~mask.data[m]]
-            if pool.size == 0:
-                raise ValueError(
-                    f"modality {m}: non-lesion sampling pool is empty "
-                    "(mask covers the whole modality)"
-                )
-            draws = rng.integers(0, pool.size, size=data[m].shape)
-            data[m] = pool[draws]
-    return MultiModalVolume(volume.modality_names, data)
-
-
 def coalition_performance(data, oracle, keep, policy):
-    """Oracle accuracy with each sample ablated down to the kept modalities."""
-    samples, _ = _dataset(data)
-    return _coalition_accuracies(samples, oracle, [keep], policy)[0]
+    """Oracle accuracy with each sample ablated down to the kept modalities;
+    `keep`, a bool row of one entry per modality, is checked before any oracle call."""
+    samples, (names, _) = _dataset(data)
+    keep = np.asarray(keep)
+    if keep.dtype != bool or keep.shape != (len(names),):
+        raise ValueError(f"keep must be a bool row of {len(names)} modalities, "
+                         f"got {keep.dtype} {keep.shape}")
+    return _coalition_accuracies(samples, oracle, keep[None], policy)[0]
 
 
 def _coalition_accuracies(samples, oracle, rows, policy):
     """Accuracy per keep row, from one plan per sample with no head: its items
-    are the rows, ablated by apply_ablation with the sample's mask only if the
-    policy needs one (so a DatasetView reads no mask under `zero`). Under
-    `zero`, a first row that keeps nothing is all +0.0 for every sample, and
-    is marked so (see oracle._evaluate). A label the oracle does not predict
-    is a ValueError naming the sample."""
+    are the rows, built by _removal. Under `zero`, a first row that keeps
+    nothing is the all-zero volume for every sample, and is marked so (see
+    oracle._evaluate). A label the oracle does not predict is a ValueError
+    naming the sample."""
     zeroes = policy.variant is AblationVariant.ZERO_WHOLE_MODALITY
     zero = 0 if zeroes and not np.any(rows[0]) else None
+    dropped = np.flatnonzero(~np.all(rows, axis=0))
 
     def plan(s):
         label, what = s.record.label, f"sample {s.record.sample_id}: label"
-        build = partial(apply_ablation, policy=policy, mask=s.mask if policy.needs_mask else None)
-        return _Plan(s.volume, rows, build,
+        return _Plan(s.volume, rows, _removal(s, policy, dropped),
                      lambda preds: [p.argmax == _checked_class(p, label, what) for p in preds],
                      zero=zero)
 
     hit_rows = [row for row, _ in _evaluate(map(plan, samples), oracle)]
     return [sum(hits) / len(samples) for hits in zip(*hit_rows)]
+
+
+def _removal(sample, policy, dropped):
+    """`build(volume, keep)` of a sample's coalitions: np.where(keep mask,
+    volume data, fill). The mask is the keep row over the modalities, or
+    under `feature` that row or outside the sample's mask; the fill is +0.0,
+    or under `nonlesion`, for each modality in `dropped`, draws with
+    replacement from its non-lesion voxels, made here from a generator keyed
+    by the policy seed and the modality's name, so the same in every
+    coalition and sample order. The mask is read only if the policy needs it."""
+    mask = sample.mask if policy.needs_mask else None
+    if policy.needs_mask and mask is None:
+        raise ValueError(f"policy {policy.variant.value!r} requires a mask")
+    names, data, fill = sample.volume.modality_names, sample.volume.data, 0.0
+    outside = ~mask.data if policy.variant is AblationVariant.ZERO_FEATURE_REGION else False
+    if policy.variant is AblationVariant.NONLESION_SAMPLE_WHOLE_MODALITY:
+        fill = np.zeros_like(data)
+        for m in dropped:
+            pool = data[m][~mask.data[m]]
+            if pool.size == 0:
+                raise ValueError(f"modality {m}: non-lesion sampling pool is empty "
+                                 "(mask covers the whole modality)")
+            # made only where it draws: numpy.random is not imported for the zero policies
+            rng = np.random.default_rng([policy.rng_seed, *names[m].encode()])
+            fill[m] = pool[rng.integers(0, pool.size, size=data.shape[1:])]
+    shape = (-1,) + (1,) * (data.ndim - 1)
+    # the full coalition is the volume itself: no copy is held while it is predicted
+    return lambda volume, keep: volume if keep.all() else MultiModalVolume._trusted(
+        volume.modality_names, np.where(keep.reshape(shape) | outside, volume.data, fill))
 
 
 def exact_shapley(values, n_players):
@@ -197,9 +184,10 @@ def shapley_mi(data, oracle, policy) -> ModalityImportance:
     """Ground-truth modality importance by exact coalition enumeration.
 
     Every coalition value is computed once and shared across all modalities'
-    marginal contributions; all 2^M x N ablated volumes are evaluated as one
-    stream, sample by sample, but under `zero` the empty coalition's all-zero
-    volume once for all samples. `data` is a list of loaded samples or a
+    marginal contributions; all 2^M x N ablated volumes, each built by one
+    keep-mask rule (see _removal), are evaluated as one stream, sample by
+    sample, but under `zero` the empty coalition's all-zero volume once for
+    all samples. `data` is a list of loaded samples or a
     DatasetView, which reads each sample from disk as the stream reaches it;
     either must keep to one layout (see tensorio._dataset), whose modality
     names label the result, and is checked before any oracle call.

@@ -213,21 +213,26 @@ def cmd_saliency_run(args):
 
 
 @contextlib.contextmanager
-def _staged(drop=()):
+def _staged(drop=(), inputs=()):
     """Yield `stage`, which maps the path of one of a run's output files to
     the path to write it at: a file in a fresh directory inside the output's
     directory, which is made with its missing parents at the first `stage`.
 
     An output, or a path in `drop`, that is a directory is an
-    IsADirectoryError when it is named. When the block ends normally, each
+    IsADirectoryError when it is named, and an output that is one of the
+    `inputs` or named twice is a ValueError. When the block ends normally, each
     staged file replaces its output and each path in `drop` is removed; when
     it raises, the staged files and every directory made here are removed,
     and no file that was there before is touched.
     """
     stages, made = {}, []
+    named = {Path(p).resolve(): "an input" for p in inputs}
 
     def stage(path):
         path = _not_a_directory(path)
+        if path.resolve() in named:
+            raise ValueError(f"output {path} is also {named[path.resolve()]}")
+        named[path.resolve()] = "an output"
         if path.parent not in stages:
             made.extend(d for d in (path.parent, *path.parent.parents) if not d.exists())
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -275,7 +280,7 @@ def _load_mi_csv(path, modality_names):
 
 
 def _load_runlogs(path):
-    """{method: (directory, runlog)} from a runlog file or a directory of them."""
+    """{method: (runlog path, runlog)} from a runlog file or a directory of them."""
     path = Path(path)
     paths = sorted(path.glob("runlog_*.json")) if path.is_dir() else [path]
     if not paths:
@@ -288,7 +293,7 @@ def _load_runlogs(path):
         _json_entry(runlog, "wall_time", "object", p, each="number")
         if method in runlogs:
             raise ValueError(f"{path}: more than one runlog for method {method!r}")
-        runlogs[method] = (p.parent, runlog)
+        runlogs[method] = (p, runlog)
     return runlogs
 
 
@@ -305,16 +310,22 @@ def cmd_metrics(args):
             if args.metric in ("msfi", "iou") and rec.mask_path is None:
                 raise ValueError(f"{rec.sample_id}: {args.metric} needs a mask")
     meta = f"{args.out}.meta.json"
+    # the manifest, --mi, the runlogs, and every volume, mask and map they name
+    inputs = [args.manifest, *([args.mi] if phi is not None else []),
+              *(p for rec in samples.records for p in (rec.volume_path, rec.mask_path) if p),
+              *(p for p, _ in runlogs.values()),
+              *(p.parent / f for p, runlog in runlogs.values() for f in runlog["files"].values())]
     # a sidecar left by an earlier mi-corr run would describe an msfi or iou run's rows
-    with _staged(drop=() if args.metric == "mi-corr" else [meta]) as stage:
-        out = stage(args.out)
+    with _staged(drop=() if args.metric == "mi-corr" else [meta], inputs=inputs) as stage:
+        # the sidecar is staged here, so that it too is checked before any work
+        out, staged_meta = stage(args.out), stage(meta)
         # every method's map of a sample is checked against the layout and scored while
         # the sample is loaded; the rows go out method by method, each in sample order
         scores = {method: [] for method in runlogs}
         for s in samples:
             sid = s.record.sample_id
-            for method, (directory, runlog) in runlogs.items():
-                path = directory / runlog["files"][sid]
+            for method, (runlog_path, runlog) in runlogs.items():
+                path = runlog_path.parent / runlog["files"][sid]
                 smap = read_saliency(path)
                 _fit_layout(layout, sid, (path, smap.modality_names, smap.data.shape))
                 if args.metric == "msfi":
@@ -328,7 +339,7 @@ def cmd_metrics(args):
         rows = [["sample_id", "method", "metric", "value"], *itertools.chain(*scores.values())]
         _write_csv(out, rows)
         if args.metric == "mi-corr":
-            _write_json(stage(meta),
+            _write_json(staged_meta,
                         {"metric": "mi_corr", "estimated_mi_source": "raw_positive_part"})
     print(f"wrote {len(rows) - 1} scores to {args.out}")
 
@@ -373,7 +384,7 @@ def cmd_report_matrix(args):
     runlogs = _load_runlogs(args.runlog) if args.runlog else {}
     wall = {method: list(r["wall_time"].values()) for method, (_, r) in runlogs.items()}
     summaries = report_mod.summarize(records, wall)
-    with _staged() as stage:
+    with _staged(inputs=[args.scores, *(p for p, _ in runlogs.values())]) as stage:
         svg, table = stage(args.out), args.csv and stage(args.csv)
         _write_text(svg, report_mod.render_matrix(summaries))
         if table:

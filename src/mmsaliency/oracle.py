@@ -428,7 +428,7 @@ class _Plan(NamedTuple):
     (voxels, donor data) pair), in item order; `reduce` turns the share's
     predictions, in order, into its result; `head` puts the volume itself
     first, evaluated apart from any equal perturbed volume; `zero`, if not
-    None, is the position in `items` of one whose built volume is all +0.0."""
+    None, is the position in `items` of one whose volume is all zeros, of either sign."""
 
     volume: MultiModalVolume
     items: Sequence
@@ -441,11 +441,11 @@ class _Plan(NamedTuple):
 def _evaluate(plans, oracle):
     """Evaluate the plans' shares as one stream, each its head and then its
     items' volumes, built here and nowhere else; yield each plan's
-    `reduce(predictions)` and its number of evaluations, in order. The
-    all-zero volume of one dtype, shape and modality names is built and sent
-    for the first plan that marks it (`zero`) and not for a later one, unless
-    it is that plan's only evaluation: every plan has at least one, and a
-    later plan's reduce gets the first one's prediction in its place. A batch
+    `reduce(predictions)` and its number of evaluations, in order. A `zero`
+    item is not built: the one all-+0.0 volume of its dtype, shape and modality
+    names is sent for the first plan that marks it and not for a later one,
+    unless it is that plan's only evaluation: every plan has at least one, and
+    a later plan's reduce gets the first one's prediction in its place. A batch
     oracle's chunks may span plans. `plans` is iterated once, as the stream
     reaches each plan, and no plan is held once reduced: only the plans that
     the current chunk spans are alive, and on the per-item path one, whose
@@ -464,8 +464,10 @@ def _evaluate(plans, oracle):
             if plan.head:
                 yield plan.volume
             for i, item in enumerate(plan.items):
-                if not (skip and i == plan.zero):
+                if i != plan.zero:
                     yield plan.build(plan.volume, item)
+                elif not skip:
+                    yield MultiModalVolume._trusted(key[2], np.zeros(key[1], key[0]))
             del plan  # not held while the next plan is made
 
     preds = predict_volumes(oracle, stream())
@@ -486,10 +488,11 @@ def predict_volumes(oracle, volumes):
     only _evaluate calls it. An oracle has `predict(volume)`, returning one
     ClassProbabilities, and may offer `predict_batch(volumes)`, used instead,
     returning one per volume of a list, in order. A prediction must be a
-    function of the volume alone, in any call and any batch: the saliency
-    methods evaluate each distinct perturbation once and reuse its
-    prediction, and a stream evaluates an all-zero volume once for every
-    sample whose volume has its dtype, shape and modality names.
+    function of the volume alone, in any call and any batch, whatever the
+    sign of a zero: the saliency methods evaluate each distinct perturbation
+    once and reuse its prediction, and a stream evaluates one all-+0.0 volume
+    in place of the all-drop row, which may hold -0.0, of every sample whose
+    volume has its dtype, shape and modality names.
 
     A batch oracle gets lists of up to BATCH_BYTES of volume data; a volume
     larger than the budget goes alone, and a call that returns a different

@@ -30,7 +30,7 @@ def summarize(records, wall_times=None):
     """Group records by method and compute stats, sorted by summed MSFI descending.
 
     wall_times maps method -> iterable of per-sample seconds; the speed score
-    is 1 - minmax(log mean time) across methods (faster is closer to 1).
+    is 1 - minmax(log mean time) across the scored methods (faster is closer to 1).
     Every method must carry msfi rows, since they define the sort key.
     """
     records = list(records)
@@ -40,7 +40,7 @@ def summarize(records, wall_times=None):
     for r in records:
         by_method.setdefault(r.method, []).append(r)
 
-    speed = _speed_scores(wall_times) if wall_times else {}
+    speed = _speed_scores({m: t for m, t in (wall_times or {}).items() if m in by_method})
     summaries = []
     for method, rows in by_method.items():
         stats = {}

@@ -92,8 +92,8 @@ class MethodConfig:
     target_class=None means "explain the predicted class". n_samples counts
     the random draws of lime, shapley_sampling and kernel_shap; the oracle
     evaluates only the distinct keep rows among them, and a row that drops
-    every segment once for all the samples whose volumes have no sign bit
-    set (see _segment_plans). `exhaustive` makes the
+    every segment once for all the samples of one dtype, shape and modality
+    names (see _segment_plans). `exhaustive` makes the
     sampling estimators (shapley_sampling, kernel_shap) return exact Shapley
     values from all 2^K coalitions (K <= 12 segments); n_samples is ignored
     in that mode.
@@ -174,8 +174,8 @@ def _segment_plans(volumes, grid, rows, reduce):
     The rows are deduplicated once for all volumes: each distinct row is
     evaluated once per volume, in order of first occurrence, and its
     probability is passed to `reduce` for every row equal to it. A distinct
-    row that drops every segment is marked as the plan's `zero` for a volume
-    with no sign bit set, so the stream evaluates it once for all samples.
+    row that drops every segment is marked as each plan's `zero`, so the
+    stream evaluates one all-+0.0 volume for all samples in its place.
     """
     # seen[row bytes]: the row's position among the distinct rows and the
     # first row with those bytes. A dict over the row bytes is >10x faster
@@ -206,15 +206,9 @@ def _segment_plans(volumes, grid, rows, reduce):
     def reduce_rows(probs):
         return reduce(probs[where])[grid.segment_ids]
 
-    # the position of the distinct row that keeps nothing, if any; kept
-    # multiplies, so a dropped negative voxel or -0.0 stays -0.0
+    # the position of the distinct row that keeps nothing, if any
     blank = seen.get(bytes(rows.shape[1]), (None,))[0]
-
-    def plan(volume):
-        zero = None if blank is None or np.signbit(volume.data).any() else blank
-        return _Plan(volume, distinct, kept, reduce_rows, zero=zero)
-
-    return map(plan, volumes)
+    return map(lambda v: _Plan(v, distinct, kept, reduce_rows, zero=blank), volumes)
 
 
 def _solve(gram, rhs, what):

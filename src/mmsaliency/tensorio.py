@@ -221,7 +221,8 @@ class MultiModalVolume(_Field):
         """`volume` times `keep`, an array of its shape, or of its dims to be
         broadcast over the modalities, that is bool or holds 0 and 1 in the
         volume's dtype, made by _trusted: that product of a validated volume
-        keeps its dtype, shape and finiteness."""
+        keeps its dtype, shape and finiteness, and a dropped negative voxel
+        or -0.0 becomes -0.0 (see oracle._evaluate for the all-drop row)."""
         return cls._trusted(volume.modality_names, volume.data * keep)
 
 

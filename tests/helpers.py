@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from mmsaliency.ablate import AblationVariant
 from mmsaliency.oracle import ClassProbabilities
 from mmsaliency.tensorio import LoadedSample, ManifestRecord, MultiModalVolume
 
@@ -50,6 +51,30 @@ def make_volume(rng, n_modalities=2, dims=(4, 4), names=None, low=0.0, high=1.0)
 def make_sample(sample_id, volume, mask=None, label=0):
     record = ManifestRecord(sample_id, label, volume_path=f"{sample_id}.mmv")
     return LoadedSample(record, volume, mask)
+
+
+def apply_ablation_reference(volume, keep, policy, mask=None):
+    """A volume with every modality whose `keep` entry is False ablated, one
+    modality at a time: set to +0.0 (`zero`), its mask region set to +0.0
+    (`feature`), or drawn i.i.d. with replacement from its non-lesion voxels
+    (`nonlesion`), from one generator seeded with the policy seed per call
+    and drawn in ascending modality order. The zero policies are the
+    reference that MI's keep-mask build must meet byte for byte.
+    """
+    keep = np.asarray(keep)
+    if keep.all():
+        return volume
+    data = volume.data.copy()
+    rng = np.random.default_rng(policy.rng_seed)
+    for m in np.flatnonzero(~keep):
+        if policy.variant is AblationVariant.ZERO_WHOLE_MODALITY:
+            data[m] = 0.0
+        elif policy.variant is AblationVariant.ZERO_FEATURE_REGION:
+            data[m][mask.data[m]] = 0.0
+        else:
+            pool = volume.data[m][~mask.data[m]]
+            data[m] = pool[rng.integers(0, pool.size, size=data[m].shape)]
+    return MultiModalVolume(volume.modality_names, data)
 
 
 def permutation_shapley(values_by_mask, n):

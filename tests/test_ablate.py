@@ -6,11 +6,19 @@ import textwrap
 import numpy as np
 import pytest
 
-from helpers import FixedOracle, make_sample, make_volume, permutation_shapley, src_env
+from helpers import (
+    FixedOracle,
+    FunctionOracle,
+    apply_ablation_reference,
+    make_sample,
+    make_volume,
+    permutation_shapley,
+    src_env,
+)
+from mmsaliency import ablate
 from mmsaliency.ablate import (
     AblationPolicy,
     AblationVariant,
-    apply_ablation,
     coalition_performance,
     coalition_table,
     exact_shapley,
@@ -21,7 +29,13 @@ from mmsaliency.metrics import msfi
 from mmsaliency import oracle as oracle_mod
 from mmsaliency.oracle import ClassProbabilities, ShapeRuleClassifier
 from mmsaliency.synthgen import SynthConfig, generate_dataset
-from mmsaliency.tensorio import DatasetView, SaliencyMap, SegmentationMask, load_dataset
+from mmsaliency.tensorio import (
+    DatasetView,
+    MultiModalVolume,
+    SaliencyMap,
+    SegmentationMask,
+    load_dataset,
+)
 
 ZERO = AblationPolicy(AblationVariant.ZERO_WHOLE_MODALITY)
 NONLESION = AblationPolicy(AblationVariant.NONLESION_SAMPLE_WHOLE_MODALITY, rng_seed=9)
@@ -43,24 +57,42 @@ class TestCoalitionTable:
             assert row.tolist() == [bool(i >> j & 1) for j in range(n)]
 
 
-class TestApplyAblation:
+def built(vol, keep, policy, mask=None):
+    """The volume MI's build makes of one keep row of a sample."""
+    keep = np.asarray(keep)
+    build = ablate._removal(make_sample("s", vol, mask), policy, np.flatnonzero(~keep))
+    return build(vol, keep)
+
+
+class Recording:
+    """Records the bytes of every volume it predicts, as LabelFromModalityOracle(0)."""
+
+    def __init__(self):
+        self.seen = []
+
+    def predict(self, volume):
+        self.seen.append(volume.data.tobytes())
+        return LabelFromModalityOracle(0).predict(volume)
+
+
+class TestRemoval:
     def _volume(self):
         rng = np.random.default_rng(0)
         return make_volume(rng, 2, (3, 3), low=0.1, high=1.0)
 
     def test_full_coalition_is_identity(self):
         vol = self._volume()
-        out = apply_ablation(vol, KEEP_ALL, ZERO)
-        assert np.array_equal(out.data, vol.data)
+        out = built(vol, KEEP_ALL, ZERO)
+        assert out.data.tobytes() == vol.data.tobytes()
 
     def test_empty_coalition_zeroes_everything(self):
         vol = self._volume()
-        out = apply_ablation(vol, KEEP_NONE, ZERO)
-        assert np.all(out.data == 0.0)
+        out = built(vol, KEEP_NONE, ZERO)
+        assert np.all(out.data == 0.0) and not np.signbit(out.data).any()
 
     def test_zero_policy_only_touches_ablated_modalities(self):
         vol = self._volume()
-        out = apply_ablation(vol, KEEP_0, ZERO)
+        out = built(vol, KEEP_0, ZERO)
         assert np.array_equal(out.data[0], vol.data[0])
         assert np.all(out.data[1] == 0.0)
 
@@ -69,7 +101,7 @@ class TestApplyAblation:
         mask_data = np.zeros((2, 3, 3))
         mask_data[1, 0, 0] = mask_data[1, 1, 2] = mask_data[1, 2, 1] = 1.0
         mask = SegmentationMask(vol.modality_names, mask_data)
-        out = apply_ablation(vol, KEEP_0, FEATURE, mask)
+        out = built(vol, KEEP_0, FEATURE, mask)
         assert np.array_equal(out.data[0], vol.data[0])
         expected = vol.data[1].copy()
         expected[0, 0] = expected[1, 2] = expected[2, 1] = 0.0
@@ -80,35 +112,52 @@ class TestApplyAblation:
         mask_data = np.zeros((2, 3, 3))
         mask_data[1, :2, :] = 1.0  # lesion rows; pool = bottom row
         mask = SegmentationMask(vol.modality_names, mask_data)
-        out = apply_ablation(vol, KEEP_0, NONLESION, mask)
+        out = built(vol, KEEP_0, NONLESION, mask)
         pool = set(vol.data[1][mask_data[1] <= 0.5].tolist())
         assert set(out.data[1].ravel().tolist()) <= pool
         # seeded and pure: same arguments, same draw
-        again = apply_ablation(vol, KEEP_0, NONLESION, mask)
+        again = built(vol, KEEP_0, NONLESION, mask)
         assert np.array_equal(out.data, again.data)
 
-    def test_nonlesion_draws_are_one_stream_over_the_ablated_modalities(self):
-        vol = make_volume(np.random.default_rng(1), 3, (4, 4), low=0.1)
+    def test_nonlesion_gives_one_fill_per_modality_in_every_coalition_and_sample_order(self):
+        rng = np.random.default_rng(1)
+        vols = [make_volume(rng, 3, (4, 4), low=0.1) for _ in range(2)]
         mask_data = np.zeros((3, 4, 4))
         mask_data[:, :2] = 1.0  # each modality's pool is its bottom two rows
-        mask = SegmentationMask(vol.modality_names, mask_data)
-        out = apply_ablation(vol, np.array([False, True, False]), NONLESION, mask)
-        rng = np.random.default_rng(NONLESION.rng_seed)
-        for m in (0, 2):
-            pool = vol.data[m][2:].reshape(-1)
-            assert np.array_equal(out.data[m], pool[rng.integers(0, pool.size, size=(4, 4))])
-        assert np.array_equal(out.data[1], vol.data[1])
+        samples = [make_sample(f"s{i}", v, SegmentationMask(v.modality_names, mask_data))
+                   for i, v in enumerate(vols)]
+        rows = coalition_table(3, "modalities")
+        received = []
+        for order in (samples, samples[::-1]):
+            recording = Recording()
+            shapley_mi(order, recording, NONLESION)
+            # 2^3 coalitions per sample, in row order
+            received.append({s.record.sample_id: recording.seen[i * 8:(i + 1) * 8]
+                             for i, s in enumerate(order)})
+        assert received[1] == received[0]
+        for s in samples:
+            vol = s.volume
+            seen = [np.frombuffer(b).reshape(3, 4, 4) for b in received[0][s.record.sample_id]]
+            for m, name in enumerate(vol.modality_names):
+                # keyed by the policy seed and the modality's name
+                pool = vol.data[m][2:].reshape(-1)
+                draws = np.random.default_rng([NONLESION.rng_seed, *name.encode()])
+                fill = pool[draws.integers(0, pool.size, size=(4, 4))]
+                for row, data in zip(rows, seen):
+                    assert np.array_equal(data[m], vol.data[m] if row[m] else fill)
 
     def test_nonlesion_empty_pool_is_error(self):
         vol = self._volume()
         mask = SegmentationMask(vol.modality_names, np.ones((2, 3, 3)))
-        with pytest.raises(ValueError, match="empty"):
-            apply_ablation(vol, KEEP_0, NONLESION, mask)
+        with pytest.raises(ValueError, match="modality 1: non-lesion sampling pool is empty"):
+            coalition_performance([make_sample("s", vol, mask)], FixedOracle((1.0, 0.0)),
+                                  KEEP_0, NONLESION)
 
-    def test_mask_requirement_enforced(self):
-        vol = self._volume()
-        with pytest.raises(ValueError, match="mask"):
-            apply_ablation(vol, KEEP_0, FEATURE)
+    @pytest.mark.parametrize("policy", [FEATURE, NONLESION], ids=["feature", "nonlesion"])
+    def test_mask_requirement_enforced(self, policy):
+        with pytest.raises(ValueError, match=f"policy '{policy.variant.value}' requires a mask"):
+            coalition_performance([make_sample("s", self._volume())], FixedOracle((1.0, 0.0)),
+                                  KEEP_0, policy)
 
     @pytest.mark.parametrize(
         "keep",
@@ -116,21 +165,30 @@ class TestApplyAblation:
         ids=["index-tuple", "int-row", "too-short", "too-long"],
     )
     def test_keep_must_be_a_bool_row_per_modality(self, keep):
+        calls = []
+        oracle = FunctionOracle(lambda data: calls.append(1) or 1.0)
         with pytest.raises(ValueError, match="keep must be a bool row of 2 modalities"):
-            apply_ablation(self._volume(), keep, ZERO)
+            coalition_performance([make_sample("s", self._volume())], oracle, keep, ZERO)
+        assert calls == []
 
-    @pytest.mark.parametrize("shape", [(2, 3, 3), (1, 2, 2)], ids=["fitting", "misfit"])
-    def test_zero_ignores_a_mask_it_is_given(self, shape):
-        vol = self._volume()
-        mask = SegmentationMask(tuple(f"m{i}" for i in range(shape[0])), np.ones(shape))
-        out = apply_ablation(vol, KEEP_0, ZERO, mask)
-        assert out.data.tobytes() == apply_ablation(vol, KEEP_0, ZERO).data.tobytes()
+    def test_zero_reads_no_mask(self):
+        class Unmasked:
+            record = make_sample("s", self._volume()).record
+            volume = self._volume()
+
+            @property
+            def mask(self):
+                raise AssertionError("the zero policy read a mask")
+
+        out = ablate._removal(Unmasked(), ZERO, np.array([1]))(Unmasked.volume, KEEP_0)
+        assert out.data.tobytes() == built(self._volume(), KEEP_0, ZERO).data.tobytes()
 
     def test_a_mask_of_another_shape_is_rejected(self):
         vol = self._volume()
         mask = SegmentationMask(vol.modality_names, np.zeros((2, 2, 2)))
-        with pytest.raises(ValueError, match="mask shape does not match volume shape"):
-            apply_ablation(vol, KEEP_0, FEATURE, mask)
+        with pytest.raises(ValueError, match="has dims \\[2, 2\\], but the first volume has"):
+            coalition_performance([make_sample("s", vol, mask)], FixedOracle((1.0, 0.0)),
+                                  KEEP_0, FEATURE)
 
     def test_zero_policies_idempotent(self):
         vol = self._volume()
@@ -138,9 +196,48 @@ class TestApplyAblation:
         mask_data[:, 1, 1] = 1.0
         mask = SegmentationMask(vol.modality_names, mask_data)
         for policy, m in ((ZERO, None), (FEATURE, mask)):
-            once = apply_ablation(vol, KEEP_0, policy, m)
-            twice = apply_ablation(once, KEEP_0, policy, m)
+            once = built(vol, KEEP_0, policy, m)
+            twice = built(once, KEEP_0, policy, m)
             assert np.array_equal(once.data, twice.data)
+
+
+def zscored_samples(dims, n=3, seed=5):
+    """Samples of z-scored float32 volumes, with negative voxels and a -0.0
+    in each, each with a mask of one block per modality."""
+    rng = np.random.default_rng(seed)
+    names = ("t1", "t1c", "t2", "flair")
+    samples = []
+    for i in range(n):
+        data = rng.standard_normal((4, *dims)).astype(np.float32)
+        data.reshape(-1)[i::7] = -0.0
+        lesion = np.zeros(data.shape, dtype=bool)
+        lesion[(slice(None), *(slice(1, 3),) * len(dims))] = True
+        lesion[i % 4] = False  # one modality's mask is empty
+        samples.append(make_sample(f"s{i}", MultiModalVolume(names, data),
+                                   SegmentationMask(names, lesion), label=i % 2))
+    return samples
+
+
+class TestAgainstTheReference:
+    """The oracle gets the bytes of the per-modality loop for every MI
+    coalition under the zero policies, negative voxels and -0.0 included."""
+
+    @pytest.mark.parametrize("dims", [(6, 5), (4, 3, 5)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("policy", [ZERO, FEATURE], ids=["zero", "feature"])
+    def test_every_coalition_gets_the_reference_bytes(self, dims, policy):
+        samples = zscored_samples(dims)
+        recording = Recording()
+        shapley_mi(samples, recording, policy)
+        expected = []
+        for i, s in enumerate(samples):
+            for c, row in enumerate(coalition_table(4, "modalities")):
+                # under zero, the empty coalition is sent for the first sample only
+                if policy is FEATURE or i == 0 or c > 0:
+                    mask = s.mask if policy is FEATURE else None
+                    expected.append(apply_ablation_reference(s.volume, row, policy, mask)
+                                    .data.tobytes())
+        assert recording.seen == expected
+        assert any(np.signbit(np.frombuffer(b, np.float32)).any() for b in expected)
 
 
 class LabelFromModalityOracle:

@@ -214,12 +214,16 @@ def test_per_item_path_builds_each_volume_after_the_last_is_predicted(
     monkeypatch.setattr(saliency, "MultiModalVolume", Recorded)
     samples = _samples(2)
     generate_maps(samples, Recording(), _cfg(method))
+    # the all-zero volume is made by the stream, not built from its row
+    zeros = [volume for event, volume in events if not volume.data.any()]
+    assert len(zeros) == _zero_row(method)
+    events = [(event, volume) for event, volume in events if volume not in zeros]
     built = iter([volume for event, volume in events if event == "built"])
     expected = []
-    for evals, s in zip(_sample_evals(method, None), samples):
+    for i, (evals, s) in enumerate(zip(_sample_evals(method, None), samples)):
         # the sample's own volume heads its share of the stream unbuilt
         expected.append(("predicted", s.volume))
-        for _ in range(evals - 1):
+        for _ in range(evals - 1 - (i == 0) * _zero_row(method)):
             volume = next(built)
             expected += [("built", volume), ("predicted", volume)]
     assert next(built, None) is None
@@ -273,9 +277,11 @@ def test_per_item_path_builds_each_ablated_volume_after_the_last_is_predicted(
     events = []
 
     class Recorded(MultiModalVolume):
-        def __post_init__(self):
-            super().__post_init__()
-            events.append(("built", self))
+        @classmethod
+        def _trusted(cls, modality_names, data):
+            volume = super()._trusted(modality_names, data)
+            events.append(("built", volume))
+            return volume
 
     class Recording:
         def predict(self, volume):
@@ -285,14 +291,19 @@ def test_per_item_path_builds_each_ablated_volume_after_the_last_is_predicted(
     monkeypatch.setattr(ablate, "MultiModalVolume", Recorded)
     samples = _masked_samples(2)
     shapley_mi(samples, Recording(), policy)
+    zero = policy.variant is AblationVariant.ZERO_WHOLE_MODALITY
+    # under zero, row 0's all-zero volume is made by the stream, not built
+    # from its row, and sent for the first sample only
+    zeros = [volume for event, volume in events if not volume.data.any()]
+    assert len(zeros) == zero
+    events = [(event, volume) for event, volume in events if volume not in zeros]
     built = iter([volume for event, volume in events if event == "built"])
     expected = []
-    zero = policy.variant is AblationVariant.ZERO_WHOLE_MODALITY
-    for i, s in enumerate(samples):
-        # 2^M coalitions and no head: every row but the last is built, and
-        # the last, which keeps every modality, is the sample's own volume;
-        # under zero, row 0's all-zero volume is built for the first sample only
-        for _ in coalition_table(2, "modalities")[int(zero and i > 0):-1]:
+    for s in samples:
+        # 2^M coalitions and no head: every row but the last is built just
+        # before it is predicted, and the last, which keeps every modality,
+        # is the sample's own volume
+        for _ in coalition_table(2, "modalities")[int(zero):-1]:
             volume = next(built)
             expected += [("built", volume), ("predicted", volume)]
         expected.append(("predicted", s.volume))
@@ -366,27 +377,29 @@ SHARING_METHODS = [SaliencyMethod.SHAPLEY_SAMPLING, SaliencyMethod.KERNEL_SHAP]
 
 @pytest.mark.parametrize("fault", ["negative voxel", "negative zero"])
 @pytest.mark.parametrize("method", SHARING_METHODS)
-def test_a_volume_with_a_sign_bit_gets_its_own_all_drop_row(method, fault):
+def test_every_all_drop_row_is_the_one_plus_zero_volume(method, fault):
     samples = _samples()
     data = samples[1].volume.data.copy()
     data[1, 2, 3] = -0.25 if fault == "negative voxel" else -0.0
     samples[1] = make_sample("s1", MultiModalVolume(samples[1].volume.modality_names, data))
     shared = BytesRecording()
     maps, runlog = generate_maps(samples, shared, _cfg(method))
-    # what each sample sends alone, where nothing is shared: the stream the
-    # oracle got before the all-zero volume was shared
+    # what each sample sends alone, where nothing is shared
     alone = BytesRecording()
     for s in samples:
         _assert_same_maps({s.record.sample_id: maps[s.record.sample_id]},
                           generate_maps([s], alone, _cfg(method))[0])
     n = 1 + _stream_length(method)
-    assert list(runlog["oracle_evals"].values()) == [n, n, n - 1]
-    # the same bytes in the same order, but for s2's all-zero volume, which s0's stands for
+    assert list(runlog["oracle_evals"].values()) == [n, n - 1, n - 1]
+    # the same bytes in the same order, but for the all-zero volumes of s1
+    # and s2, which s0's stands for
+    zero_volume = (data.dtype.str, bytes(data.nbytes))
     first, second, third = (alone.seen[i * n:(i + 1) * n] for i in range(3))
-    assert shared.seen == first + second + [v for v in third if any(v[1])]
-    # s1's all-drop volume keeps the sign of a negative voxel or a -0.0
+    assert zero_volume in second and zero_volume in third
+    assert shared.seen == first + [v for v in second + third if v != zero_volume]
+    # s1's all-drop row is sent as +0.0, not with the sign of a negative voxel or a -0.0
     signed_zero = (data.dtype.str, (data * 0).tobytes())
-    assert signed_zero not in first and signed_zero in second
+    assert signed_zero != zero_volume and signed_zero not in alone.seen
     assert _zero_volumes(shared.seen) == [data.dtype.str]
 
 

@@ -969,6 +969,49 @@ class TestStagedFiles:
         assert_one_error_line(err, argv)
         assert not (tmp_path / "new").exists()
 
+    @staticmethod
+    def every_file(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    def test_an_output_named_twice_is_refused(self, pipeline, tmp_path):
+        svg = tmp_path / "m.svg"
+        svg.write_text("an earlier file\n")
+        argv = ["report", "matrix", "--scores", str(pipeline / "scores.csv"),
+                "--out", str(svg), "--csv", str(tmp_path / "." / "m.svg")]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert assert_one_error_line(err, argv).endswith("m.svg is also an output")
+        assert self.every_file(tmp_path) == {Path("m.svg"): b"an earlier file\n"}
+
+    # (command, the input that --out or --csv names)
+    @pytest.mark.parametrize("command, output, named", [
+        ("mi-corr", "--out", "mi.csv"),
+        ("msfi", "--out", "data/manifest.json"),
+        ("iou", "--out", "saliency/runlog_kernel_shap.json"),
+        ("iou", "--out", "saliency/s0003_feature_ablation.mmv"),
+        ("msfi", "--out", "data/s0001_mask.mmv"),
+        ("matrix", "--out", "scores.csv"),
+        ("matrix", "--csv", "saliency/runlog_feature_ablation.json"),
+    ])
+    def test_an_output_that_is_an_input_is_refused(self, pipeline, tmp_path, command, output,
+                                                   named):
+        root = tmp_path / "run"
+        shutil.copytree(pipeline, root)
+        before = self.every_file(root)
+        assert Path(named) in before
+        if command == "matrix":
+            argv = ["report", "matrix", "--scores", str(root / "scores.csv"),
+                    "--runlog", str(root / "saliency"), "--out", str(root / "new.svg"),
+                    "--csv", str(root / "new.csv")]
+        else:
+            argv = self.metrics(root, command, root / "new.csv")
+        argv[argv.index(output) + 1] = str(root / named)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        line = assert_one_error_line(err, argv)
+        assert line.endswith(f"output {root / named} is also an input")
+        assert self.every_file(root) == before
+
 
 # the values a mutated entry takes, and the JSON type of each
 SUBSTITUTES = [None, True, 1, 1.5, "x", [], {}]

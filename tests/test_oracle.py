@@ -755,6 +755,25 @@ class TestShapeRuleClassifier:
         cfg = ShapeRuleClassifier((1.0, 1.0))
         assert predict_shape_rule(cfg, vol).probs == (0.5, 0.5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_sign_of_a_zero_does_not_change_a_prediction(self, dtype):
+        # the cut is at least 0, so both -0.0 > cut and +0.0 > cut are false
+        rng = np.random.default_rng(2)
+        for cfg in random_classifiers(74, 40):
+            names = tuple(f"m{i}" for i in range(len(cfg.modality_weights)))
+            data = rng.standard_normal((len(names), 10, 9)).astype(dtype)
+            keep = rng.random(data.shape) < 0.5
+            # dropped by a product, a negative voxel becomes -0.0
+            product = MultiModalVolume(names, data * keep)
+            plus = MultiModalVolume(names, np.where(keep, data, 0.0))
+            assert np.signbit(product.data).sum() > np.signbit(plus.data).sum()
+            assert predict_shape_rule(cfg, product) == predict_shape_rule(cfg, plus)
+            signed = MultiModalVolume(names, data * 0)
+            assert np.signbit(signed.data).any()
+            zeros = MultiModalVolume(names, np.zeros(data.shape, dtype))
+            assert predict_shape_rule(cfg, signed).probs == (0.5, 0.5)
+            assert predict_shape_rule(cfg, zeros).probs == (0.5, 0.5)
+
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         vol = make_volume(rng, 3, (16, 16))

@@ -54,6 +54,13 @@ class TestSummarize:
         assert out["fast"] == pytest.approx(1.0)
         assert out["mid"] == pytest.approx(0.5)
         assert out["slow"] == pytest.approx(0.0)
+        # the runlog of a method with no score rows leaves the summary and the matrix
+        base = summarize(rows, wall)
+        for times in ([0.01], [1e4]):
+            extra = summarize(rows, {**wall, "unscored": times})
+            assert extra == base
+            assert summary_csv_rows(extra) == summary_csv_rows(base)
+            assert render_matrix(extra) == render_matrix(base)
 
     def test_a_method_without_wall_times_gets_no_speed_score(self):
         rows = records_for("a", [0.5]) + records_for("b", [0.5]) + records_for("c", [0.5])
